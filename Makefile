@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-shard bench-streams bench-streams-smoke server-smoke torture torture-smoke heal heal-smoke table1 table2 faultstudy faultstudy-disk examples clean
+.PHONY: all build vet test race cover bench bench-compare bench-smoke bench-shard bench-streams bench-streams-smoke server-smoke torture torture-smoke heal heal-smoke table1 table2 faultstudy faultstudy-disk examples clean
 
 all: build vet test
 
@@ -10,8 +10,9 @@ build:
 	$(GO) build ./...
 
 # Static checks plus a race-detector pass over the subsystems with the
-# most cross-goroutine state (metrics registry, WAL group commit, the
-# concurrent TPC-B driver), and a one-iteration smoke of the codeword
+# most cross-goroutine state (metrics registry, WAL group commit and its
+# recycled tail buffers, the transaction slabs a checkpoint snapshots, the
+# lock manager's pooled states, the concurrent TPC-B driver), and a one-iteration smoke of the codeword
 # kernel benchmarks. dbvet is the repo's own eleven-pass suite (latch
 # order, guarded writes, codeword pairing, metric names, I/O path,
 # error flow, 2PC protocol, context propagation, field-level locksets,
@@ -25,7 +26,7 @@ vet: bench-smoke torture-smoke server-smoke bench-streams-smoke heal-smoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/dbvet ./...
 	$(GO) run ./cmd/dbvet -stats -debt-baseline dbvet.debt.json ./...
-	$(GO) test -race ./internal/core ./internal/wal ./internal/obs ./internal/tpcb
+	$(GO) test -race ./internal/core ./internal/wal ./internal/lockmgr ./internal/heap ./internal/obs ./internal/tpcb
 
 # End-to-end smoke of the TCP front end: a K=4 sharded server takes a
 # concurrent mixed load over the wire protocol, drains gracefully, and
@@ -82,6 +83,17 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The one benchmark harness (cmd/bench, BENCHMARK.json): run all five
+# workloads into .bench_build/result.json, then diff against the
+# checked-in baseline with BENCHMARK.json's bounds. Exits nonzero on a
+# regression; a metric whose run-to-run spread exceeds its bound is
+# reported unresolved, not passed. About 3 minutes. The baseline was
+# measured on the box that checked it in — on other hardware, compare two
+# local runs instead (see cmd/bench/README.md).
+bench-compare:
+	bash cmd/bench/run.sh run -out .bench_build/result.json
+	bash cmd/bench/run.sh compare cmd/bench/baseline.json .bench_build/result.json
 
 # The paper's experiments.
 table1:

@@ -195,6 +195,10 @@ type DB struct {
 	// to capture an update-consistent snapshot.
 	barrier sync.RWMutex
 
+	// scratch recycles transaction scratch memory (*txnScratch, slab.go)
+	// from finished transactions to new ones.
+	scratch sync.Pool
+
 	metaMu   sync.Mutex
 	meta     map[string][]byte
 	nextPage mem.PageID

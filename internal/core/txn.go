@@ -34,9 +34,15 @@ type Txn struct {
 	prepared bool
 	// pendingUpdate guards against overlapping update brackets.
 	pendingUpdate bool
+	// upd is the open update bracket: brackets cannot overlap, so the
+	// transaction holds the only one by value.
+	upd Update
 	// opRedoMarks records len(entry.Redo) at each BeginOp so AbortOp can
 	// discard exactly the aborted operation's pending records.
 	opRedoMarks []int
+	// s holds the slabs the transaction's log records, images and
+	// logical-undo arguments live in (slab.go); finish returns it.
+	s *txnScratch
 }
 
 // ErrTxnDone is returned by operations on a committed or aborted
@@ -86,14 +92,18 @@ func (db *DB) BeginCtx(ctx context.Context) (*Txn, error) {
 		db.barrier.RUnlock()
 		return nil, fmt.Errorf("core: begin txn: %w", err)
 	}
+	t := &Txn{db: db, entry: entry, ctx: ctx, s: db.acquireScratch()}
+	// Under the barrier: the entry is in the ATT, where a checkpoint
+	// snapshot reads its undo log.
+	entry.Undo = t.s.undo
 	db.barrier.RUnlock()
 	db.mTxnsBegun.Inc()
-	return &Txn{db: db, entry: entry, ctx: ctx}, nil
+	return t, nil
 }
 
 // AdoptTxn wraps an ATT entry in a Txn for recovery-driven rollback.
 func (db *DB) AdoptTxn(entry *wal.TxnEntry) *Txn {
-	return &Txn{db: db, entry: entry, ctx: context.Background(), recoveryMode: true}
+	return &Txn{db: db, entry: entry, ctx: context.Background(), recoveryMode: true, s: db.acquireScratch()}
 }
 
 // AdoptPrepared wraps an in-doubt ATT entry (state TxnPrepared, left
@@ -104,7 +114,9 @@ func (db *DB) AdoptPrepared(entry *wal.TxnEntry) (*Txn, error) {
 	if entry.State != wal.TxnPrepared {
 		return nil, fmt.Errorf("core: txn %d is %s, not prepared", entry.ID, entry.State)
 	}
-	return &Txn{db: db, entry: entry, ctx: context.Background(), recoveryMode: true, prepared: true}, nil
+	t := db.AdoptTxn(entry)
+	t.prepared = true
+	return t, nil
 }
 
 // ID reports the transaction ID.
@@ -159,14 +171,35 @@ func (t *Txn) BeginOp(level uint8, key wal.ObjectKey) error {
 	}
 	t.db.barrier.RLock()
 	defer t.db.barrier.RUnlock()
+	if s := t.s; s.firstPhys < 0 || len(t.entry.Undo) <= s.firstPhys {
+		// Every physical undo entry pointing into the operation slab has
+		// been popped, and with it the operation whose images lived there.
+		s.opBuf.reset()
+		s.firstPhys = -1
+	}
 	t.opRedoMarks = append(t.opRedoMarks, len(t.entry.Redo))
 	t.entry.PushOpBegin(level, key)
-	t.entry.Redo = append(t.entry.Redo, &wal.Record{
-		Kind: wal.KindOpBegin, Txn: t.entry.ID, Level: level, Key: key,
-	})
+	*t.pushRedo() = wal.Record{Kind: wal.KindOpBegin, Txn: t.entry.ID, Level: level, Key: key}
 	t.db.mOps.Inc()
 	return nil
 }
+
+// pushRedo appends a record of the redo slab to the local redo log and
+// returns it for the caller to fill. An empty redo log rewinds the slab:
+// its records were encoded into the log tail (or discarded) already.
+func (t *Txn) pushRedo() *wal.Record {
+	if len(t.entry.Redo) == 0 {
+		t.s.recs.reset()
+	}
+	r := &t.s.recs.alloc(1)[0]
+	t.entry.Redo = append(t.entry.Redo, r)
+	return r
+}
+
+// UndoArgs returns n bytes owned by the transaction that stay valid until
+// it completes — the place to build a wal.LogicalUndo's Args, which the
+// undo log keeps for exactly that long. The bytes are not zeroed.
+func (t *Txn) UndoArgs(n int) []byte { return t.s.txnBuf.alloc(n) }
 
 // CommitOp commits the current lower-level operation: the operation
 // commit record (with its logical undo description) is appended to the
@@ -195,17 +228,18 @@ func (t *Txn) commitOp(level uint8, key wal.ObjectKey, undo wal.LogicalUndo, com
 	}
 	t.db.barrier.RLock()
 	defer t.db.barrier.RUnlock()
-	rec := &wal.Record{
+	rec := t.pushRedo()
+	*rec = wal.Record{
 		Kind: wal.KindOpCommit, Txn: t.entry.ID, Level: level, Key: key,
 		Undo: undo, Compensation: compensation,
 	}
-	t.entry.Redo = append(t.entry.Redo, rec)
 	if err := t.db.log.Append(t.entry.Redo...); err != nil {
 		// Poisoned log: the records stayed local (nothing was appended), so
 		// the operation remains open and the caller can still Abort — the
 		// undo log is intact and rollback is purely in-memory.
 		return fmt.Errorf("core: txn %d: commit op: %w", t.entry.ID, err)
 	}
+	// rec stays readable below: the slab rewinds only at the next pushRedo.
 	t.entry.Redo = t.entry.Redo[:0]
 	if n := len(t.opRedoMarks); n > 0 {
 		t.opRedoMarks = t.opRedoMarks[:n-1]
@@ -284,32 +318,13 @@ func (t *Txn) AbortOp() error {
 // copy. A CorruptionError-wrapped precheck failure means the data is
 // corrupt and was not returned.
 func (t *Txn) Read(addr mem.Addr, n int) ([]byte, error) {
-	if t.done {
-		return nil, ErrTxnDone
-	}
-	if t.prepared {
-		return nil, ErrTxnPrepared
-	}
-	if t.pendingUpdate {
-		// Reading through the scheme while an update bracket is open
-		// would re-acquire protection latches the bracket already holds
-		// (self-deadlock under Read Prechecking).
-		return nil, fmt.Errorf("core: txn %d: read inside an open update bracket", t.entry.ID)
-	}
-	info, err := t.db.scheme.Read(addr, n)
-	if err != nil {
-		return nil, t.wrapReadErr(addr, n, err)
-	}
-	t.db.mReads.Inc()
-	if info.LogRead {
-		t.entry.Redo = append(t.entry.Redo, &wal.Record{
-			Kind: wal.KindRead, Txn: t.entry.ID, Addr: addr, Len: n,
-			HasCW: info.HasCW, CW: info.CW,
-		})
-		t.db.mReadRec.Inc()
+	if n < 0 {
+		return nil, t.wrapReadErr(addr, n, t.db.arena.CheckRange(addr, n))
 	}
 	out := make([]byte, n)
-	copy(out, t.db.arena.Slice(addr, n))
+	if _, err := t.ReadInto(addr, out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -323,6 +338,9 @@ func (t *Txn) ReadInto(addr mem.Addr, dst []byte) (int, error) {
 		return 0, ErrTxnPrepared
 	}
 	if t.pendingUpdate {
+		// Reading through the scheme while an update bracket is open
+		// would re-acquire protection latches the bracket already holds
+		// (self-deadlock under Read Prechecking).
 		return 0, fmt.Errorf("core: txn %d: read inside an open update bracket", t.entry.ID)
 	}
 	info, err := t.db.scheme.Read(addr, len(dst))
@@ -331,10 +349,10 @@ func (t *Txn) ReadInto(addr mem.Addr, dst []byte) (int, error) {
 	}
 	t.db.mReads.Inc()
 	if info.LogRead {
-		t.entry.Redo = append(t.entry.Redo, &wal.Record{
+		*t.pushRedo() = wal.Record{
 			Kind: wal.KindRead, Txn: t.entry.ID, Addr: addr, Len: len(dst),
 			HasCW: info.HasCW, CW: info.CW,
-		})
+		}
 		t.db.mReadRec.Inc()
 	}
 	copy(dst, t.db.arena.Slice(addr, len(dst)))
@@ -369,9 +387,9 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("core: txn %d: commit: %w", t.entry.ID, err)
 	}
 	t.db.barrier.RLock()
-	recs := append(t.entry.Redo, &wal.Record{Kind: wal.KindTxnCommit, Txn: t.entry.ID})
-	err := t.db.log.AppendAndFlushCtx(t.ctx, recs...)
-	t.entry.Redo = nil
+	*t.pushRedo() = wal.Record{Kind: wal.KindTxnCommit, Txn: t.entry.ID}
+	err := t.db.log.AppendAndFlushCtx(t.ctx, t.entry.Redo...)
+	t.entry.Redo = t.entry.Redo[:0]
 	t.db.barrier.RUnlock()
 	if err != nil {
 		if errors.Is(err, wal.ErrFlushWaitCanceled) {
@@ -415,9 +433,9 @@ func (t *Txn) Prepare(gid uint64) error {
 		return fmt.Errorf("core: txn %d: prepare requires a nonzero global transaction ID", t.entry.ID)
 	}
 	t.db.barrier.RLock()
-	recs := append(t.entry.Redo, &wal.Record{Kind: wal.KindTxnPrepare, Txn: t.entry.ID, GID: gid})
-	err := t.db.log.AppendAndFlushCtx(t.ctx, recs...)
-	t.entry.Redo = nil
+	*t.pushRedo() = wal.Record{Kind: wal.KindTxnPrepare, Txn: t.entry.ID, GID: gid}
+	err := t.db.log.AppendAndFlushCtx(t.ctx, t.entry.Redo...)
+	t.entry.Redo = t.entry.Redo[:0]
 	t.db.barrier.RUnlock()
 	if err != nil {
 		return fmt.Errorf("core: txn %d: prepare: %w", t.entry.ID, err)
@@ -544,8 +562,8 @@ func (t *Txn) Abort() error {
 func (t *Txn) Rollback() error {
 	// Pending redo records belong to an uncommitted operation (or are
 	// reads); they never reached the system log and are discarded.
-	t.entry.Redo = nil
-	t.opRedoMarks = nil
+	t.entry.Redo = t.entry.Redo[:0]
+	t.opRedoMarks = t.opRedoMarks[:0]
 	for len(t.entry.Undo) > 0 {
 		before := len(t.entry.Undo)
 		top := t.entry.Undo[before-1]
@@ -645,6 +663,7 @@ func (t *Txn) finish(state wal.TxnState) {
 		t.db.locks.ReleaseAll(t.entry.ID)
 	}
 	t.done = true
+	t.releaseScratch()
 }
 
 // applyPhysUndo restores a physical before-image through the protection
@@ -660,7 +679,9 @@ func (t *Txn) applyPhysUndo(u wal.UndoRec) error {
 	if err != nil {
 		return err
 	}
-	cur := make([]byte, n)
+	// Allocating never rewinds the slab, so u.Before (possibly in the same
+	// slab, already popped from the stack) stays intact.
+	cur := t.s.opBuf.alloc(n)
 	copy(cur, t.db.arena.Slice(u.Addr, n))
 	//dbvet:allow guardedwrite rollback restores the undo image; AbortUpdate squares the codeword
 	copy(t.db.arena.Slice(u.Addr, n), u.Before)

@@ -19,12 +19,17 @@ import (
 // BeginUpdate pushes the physical undo record with the flag pending, End
 // clears it after folding the codeword, and Cancel restores the
 // before-image leaving the codeword untouched.
+//
+// The bracket lives inside its Txn (brackets cannot overlap), and its
+// before- and after-images live in the transaction's operation slab: the
+// undo entry and the redo record point at slab bytes that stay put until
+// the enclosing operation has committed or aborted.
 type Update struct {
 	t       *Txn
 	addr    mem.Addr
 	n       int
 	before  []byte
-	tok     *protect.UpdateToken
+	tok     protect.UpdateToken
 	undoIdx int
 	done    bool
 }
@@ -33,6 +38,10 @@ type Update struct {
 // is open the transaction must not issue other operations (reads through
 // the interface, operation boundaries); it should only write the exposed
 // bytes and then End or Cancel.
+//
+// The returned handle is the transaction's one bracket, reused by its next
+// BeginUpdate: it is dead once End or Cancel has returned, and a caller
+// that kept it would be addressing whichever bracket is open by then.
 func (t *Txn) BeginUpdate(addr mem.Addr, n int) (*Update, error) {
 	if t.done {
 		return nil, ErrTxnDone
@@ -52,25 +61,25 @@ func (t *Txn) BeginUpdate(addr mem.Addr, n int) (*Update, error) {
 		db.barrier.RUnlock()
 		return nil, err
 	}
-	before := make([]byte, n)
-	copy(before, db.arena.Slice(addr, n))
 	tok, err := db.scheme.BeginUpdate(addr, n)
 	if err != nil {
 		db.barrier.RUnlock()
 		return nil, err
 	}
+	before := t.s.opBuf.alloc(n)
+	copy(before, db.arena.Slice(addr, n))
 	t.entry.PushPhysUndo(addr, before)
+	undoIdx := len(t.entry.Undo) - 1
+	if t.s.firstPhys < 0 || undoIdx < t.s.firstPhys {
+		// A true minimum: the stack may have shrunk (an aborted or committed
+		// nested operation) since the entry that set firstPhys was pushed.
+		t.s.firstPhys = undoIdx
+	}
 	t.pendingUpdate = true
 	db.mUpdates.Inc()
+	t.upd = Update{t: t, addr: addr, n: n, before: before, tok: tok, undoIdx: undoIdx}
 	//dbvet:allow cwpair bracket folds in Update.End via scheme.EndUpdate, not at Begin
-	return &Update{
-		t:       t,
-		addr:    addr,
-		n:       n,
-		before:  before,
-		tok:     tok,
-		undoIdx: len(t.entry.Undo) - 1,
-	}, nil
+	return &t.upd, nil
 }
 
 // Bytes exposes the writable window [addr, addr+n) of the database image
@@ -99,7 +108,7 @@ func (u *Update) End() error {
 	defer db.barrier.RUnlock()
 	t.pendingUpdate = false
 
-	after := make([]byte, u.n)
+	after := t.s.opBuf.alloc(u.n)
 	copy(after, db.arena.Slice(u.addr, u.n))
 
 	// Pre-update codeword for "write treated as read followed by write"
@@ -110,10 +119,10 @@ func (u *Update) End() error {
 		return err
 	}
 	t.entry.Undo[u.undoIdx].CodewordPending = false
-	t.entry.Redo = append(t.entry.Redo, &wal.Record{
+	*t.pushRedo() = wal.Record{
 		Kind: wal.KindPhysRedo, Txn: t.entry.ID,
 		Addr: u.addr, Data: after, HasCW: hasCW, CW: cw,
-	})
+	}
 	return nil
 }
 

@@ -105,14 +105,14 @@ func (t *Table) Update(txn *core.Txn, rid RID, off int, data []byte) error {
 		txn.AbortOp()
 		return err
 	}
-	old := append([]byte(nil), u.Bytes()...)
+	args := encodeUpdateUndo(txn, off, u.Bytes())
 	copy(u.Bytes(), data)
 	if err := u.End(); err != nil {
 		txn.AbortOp()
 		return err
 	}
 	return txn.CommitOp(OpLevel, rid.Key(), wal.LogicalUndo{
-		Op: UndoOpUpdate, Key: rid.Key(), Args: encodeUpdateUndo(off, old),
+		Op: UndoOpUpdate, Key: rid.Key(), Args: args,
 	})
 }
 
@@ -128,7 +128,7 @@ func (t *Table) Delete(txn *core.Txn, rid RID) error {
 	if !t.Allocated(rid.Slot) {
 		return fmt.Errorf("%w: %v", ErrSlotFree, rid)
 	}
-	old := make([]byte, t.RecSize)
+	old := txn.UndoArgs(t.RecSize)
 	copy(old, t.cat.db.Internals().Arena.Slice(t.RecordAddr(rid.Slot), t.RecSize))
 	if err := txn.BeginOp(OpLevel, rid.Key()); err != nil {
 		return err
@@ -240,9 +240,16 @@ func (t *Table) writeRecord(txn *core.Txn, slot uint32, off int, data []byte) er
 	return u.End()
 }
 
-func encodeUpdateUndo(off int, old []byte) []byte {
-	b := binary.AppendUvarint(nil, uint64(off))
-	return append(b, old...)
+// encodeUpdateUndo builds the logical-undo arguments of an update — the
+// offset and the bytes it overwrote — in memory the transaction keeps for
+// as long as its undo log.
+func encodeUpdateUndo(txn *core.Txn, off int, old []byte) []byte {
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(off))
+	b := txn.UndoArgs(n + len(old))
+	copy(b, hdr[:n])
+	copy(b[n:], old)
+	return b
 }
 
 func decodeUpdateUndo(args []byte) (int, []byte, error) {

@@ -193,8 +193,8 @@ func (fs *FaultFS) FailNthRead(n uint64) {
 }
 
 // CorruptReadAt arms silent read corruption: every ReadFile of a file
-// whose base name is name returns the stored bytes with the byte at
-// offset off flipped — lying storage on the read path, which only
+// whose base name is name, and every File.ReadAt of it that covers the
+// offset, returns the stored bytes with the byte at offset off flipped — lying storage on the read path, which only
 // checksummed/codeworded readers can catch. An empty name disarms.
 func (fs *FaultFS) CorruptReadAt(name string, off int64) {
 	fs.mu.Lock()
@@ -203,8 +203,8 @@ func (fs *FaultFS) CorruptReadAt(name string, off int64) {
 	fs.corruptReadOff = off
 }
 
-// Reads reports the number of ReadFile calls seen so far, so a caller can
-// arm FailNthRead at "the next read from now" (Reads()+1).
+// Reads reports the number of ReadFile and File.ReadAt calls seen so far,
+// so a caller can arm FailNthRead at "the next read from now" (Reads()+1).
 func (fs *FaultFS) Reads() uint64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -302,29 +302,17 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 // CorruptReadAt) before returning.
 func (fs *FaultFS) ReadFile(name string) ([]byte, error) {
 	fs.mu.Lock()
-	if fs.crashed {
-		fs.mu.Unlock()
-		return nil, fmt.Errorf("%w (read %s)", ErrCrashed, filepath.Base(name))
-	}
-	fs.reads++
-	if fs.failReadN != 0 && fs.reads == fs.failReadN {
-		fs.injectLocked("failread", OpRead, name)
-		fs.mu.Unlock()
-		return nil, fmt.Errorf("%w: read %s failed", ErrInjected, filepath.Base(name))
-	}
-	corrupt := fs.corruptReadOf != "" && fs.corruptReadOf == filepath.Base(name)
-	off := fs.corruptReadOff
-	if corrupt {
-		fs.injectLocked("corruptread", OpRead, name)
-	}
+	flip, err := fs.readEnterLocked(name)
 	fs.mu.Unlock()
-
+	if err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(name)
 	if err != nil {
 		return data, err
 	}
-	if corrupt && off >= 0 && off < int64(len(data)) {
-		data[off] ^= 0xFF
+	if flip >= 0 && flip < int64(len(data)) {
+		data[flip] ^= 0xFF
 	}
 	return data, nil
 }
@@ -472,6 +460,41 @@ func (fs *FaultFS) writeFaultLocked(op Op, path string, n int) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// readEnterLocked is the read-side gate shared by ReadFile and
+// File.ReadAt: reads fail after a crash and count toward the
+// fail-Nth-read failpoint, but never consume an I/O point. flip is the
+// file offset of the byte a CorruptReadAt failpoint armed on this file
+// inverts in what the read returns, or -1.
+func (fs *FaultFS) readEnterLocked(name string) (flip int64, err error) {
+	if fs.crashed {
+		return -1, fmt.Errorf("%w (read %s)", ErrCrashed, filepath.Base(name))
+	}
+	fs.reads++
+	if fs.failReadN != 0 && fs.reads == fs.failReadN {
+		fs.injectLocked("failread", OpRead, name)
+		return -1, fmt.Errorf("%w: read %s failed", ErrInjected, filepath.Base(name))
+	}
+	if fs.corruptReadOf == "" || fs.corruptReadOf != filepath.Base(name) {
+		return -1, nil
+	}
+	fs.injectLocked("corruptread", OpRead, name)
+	return fs.corruptReadOff, nil
+}
+
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	ff.fs.mu.Lock()
+	flip, err := ff.fs.readEnterLocked(ff.path)
+	ff.fs.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	n, err := ff.f.ReadAt(p, off)
+	if flip >= off && flip < off+int64(n) {
+		p[flip-off] ^= 0xFF
+	}
+	return n, err
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {

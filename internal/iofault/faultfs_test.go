@@ -274,3 +274,33 @@ func TestPointDeterminism(t *testing.T) {
 		t.Fatalf("points = %d, want 5 (create, write, sync, rename, syncdir)", p1)
 	}
 }
+
+// TestReadAtHonorsReadFailpoints: File.ReadAt goes through the same gate
+// as ReadFile — it counts toward FailNthRead, lies at the CorruptReadAt
+// offset when the read covers it, and fails once the machine is down.
+func TestReadAtHonorsReadFailpoints(t *testing.T) {
+	fs, root := newFS(t)
+	path := filepath.Join(root, "f")
+	f := writeThrough(t, fs, path, []byte("0123456789"))
+	defer f.Close()
+
+	fs.CorruptReadAt(path, 5)
+	p := make([]byte, 4)
+	if _, err := f.ReadAt(p, 3); err != nil || string(p) != "34\xca6" { // '5' ^ 0xFF
+		t.Fatalf("ReadAt over the armed offset = %q, %v", p, err)
+	}
+	if _, err := f.ReadAt(p, 6); err != nil || string(p) != "6789" {
+		t.Fatalf("ReadAt beside the armed offset = %q, %v", p, err)
+	}
+	fs.CorruptReadAt("", 0)
+
+	fs.FailNthRead(fs.Reads() + 1)
+	if _, err := f.ReadAt(p, 0); !errors.Is(err, ErrInjected) {
+		t.Fatalf("armed ReadAt = %v, want ErrInjected", err)
+	}
+	fs.CrashAtPoint(0)
+	f.Write([]byte("x")) // the crash point
+	if _, err := f.ReadAt(p, 0); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("ReadAt after crash = %v, want ErrCrashed", err)
+	}
+}

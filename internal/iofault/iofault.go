@@ -46,6 +46,10 @@ import (
 type File interface {
 	io.Writer
 	io.WriterAt
+	// ReaderAt lets a writer read back a range of its own file (log
+	// compaction copies only the suffix it keeps) without loading the
+	// whole file through FS.ReadFile.
+	io.ReaderAt
 	io.Closer
 	Seek(offset int64, whence int) (int64, error)
 	Truncate(size int64) error

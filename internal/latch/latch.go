@@ -149,82 +149,69 @@ func (s *Striped) stripeIndex(key uint64) int {
 
 // MultiGuard holds a set of stripes of a Striped table, acquired in
 // ascending stripe order so that concurrent acquirers of overlapping key
-// sets cannot deadlock. The zero value is empty and may be released safely.
+// sets cannot deadlock. Consecutive keys map to consecutive stripes, so
+// the held set is always an interval of the table that may wrap past its
+// end — n stripes starting at lo — and the guard is three words, not a
+// slice: taking and releasing it allocates nothing. The zero value is
+// empty and may be released safely.
 type MultiGuard struct {
 	table     *Striped
-	stripes   []int
+	lo, n     int
 	exclusive bool
+}
+
+// index returns the i-th held stripe in ascending stripe order: for a
+// wrapped interval that is [0, wrap) followed by [lo, size).
+func (g *MultiGuard) index(i int) int {
+	if wrap := g.lo + g.n - len(g.table.stripes); wrap > 0 {
+		if i < wrap {
+			return i
+		}
+		return g.lo + i - wrap
+	}
+	return g.lo + i
 }
 
 // AcquireRange latches every stripe covering the key range [first, last]
 // (inclusive). If exclusive is true the stripes are taken in exclusive
-// mode, otherwise shared. Stripes are deduplicated and acquired in
-// ascending order. If the range covers at least as many keys as there are
-// stripes, the whole table is taken.
-//
-// Because consecutive keys map to consecutive stripes (masking), the
-// covered stripe set is a possibly-wrapped interval, so ascending order
-// is produced directly without sorting.
+// mode, otherwise shared. Stripes are acquired in ascending order. If the
+// range covers at least as many keys as there are stripes, the whole
+// table is taken.
 func (s *Striped) AcquireRange(first, last uint64, exclusive bool) MultiGuard {
-	g := MultiGuard{table: s, exclusive: exclusive}
-	n := uint64(len(s.stripes))
 	if last < first {
 		first, last = last, first
 	}
-	span := last - first + 1
-	if span > n {
-		span = n
+	g := MultiGuard{table: s, lo: s.stripeIndex(first), n: len(s.stripes), exclusive: exclusive}
+	if span := last - first + 1; span < uint64(g.n) && span != 0 {
+		g.n = int(span)
+	} else {
+		g.lo = 0 // every stripe is covered
 	}
-	g.stripes = make([]int, 0, span)
-	switch {
-	case last-first+1 >= n:
-		// Every stripe is covered.
-		for i := 0; i < int(n); i++ {
-			g.stripes = append(g.stripes, i)
-		}
-	default:
-		lo, hi := s.stripeIndex(first), s.stripeIndex(last)
-		if lo <= hi {
-			for i := lo; i <= hi; i++ {
-				g.stripes = append(g.stripes, i)
-			}
+	for i := 0; i < g.n; i++ {
+		if l := &s.stripes[g.index(i)]; exclusive {
+			l.Lock()
 		} else {
-			// Wrapped interval: [0, hi] then [lo, n).
-			for i := 0; i <= hi; i++ {
-				g.stripes = append(g.stripes, i)
-			}
-			for i := lo; i < int(n); i++ {
-				g.stripes = append(g.stripes, i)
-			}
-		}
-	}
-	for _, idx := range g.stripes {
-		if exclusive {
-			s.stripes[idx].Lock()
-		} else {
-			s.stripes[idx].RLock()
+			l.RLock()
 		}
 	}
 	return g
 }
 
-// Release releases every stripe held by the guard. Releasing an empty
-// guard is a no-op.
+// Release releases every stripe held by the guard, in reverse order of
+// acquisition. Releasing an empty guard is a no-op.
 func (g *MultiGuard) Release() {
-	// Release in reverse order of acquisition.
-	for i := len(g.stripes) - 1; i >= 0; i-- {
-		l := &g.table.stripes[g.stripes[i]]
-		if g.exclusive {
+	for i := g.n - 1; i >= 0; i-- {
+		if l := &g.table.stripes[g.index(i)]; g.exclusive {
 			l.Unlock()
 		} else {
 			l.RUnlock()
 		}
 	}
-	g.stripes = nil
+	g.n = 0
 }
 
 // Held reports how many stripes the guard currently holds.
-func (g *MultiGuard) Held() int { return len(g.stripes) }
+func (g *MultiGuard) Held() int { return g.n }
 
 // sortInts sorts a small slice of ints in ascending order. The slices seen
 // here are tiny (an update rarely spans more than two stripes), so

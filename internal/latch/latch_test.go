@@ -232,12 +232,27 @@ func TestAcquireRangeStripesSortedProperty(t *testing.T) {
 	f := func(first, last uint16) bool {
 		g := s.AcquireRange(uint64(first), uint64(last), false)
 		defer g.Release()
-		for i := 1; i < len(g.stripes); i++ {
-			if g.stripes[i-1] >= g.stripes[i] {
+		for i := 1; i < g.Held(); i++ {
+			if g.index(i-1) >= g.index(i) {
 				return false
 			}
 		}
-		return true
+		// The held set is exactly the stripes of the keys in the range.
+		lo, hi := uint64(first), uint64(last)
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		want := map[int]bool{}
+		for k := lo; k <= hi; k++ {
+			want[s.stripeIndex(k)] = true
+		}
+		for i := 0; i < g.Held(); i++ {
+			if !want[g.index(i)] {
+				return false
+			}
+			delete(want, g.index(i))
+		}
+		return len(want) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

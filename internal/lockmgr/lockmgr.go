@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,10 +54,20 @@ var ErrTimeout = errors.New("lockmgr: lock wait timeout (possible deadlock)")
 
 // Manager is a lock manager over object keys.
 type Manager struct {
-	mu      sync.Mutex
-	locks   map[wal.ObjectKey]*lockState
-	held    map[wal.TxnID]map[wal.ObjectKey]Mode
-	timeout time.Duration
+	mu    sync.Mutex
+	locks map[wal.ObjectKey]*lockState
+	// held lists the keys each transaction holds — what ReleaseAll walks.
+	// The mode is answered by the key's own (short) holder list.
+	held map[wal.TxnID][]wal.ObjectKey
+	// free and freeKeys recycle lock states and key lists, so an
+	// uncontended lock and its release allocate nothing once the manager
+	// has seen its working set. Both are bounded (maxFree), so a bulk load
+	// that locks a table's worth of keys returns the excess to the garbage
+	// collector. A constant: it only has to exceed an ordinary
+	// transaction's footprint (500 TPC-B operations hold ~2,500 keys).
+	free     []*lockState
+	freeKeys [][]wal.ObjectKey
+	timeout  time.Duration
 
 	waits    uint64
 	timeouts uint64
@@ -68,6 +79,10 @@ type Manager struct {
 	mCancels  *obs.Counter
 	hWaitNS   *obs.Histogram
 }
+
+// maxFree bounds the pooled lock states (~128 B each) and the capacity,
+// in keys, of a pooled per-transaction key list.
+const maxFree = 4096
 
 // SetRegistry wires the manager's acquire/wait/timeout counters and the
 // wait-duration histogram into reg. Must be called before concurrent use
@@ -81,10 +96,19 @@ func (m *Manager) SetRegistry(reg *obs.Registry) {
 	m.hWaitNS = reg.Histogram(obs.NameLockWaitNS)
 }
 
+type holder struct {
+	txn  wal.TxnID
+	mode Mode
+}
+
+// lockState is the state of one locked (or waited-for) key. It is in
+// Manager.locks exactly while it has a holder or a waiter, and in
+// Manager.free otherwise. Guarded by Manager.mu, which is also cond's lock.
 type lockState struct {
-	holders map[wal.TxnID]Mode
+	holders []holder // on inline until more than two transactions share the key
+	inline  [2]holder
 	waiters int
-	cond    *sync.Cond
+	cond    sync.Cond
 }
 
 // New returns a manager with the given lock-wait timeout. A zero timeout
@@ -93,23 +117,67 @@ type lockState struct {
 func New(timeout time.Duration) *Manager {
 	return &Manager{
 		locks:   make(map[wal.ObjectKey]*lockState),
-		held:    make(map[wal.TxnID]map[wal.ObjectKey]Mode),
+		held:    make(map[wal.TxnID][]wal.ObjectKey),
 		timeout: timeout,
 	}
+}
+
+// newStateLocked installs an idle state for key, pooled if there is one.
+func (m *Manager) newStateLocked(key wal.ObjectKey) *lockState {
+	var s *lockState
+	if n := len(m.free); n > 0 {
+		s, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		s = &lockState{}
+		s.cond.L = &m.mu
+	}
+	s.holders = s.inline[:0]
+	m.locks[key] = s
+	return s
+}
+
+// modeOf reports the mode txn holds on the key (0 if none).
+func (s *lockState) modeOf(txn wal.TxnID) Mode {
+	for i := range s.holders {
+		if s.holders[i].txn == txn {
+			return s.holders[i].mode
+		}
+	}
+	return 0
 }
 
 // compatible reports whether txn may acquire key in mode given current
 // holders.
 func (s *lockState) compatible(txn wal.TxnID, mode Mode) bool {
-	for holder, held := range s.holders {
-		if holder == txn {
+	for _, h := range s.holders {
+		if h.txn == txn {
 			continue // own lock: upgrade handled by caller
 		}
-		if mode == Exclusive || held == Exclusive {
+		if mode == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
 	return true
+}
+
+// grantLocked records that txn holds key in mode: an upgrade rewrites the
+// hold, a first acquisition adds the holder and lists the key.
+func (m *Manager) grantLocked(s *lockState, txn wal.TxnID, key wal.ObjectKey, mode Mode) {
+	m.mAcquires.Inc()
+	for i := range s.holders {
+		if s.holders[i].txn == txn {
+			s.holders[i].mode = mode
+			return
+		}
+	}
+	s.holders = append(s.holders, holder{txn, mode})
+	keys, ok := m.held[txn]
+	if !ok {
+		if n := len(m.freeKeys); n > 0 {
+			keys, m.freeKeys = m.freeKeys[n-1], m.freeKeys[:n-1]
+		}
+	}
+	m.held[txn] = append(keys, key)
 }
 
 // Lock acquires key in mode on behalf of txn, blocking until the lock is
@@ -129,20 +197,12 @@ func (m *Manager) LockCtx(ctx context.Context, txn wal.TxnID, key wal.ObjectKey,
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	if cur, ok := m.held[txn][key]; ok {
-		if cur == Exclusive || mode == Shared {
-			return nil
-		}
-		// Upgrade path falls through into the wait loop.
+	if m.tryLocked(txn, key, mode) {
+		return nil
 	}
-
+	// A conflicting holder exists (and so does the state); a shared holder
+	// asking for exclusive upgrades through the same wait loop.
 	s := m.locks[key]
-	if s == nil {
-		s = &lockState{holders: make(map[wal.TxnID]Mode)}
-		s.cond = sync.NewCond(&m.mu)
-		m.locks[key] = s
-	}
-
 	var deadline, waitStart time.Time
 	waited := false
 	for !s.compatible(txn, mode) {
@@ -153,10 +213,14 @@ func (m *Manager) LockCtx(ctx context.Context, txn wal.TxnID, key wal.ObjectKey,
 			}
 			return fmt.Errorf("lockmgr: txn %d, key %d (%s): %w", txn, key, mode, err)
 		}
-		if m.timeout == 0 {
+		if m.timeout == 0 || (waited && time.Now().After(deadline)) {
 			m.timeouts++
 			m.mTimeouts.Inc()
-			m.noteWait(key, 0, true)
+			var wait time.Duration
+			if waited {
+				wait = time.Since(waitStart)
+			}
+			m.noteWait(key, wait, true)
 			return fmt.Errorf("%w: txn %d, key %d (%s)", ErrTimeout, txn, key, mode)
 		}
 		if !waited {
@@ -172,12 +236,6 @@ func (m *Manager) LockCtx(ctx context.Context, txn wal.TxnID, key wal.ObjectKey,
 			defer close(stop)
 			go m.watchWait(ctx, s, deadline, stop)
 		}
-		if time.Now().After(deadline) {
-			m.timeouts++
-			m.mTimeouts.Inc()
-			m.noteWait(key, time.Since(waitStart), true)
-			return fmt.Errorf("%w: txn %d, key %d (%s)", ErrTimeout, txn, key, mode)
-		}
 		s.waiters++
 		s.cond.Wait()
 		s.waiters--
@@ -185,13 +243,7 @@ func (m *Manager) LockCtx(ctx context.Context, txn wal.TxnID, key wal.ObjectKey,
 	if waited {
 		m.noteWait(key, time.Since(waitStart), false)
 	}
-
-	s.holders[txn] = mode
-	if m.held[txn] == nil {
-		m.held[txn] = make(map[wal.ObjectKey]Mode)
-	}
-	m.held[txn][key] = mode
-	m.mAcquires.Inc()
+	m.grantLocked(s, txn, key, mode)
 	return nil
 }
 
@@ -225,24 +277,22 @@ func (m *Manager) noteWait(key wal.ObjectKey, wait time.Duration, timedOut bool)
 func (m *Manager) TryLock(txn wal.TxnID, key wal.ObjectKey, mode Mode) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if cur, ok := m.held[txn][key]; ok && (cur == Exclusive || mode == Shared) {
-		return true
-	}
+	return m.tryLocked(txn, key, mode)
+}
+
+// tryLocked takes the lock if that needs no wait: the key is free, txn
+// already holds it at least as strongly, or every other holder is
+// compatible. A refusal leaves no trace.
+func (m *Manager) tryLocked(txn wal.TxnID, key wal.ObjectKey, mode Mode) bool {
 	s := m.locks[key]
 	if s == nil {
-		s = &lockState{holders: make(map[wal.TxnID]Mode)}
-		s.cond = sync.NewCond(&m.mu)
-		m.locks[key] = s
-	}
-	if !s.compatible(txn, mode) {
+		s = m.newStateLocked(key)
+	} else if cur := s.modeOf(txn); cur == Exclusive || cur == mode {
+		return true
+	} else if !s.compatible(txn, mode) {
 		return false
 	}
-	s.holders[txn] = mode
-	if m.held[txn] == nil {
-		m.held[txn] = make(map[wal.ObjectKey]Mode)
-	}
-	m.held[txn][key] = mode
-	m.mAcquires.Inc()
+	m.grantLocked(s, txn, key, mode)
 	return true
 }
 
@@ -250,43 +300,79 @@ func (m *Manager) TryLock(txn wal.TxnID, key wal.ObjectKey, mode Mode) bool {
 func (m *Manager) Unlock(txn wal.TxnID, key wal.ObjectKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.releaseLocked(txn, key)
+	if !m.releaseLocked(txn, key) {
+		return
+	}
+	keys := m.held[txn]
+	if i := slices.Index(keys, key); i >= 0 {
+		keys = slices.Delete(keys, i, i+1)
+	}
+	if len(keys) == 0 {
+		m.dropKeysLocked(txn, keys)
+	} else {
+		m.held[txn] = keys
+	}
 }
 
 // ReleaseAll releases every lock held by txn (transaction end).
 func (m *Manager) ReleaseAll(txn wal.TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for key := range m.held[txn] {
+	keys, ok := m.held[txn]
+	if !ok {
+		return
+	}
+	for _, key := range keys {
 		m.releaseLocked(txn, key)
 	}
-	delete(m.held, txn)
+	m.dropKeysLocked(txn, keys)
 }
 
-func (m *Manager) releaseLocked(txn wal.TxnID, key wal.ObjectKey) {
+// dropKeysLocked forgets txn's key list and pools its storage.
+func (m *Manager) dropKeysLocked(txn wal.TxnID, keys []wal.ObjectKey) {
+	delete(m.held, txn)
+	if cap(keys) <= maxFree {
+		m.freeKeys = append(m.freeKeys, keys[:0])
+	}
+}
+
+// releaseLocked drops txn from key's holders, waking the key's waiters or
+// retiring its state, and reports whether txn held it.
+func (m *Manager) releaseLocked(txn wal.TxnID, key wal.ObjectKey) bool {
 	s := m.locks[key]
 	if s == nil {
-		return
+		return false
 	}
-	if _, ok := s.holders[txn]; !ok {
-		return
+	for i := range s.holders {
+		if s.holders[i].txn != txn {
+			continue
+		}
+		last := len(s.holders) - 1
+		s.holders[i] = s.holders[last]
+		s.holders = s.holders[:last]
+		switch {
+		case s.waiters > 0:
+			// Never pooled with a waiter: it sleeps on this state's cond.
+			s.cond.Broadcast()
+		case last == 0:
+			delete(m.locks, key)
+			if len(m.free) < maxFree {
+				m.free = append(m.free, s)
+			}
+		}
+		return true
 	}
-	delete(s.holders, txn)
-	if hm := m.held[txn]; hm != nil {
-		delete(hm, key)
-	}
-	if len(s.holders) == 0 && s.waiters == 0 {
-		delete(m.locks, key)
-		return
-	}
-	s.cond.Broadcast()
+	return false
 }
 
 // HeldMode reports the mode txn holds on key (0 if none).
 func (m *Manager) HeldMode(txn wal.TxnID, key wal.ObjectKey) Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.held[txn][key]
+	if s := m.locks[key]; s != nil {
+		return s.modeOf(txn)
+	}
+	return 0
 }
 
 // HeldCount reports how many locks txn holds.

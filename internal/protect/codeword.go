@@ -82,25 +82,25 @@ func (s *codewordScheme) Protector() mem.Protector { return mem.NopProtector{} }
 // mode; they are held across the user's in-place write so that an audit
 // (which takes them exclusive) can never observe a half-applied update
 // whose codeword has not yet been maintained.
-func (s *codewordScheme) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
+func (s *codewordScheme) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {
 	if err := s.arena.CheckRange(addr, n); err != nil {
-		return nil, err
+		return UpdateToken{}, err
 	}
 	first, last := s.tab.RegionRange(addr, n)
 	g := s.prot.AcquireRange(uint64(first), uint64(last), false)
-	return &UpdateToken{addr: addr, n: n, guard: g}, nil
+	return UpdateToken{addr: addr, n: n, guard: g}, nil
 }
 
 // EndUpdate folds old⊕new into the affected codewords (under the codeword
 // latch inside the table) and releases the protection latches.
-func (s *codewordScheme) EndUpdate(tok *UpdateToken, old, new []byte) error {
+func (s *codewordScheme) EndUpdate(tok UpdateToken, old, new []byte) error {
 	defer tok.guard.Release()
 	return s.tab.ApplyUpdate(tok.addr, old, new)
 }
 
 // AbortUpdate releases the latches without codeword maintenance: the
 // caller restored the before-image, and the codeword still describes it.
-func (s *codewordScheme) AbortUpdate(tok *UpdateToken) error {
+func (s *codewordScheme) AbortUpdate(tok UpdateToken) error {
 	tok.guard.Release()
 	return nil
 }

@@ -80,18 +80,18 @@ func (s *deferredScheme) Kind() Kind               { return KindDeferredCW }
 func (s *deferredScheme) RegionSize() int          { return s.tab.RegionSize() }
 func (s *deferredScheme) Protector() mem.Protector { return mem.NopProtector{} }
 
-func (s *deferredScheme) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
+func (s *deferredScheme) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {
 	if err := s.arena.CheckRange(addr, n); err != nil {
-		return nil, err
+		return UpdateToken{}, err
 	}
 	first, last := s.tab.RegionRange(addr, n)
 	g := s.prot.AcquireRange(uint64(first), uint64(last), false)
-	return &UpdateToken{addr: addr, n: n, guard: g}, nil
+	return UpdateToken{addr: addr, n: n, guard: g}, nil
 }
 
 // EndUpdate queues the codeword deltas — still under the protection
 // latch — instead of folding them.
-func (s *deferredScheme) EndUpdate(tok *UpdateToken, old, new []byte) error {
+func (s *deferredScheme) EndUpdate(tok UpdateToken, old, new []byte) error {
 	deltas, err := s.tab.UpdateDeltas(nil, tok.addr, old, new)
 	if err != nil {
 		tok.guard.Release()
@@ -109,7 +109,7 @@ func (s *deferredScheme) EndUpdate(tok *UpdateToken, old, new []byte) error {
 	return nil
 }
 
-func (s *deferredScheme) AbortUpdate(tok *UpdateToken) error {
+func (s *deferredScheme) AbortUpdate(tok UpdateToken) error {
 	tok.guard.Release()
 	return nil
 }

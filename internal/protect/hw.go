@@ -91,12 +91,12 @@ func (s *hwScheme) Name() string { return "Memory Protection" }
 func (s *hwScheme) Kind() Kind   { return KindHW }
 
 // BeginUpdate exposes the pages covering the update.
-func (s *hwScheme) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
+func (s *hwScheme) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {
 	if err := s.arena.CheckRange(addr, n); err != nil {
-		return nil, err
+		return UpdateToken{}, err
 	}
 	first, last := s.arena.PageRange(addr, n)
-	tok := &UpdateToken{addr: addr, n: n}
+	tok := UpdateToken{addr: addr, n: n}
 	s.mu.lock()
 	defer s.mu.unlock()
 	for id := first; id <= last; id++ {
@@ -111,7 +111,7 @@ func (s *hwScheme) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
 				for undo := first; undo <= id; undo++ {
 					s.exposed[undo]--
 				}
-				return nil, err
+				return UpdateToken{}, err
 			} else {
 				s.mExposes.Inc()
 			}
@@ -122,16 +122,16 @@ func (s *hwScheme) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
 }
 
 // EndUpdate reprotects pages whose last exposing update has ended.
-func (s *hwScheme) EndUpdate(tok *UpdateToken, old, new []byte) error {
+func (s *hwScheme) EndUpdate(tok UpdateToken, old, new []byte) error {
 	return s.release(tok)
 }
 
 // AbortUpdate reprotects identically; there is no codeword state.
-func (s *hwScheme) AbortUpdate(tok *UpdateToken) error {
+func (s *hwScheme) AbortUpdate(tok UpdateToken) error {
 	return s.release(tok)
 }
 
-func (s *hwScheme) release(tok *UpdateToken) error {
+func (s *hwScheme) release(tok UpdateToken) error {
 	s.mu.lock()
 	defer s.mu.unlock()
 	var firstErr error
@@ -151,7 +151,6 @@ func (s *hwScheme) release(tok *UpdateToken) error {
 			}
 		}
 	}
-	tok.pages = nil
 	return firstErr
 }
 

@@ -74,25 +74,25 @@ func (s *precheckScheme) Protector() mem.Protector { return mem.NopProtector{} }
 
 // BeginUpdate takes the covering protection latches exclusive for the
 // whole update bracket.
-func (s *precheckScheme) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
+func (s *precheckScheme) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {
 	if err := s.arena.CheckRange(addr, n); err != nil {
-		return nil, err
+		return UpdateToken{}, err
 	}
 	first, last := s.tab.RegionRange(addr, n)
 	g := s.prot.AcquireRange(uint64(first), uint64(last), true)
-	return &UpdateToken{addr: addr, n: n, guard: g}, nil
+	return UpdateToken{addr: addr, n: n, guard: g}, nil
 }
 
 // EndUpdate folds the codeword change before the protection latch is
 // released (paper §3.1: "the undo image stored in the log and the current
 // value of the updated region are used to update the codeword before the
 // protection latch is released").
-func (s *precheckScheme) EndUpdate(tok *UpdateToken, old, new []byte) error {
+func (s *precheckScheme) EndUpdate(tok UpdateToken, old, new []byte) error {
 	defer tok.guard.Release()
 	return s.tab.ApplyUpdate(tok.addr, old, new)
 }
 
-func (s *precheckScheme) AbortUpdate(tok *UpdateToken) error {
+func (s *precheckScheme) AbortUpdate(tok UpdateToken) error {
 	tok.guard.Release()
 	return nil
 }

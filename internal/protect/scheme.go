@@ -188,6 +188,10 @@ func auditRegions(pool *region.Pool, tab *region.Table, first, last int, check f
 }
 
 // UpdateToken carries scheme state across a BeginUpdate/EndUpdate bracket.
+// It is a plain value — the codeword schemes' guard is three words, and
+// only the hardware scheme's page list points anywhere — so a bracket
+// costs no allocation and the transaction engine keeps the open bracket's
+// token inside the Txn.
 type UpdateToken struct {
 	addr  mem.Addr
 	n     int
@@ -196,10 +200,10 @@ type UpdateToken struct {
 }
 
 // Addr reports the update's start address.
-func (t *UpdateToken) Addr() mem.Addr { return t.addr }
+func (t UpdateToken) Addr() mem.Addr { return t.addr }
 
 // Len reports the update's byte count.
-func (t *UpdateToken) Len() int { return t.n }
+func (t UpdateToken) Len() int { return t.n }
 
 // ReadInfo is what a scheme contributes to a read of persistent data.
 type ReadInfo struct {
@@ -222,15 +226,15 @@ type Scheme interface {
 	// BeginUpdate prepares [addr, addr+n) for an in-place write by the
 	// caller (latching, page exposure). The returned token must be passed
 	// to exactly one of EndUpdate or AbortUpdate.
-	BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error)
+	BeginUpdate(addr mem.Addr, n int) (UpdateToken, error)
 	// EndUpdate performs codeword maintenance for the completed write
 	// (old and new are the before and after images) and releases the
 	// token. For the HW scheme it reprotects the exposed pages.
-	EndUpdate(tok *UpdateToken, old, new []byte) error
+	EndUpdate(tok UpdateToken, old, new []byte) error
 	// AbortUpdate releases the token without codeword maintenance; the
 	// caller has restored the before-image, so the stored codeword is
 	// again correct (the paper's codeword-applied flag path, §3.1).
-	AbortUpdate(tok *UpdateToken) error
+	AbortUpdate(tok UpdateToken) error
 
 	// PreWriteCW returns the XOR of the pre-update codewords of the
 	// regions covered by an update, for schemes that store codewords in
@@ -323,14 +327,14 @@ type baseline struct {
 func (*baseline) Name() string { return "Baseline" }
 func (*baseline) Kind() Kind   { return KindBaseline }
 
-func (b *baseline) BeginUpdate(addr mem.Addr, n int) (*UpdateToken, error) {
+func (b *baseline) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {
 	if err := b.arena.CheckRange(addr, n); err != nil {
-		return nil, err
+		return UpdateToken{}, err
 	}
-	return &UpdateToken{addr: addr, n: n}, nil
+	return UpdateToken{addr: addr, n: n}, nil
 }
-func (*baseline) EndUpdate(*UpdateToken, []byte, []byte) error { return nil } //dbvet:allow cwpair baseline row of Table 2 maintains no codewords
-func (*baseline) AbortUpdate(*UpdateToken) error               { return nil }
+func (*baseline) EndUpdate(UpdateToken, []byte, []byte) error { return nil } //dbvet:allow cwpair baseline row of Table 2 maintains no codewords
+func (*baseline) AbortUpdate(UpdateToken) error               { return nil }
 func (*baseline) PreWriteCW(mem.Addr, []byte, []byte) (region.Codeword, bool) {
 	return 0, false
 }

@@ -213,51 +213,35 @@ func anyNonzero(pd []uint64) bool {
 	return false
 }
 
-// forEachRegionDelta walks the regions covered by replacing old with new
-// at addr, computing each region's codeword delta with the word-at-a-time
-// kernel and invoking fn(region, delta, planeDeltas). With ECC enabled
-// the fused kernel produces the plane deltas in the same pass (the slice
-// is scratch, only valid during the callback); otherwise planeDeltas is
-// nil. It is the shared core of ApplyUpdate and UpdateDeltas.
-func (t *Table) forEachRegionDelta(addr mem.Addr, oldData, newData []byte, fn func(r int, delta Codeword, pd []uint64)) error {
-	if len(oldData) != len(newData) {
-		return fmt.Errorf("region: undo image %d bytes but new image %d bytes", len(oldData), len(newData))
+// regionDelta computes the codeword delta of the part of an update at
+// addr that falls inside one region: the bytes of oldData/newData from
+// offset i up to the region's end (returned as end, the offset at which
+// the next region's part starts). With ECC enabled planes is the caller's
+// scratch and receives the matching plane deltas from the same fused
+// kernel pass; with ECC off planes is nil. It is the shared step of
+// ApplyUpdate and UpdateDeltas, which own the loop so that the scratch
+// never passes through a function value and stays on their stacks.
+func (t *Table) regionDelta(planes []uint64, addr mem.Addr, i int, oldData, newData []byte) (r, end int, delta Codeword, err error) {
+	a := addr + mem.Addr(i)
+	r = t.RegionOf(a)
+	if r >= len(t.cws) {
+		return 0, 0, 0, fmt.Errorf("region: address %d beyond codeword table", a)
 	}
-	var scratch [16]uint64
-	var planes []uint64
-	if t.ecc && t.numPlanes > 0 {
-		if t.numPlanes <= len(scratch) {
-			planes = scratch[:t.numPlanes]
-		} else {
-			planes = make([]uint64, t.numPlanes)
-		}
+	// Bytes of this update falling inside region r.
+	end = int(t.RegionStart(r+1) - addr)
+	if end > len(oldData) {
+		end = len(oldData)
 	}
-	i := 0
-	for i < len(oldData) {
-		a := addr + mem.Addr(i)
-		r := t.RegionOf(a)
-		if r >= len(t.cws) {
-			return fmt.Errorf("region: address %d beyond codeword table", a)
-		}
-		// Bytes of this update falling inside region r.
-		end := int(t.RegionStart(r+1) - addr)
-		if end > len(oldData) {
-			end = len(oldData)
-		}
-		var delta Codeword
-		if planes != nil {
-			clear(planes)
-			rel := int(a-t.RegionStart(r)) >> 3
-			delta = foldDeltaPlanes(planes, rel, oldData[i:end], newData[i:end], int(a&7))
-		} else {
-			delta = foldDeltaKernel(0, oldData[i:end], newData[i:end], int(a&7))
-		}
-		fn(r, delta, planes)
-		t.mFolds.Inc()
-		t.mFoldBytes.Add(uint64(end - i))
-		i = end
+	if planes != nil {
+		clear(planes)
+		rel := int(a-t.RegionStart(r)) >> 3
+		delta = foldDeltaPlanes(planes, rel, oldData[i:end], newData[i:end], int(a&7))
+	} else {
+		delta = foldDeltaKernel(0, oldData[i:end], newData[i:end], int(a&7))
 	}
-	return nil
+	t.mFolds.Inc()
+	t.mFoldBytes.Add(uint64(end - i))
+	return r, end, delta, nil
 }
 
 // ApplyUpdate folds the effect of replacing old with new at addr into the
@@ -265,7 +249,20 @@ func (t *Table) forEachRegionDelta(addr mem.Addr, oldData, newData []byte, fn fu
 // the "codeword maintenance" step performed at endUpdate (and again during
 // rollback of an update whose codeword had already been applied).
 func (t *Table) ApplyUpdate(addr mem.Addr, oldData, newData []byte) error {
-	return t.forEachRegionDelta(addr, oldData, newData, t.xorInto)
+	if len(oldData) != len(newData) {
+		return fmt.Errorf("region: undo image %d bytes but new image %d bytes", len(oldData), len(newData))
+	}
+	var scratch planeScratch
+	planes := t.planeBuf(&scratch)
+	for i := 0; i < len(oldData); {
+		r, end, delta, err := t.regionDelta(planes, addr, i, oldData, newData)
+		if err != nil {
+			return err
+		}
+		t.xorInto(r, delta, planes)
+		i = end
+	}
+	return nil
 }
 
 // Delta is a pending codeword change for one region, used by the
@@ -283,12 +280,22 @@ type Delta struct {
 // touching the table. XorDelta applies them later; applying the deltas in
 // any order and interleaving is correct because XOR commutes.
 func (t *Table) UpdateDeltas(buf []Delta, addr mem.Addr, oldData, newData []byte) ([]Delta, error) {
-	err := t.forEachRegionDelta(addr, oldData, newData, func(r int, delta Codeword, pd []uint64) {
-		if delta != 0 || anyNonzero(pd) {
-			buf = append(buf, Delta{Region: r, Delta: delta, Planes: append([]uint64(nil), pd...)})
+	if len(oldData) != len(newData) {
+		return buf, fmt.Errorf("region: undo image %d bytes but new image %d bytes", len(oldData), len(newData))
+	}
+	var scratch planeScratch
+	planes := t.planeBuf(&scratch)
+	for i := 0; i < len(oldData); {
+		r, end, delta, err := t.regionDelta(planes, addr, i, oldData, newData)
+		if err != nil {
+			return buf, err
 		}
-	})
-	return buf, err
+		if delta != 0 || anyNonzero(planes) {
+			buf = append(buf, Delta{Region: r, Delta: delta, Planes: append([]uint64(nil), planes...)})
+		}
+		i = end
+	}
+	return buf, nil
 }
 
 // XorInto folds a previously computed codeword delta into region r under
@@ -327,7 +334,8 @@ func (t *Table) recomputeRegion(a *mem.Arena, r int) {
 		t.Set(r, Compute(data))
 		return
 	}
-	fresh := make([]uint64, t.numPlanes)
+	var scratch planeScratch
+	fresh := t.planeBuf(&scratch)
 	cw := computeECC(data, fresh)
 	l := t.latchFor(r)
 	l.Lock()

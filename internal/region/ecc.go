@@ -141,6 +141,25 @@ func (t *Table) ECCEnabled() bool { return t.ecc }
 // regions hold a single word, whose index needs no locating).
 func (t *Table) NumPlanes() int { return t.numPlanes }
 
+// planeScratch is stack room for one region's locator planes. Sixteen
+// planes cover regions of up to 2^16 words (512 KiB) — far past any size a
+// scheme configures — so the per-region paths (update fold, recompute,
+// syndrome) never reach the heap for their plane buffer.
+type planeScratch [16]uint64
+
+// planeBuf returns a zeroed slice of one region's worth of planes backed
+// by scratch (by the heap only for a region too large for it), or nil when
+// the table keeps no planes.
+func (t *Table) planeBuf(scratch *planeScratch) []uint64 {
+	if !t.ecc || t.numPlanes == 0 {
+		return nil
+	}
+	if t.numPlanes > len(scratch) {
+		return make([]uint64, t.numPlanes)
+	}
+	return scratch[:t.numPlanes]
+}
+
 // planesLocked returns region r's plane slice; the caller holds r's
 // codeword-latch stripe. Empty when ECC is off.
 func (t *Table) planesLocked(r int) []uint64 {
@@ -195,20 +214,20 @@ func (t *Table) CorruptPlane(r, j int, delta uint64) error {
 // syndrome computes region r's codeword and plane syndromes against the
 // arena. The caller must hold the protection latch that makes the
 // (contents, codeword, planes) triple stable; stored values are read
-// under the codeword latch.
-func (t *Table) syndrome(a *mem.Arena, r int) (s0 Codeword, sj []uint64) {
+// under the codeword latch. sj is the caller's zeroed plane buffer
+// (planeBuf) and comes back holding the plane syndromes.
+func (t *Table) syndrome(a *mem.Arena, r int, sj []uint64) (s0 Codeword) {
 	data := a.Slice(t.RegionStart(r), t.regionSize)
-	actualPlanes := make([]uint64, t.numPlanes)
-	actualCW := computeECC(data, actualPlanes)
+	actualCW := computeECC(data, sj)
 	l := t.latchFor(r)
 	l.Lock()
 	s0 = t.cws[r] ^ actualCW
-	sj = actualPlanes // reuse: fold stored planes in to turn values into syndromes
+	// Fold the stored planes in to turn the computed values into syndromes.
 	for j, p := range t.planesLocked(r) {
 		sj[j] ^= p
 	}
 	l.Unlock()
-	return s0, sj
+	return s0
 }
 
 // classify turns syndromes into a verdict. With S0 != 0 and every plane
@@ -245,7 +264,9 @@ func (t *Table) Diagnose(a *mem.Arena, r int) RepairResult {
 	if !t.ecc {
 		return RepairResult{Region: r, Verdict: VerdictUnsupported}
 	}
-	s0, sj := t.syndrome(a, r)
+	var scratch planeScratch
+	sj := t.planeBuf(&scratch)
+	s0 := t.syndrome(a, r, sj)
 	verdict, idx := classify(s0, sj)
 	res := RepairResult{Region: r, Verdict: verdict, Delta: s0}
 	switch verdict {
@@ -300,7 +321,8 @@ func (t *Table) rebuildPlanes(a *mem.Arena, r int) {
 	if !t.ecc || t.numPlanes == 0 {
 		return
 	}
-	fresh := make([]uint64, t.numPlanes)
+	var scratch planeScratch
+	fresh := t.planeBuf(&scratch)
 	computeECC(a.Slice(t.RegionStart(r), t.regionSize), fresh)
 	l := t.latchFor(r)
 	l.Lock()

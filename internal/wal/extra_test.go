@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/region"
 )
 
 func TestOpCommitCompensationRoundTrip(t *testing.T) {
@@ -138,30 +139,46 @@ func TestHasUndoForKeyAcrossKinds(t *testing.T) {
 	}
 }
 
+// TestRecordEncodedSizeMatchesForAllKinds is the property that lets
+// EncodedSize be arithmetic: for every Kind, with and without a codeword,
+// a GSN stamp, logical-undo args and a corrupt-range list, it equals the
+// length of the frame Encode produces.
 func TestRecordEncodedSizeMatchesForAllKinds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		kinds := []Kind{KindPhysRedo, KindOpBegin, KindOpCommit, KindTxnBegin,
-			KindTxnCommit, KindTxnAbort, KindRead, KindAuditBegin, KindAuditEnd}
-		r := &Record{
-			Kind: kinds[rng.Intn(len(kinds))],
-			Txn:  TxnID(rng.Uint64() >> 1),
-			Addr: mem.Addr(rng.Uint64() >> 30),
-			Len:  rng.Intn(1000),
-		}
-		if rng.Intn(2) == 0 {
-			r.Data = make([]byte, rng.Intn(64))
-		}
-		if rng.Intn(2) == 0 {
-			r.HasCW = true
-		}
-		if r.Kind == KindAuditEnd {
-			for i := 0; i < rng.Intn(3); i++ {
-				r.CorruptAddrs = append(r.CorruptAddrs, mem.Addr(rng.Uint32()))
-				r.CorruptLens = append(r.CorruptLens, rng.Uint32()%4096)
+		// Shifting by a random amount spreads values over every varint width.
+		u64 := func() uint64 { return rng.Uint64() >> uint(rng.Intn(64)) }
+		for k := KindPhysRedo; k <= KindGSNEpoch; k++ {
+			r := &Record{
+				Kind: k, Txn: TxnID(u64()), Addr: mem.Addr(u64()), Len: int(u64() >> 1),
+				Level: uint8(rng.Intn(256)), Key: ObjectKey(u64()),
+				Compensation: rng.Intn(2) == 0,
+				Undo:         LogicalUndo{Op: uint8(rng.Intn(256)), Key: ObjectKey(u64())},
+				AuditSN:      u64(), AuditClean: rng.Intn(2) == 0,
+				GID: u64(), Decision: rng.Intn(2) == 0,
+			}
+			if rng.Intn(2) == 0 {
+				r.Data = make([]byte, rng.Intn(300))
+			}
+			if rng.Intn(2) == 0 {
+				r.Undo.Args = make([]byte, rng.Intn(300))
+			}
+			if rng.Intn(2) == 0 {
+				r.HasCW, r.CW = true, region.Codeword(rng.Uint64())
+			}
+			if rng.Intn(2) == 0 {
+				r.GSN = u64()
+			}
+			for i := rng.Intn(4); i > 0; i-- {
+				r.CorruptAddrs = append(r.CorruptAddrs, mem.Addr(u64()))
+				r.CorruptLens = append(r.CorruptLens, rng.Uint32()>>uint(rng.Intn(32)))
+			}
+			if got, want := r.EncodedSize(), len(r.Encode(nil)); got != want {
+				t.Logf("%v: EncodedSize %d, frame %d: %+v", k, got, want, r)
+				return false
 			}
 		}
-		return r.EncodedSize() == len(r.Encode(nil))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

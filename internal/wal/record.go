@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/region"
@@ -192,18 +193,63 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
-// EncodedSize returns the number of bytes Encode will produce for r,
-// including framing. Used to assign LSNs before serialization.
-func (r *Record) EncodedSize() int {
-	return frameHeaderSize + len(r.encodePayload(nil))
+// uvarintLen is the number of bytes appendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
-// Encode appends the framed record to b.
+// EncodedSize returns the number of bytes Encode will produce for r,
+// including framing, without encoding anything. It mirrors encodePayload
+// field for field.
+func (r *Record) EncodedSize() int {
+	n := frameHeaderSize + 1 + uvarintLen(uint64(r.Txn))
+	switch r.Kind {
+	case KindPhysRedo:
+		n += uvarintLen(uint64(r.Addr)) + uvarintLen(uint64(len(r.Data))) + len(r.Data) + r.cwLen()
+	case KindRead:
+		n += uvarintLen(uint64(r.Addr)) + uvarintLen(uint64(r.Len)) + r.cwLen()
+	case KindOpBegin:
+		n += 1 + uvarintLen(uint64(r.Key))
+	case KindOpCommit:
+		n += 3 + uvarintLen(uint64(r.Key)) + uvarintLen(uint64(r.Undo.Key)) +
+			uvarintLen(uint64(len(r.Undo.Args))) + len(r.Undo.Args)
+	case KindTxnPrepare:
+		n += uvarintLen(r.GID)
+	case KindTxnDecision:
+		n += uvarintLen(r.GID) + 1
+	case KindAuditBegin:
+		n += uvarintLen(r.AuditSN)
+	case KindAuditEnd:
+		n += uvarintLen(r.AuditSN) + 1 + uvarintLen(uint64(len(r.CorruptAddrs)))
+		for i := range r.CorruptAddrs {
+			n += uvarintLen(uint64(r.CorruptAddrs[i])) + uvarintLen(uint64(r.CorruptLens[i]))
+		}
+	}
+	if r.GSN != 0 {
+		n += uvarintLen(r.GSN)
+	}
+	return n
+}
+
+func (r *Record) cwLen() int {
+	if r.HasCW {
+		return 9
+	}
+	return 1
+}
+
+// Encode appends the framed record to b. The payload is encoded straight
+// into b behind a reserved header, and the length and checksum are
+// back-filled once it is complete — the log tail is the only buffer a
+// record's bytes ever occupy.
 func (r *Record) Encode(b []byte) []byte {
-	payload := r.encodePayload(nil)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
-	return append(b, payload...)
+	start := len(b)
+	b = append(b, make([]byte, frameHeaderSize)...)
+	b = r.encodePayload(b)
+	payload := b[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	return b
 }
 
 func (r *Record) encodePayload(b []byte) []byte {

@@ -101,10 +101,20 @@ type SystemLog struct {
 	name      string // file name within dir (LogFileName, or a stream file)
 	stream    int    // stream index within a LogSet (0 for a standalone log)
 	f         iofault.File
-	baseLSN   LSN    // LSN of the first record in the file (post-compaction)
-	stableEnd LSN    // everything below this LSN is on disk
-	tail      []byte // encoded records not yet flushed
-	tailRecs  []tailRec
+	baseLSN   LSN       // LSN of the first record in the file (post-compaction)
+	stableEnd LSN       // everything below this LSN is on disk
+	tail      []byte    // encoded records not yet flushed
+	tailRecs  []tailRec // page-dirtying records among them
+	tailCount int       // records encoded in tail
+	// spareTail and spareRecs are the other half of the double buffer: the
+	// emptied buffers of the last completed flush, which become the tail at
+	// the next. A flusher owns what it swapped out (under the latch) until
+	// its Write has returned and it holds the latch again; only then do the
+	// buffers come back here, so an append never lands in bytes a Write is
+	// reading. nil during a flush, after a poison, and when the last
+	// flushed tail was over maxRetainedTail.
+	spareTail []byte
+	spareRecs []tailRec
 	pageSize  int
 
 	// gsnSrc, when non-nil, is the owning LogSet's shared global sequence
@@ -189,12 +199,20 @@ func (l *SystemLog) endLocked() LSN {
 	return l.stableEnd + LSN(l.flushLen+len(l.tail))
 }
 
+// tailRec is the page footprint of one physical redo record in the tail,
+// kept for the dirty-page notification at flush.
 type tailRec struct {
-	lsn  LSN
-	kind Kind
 	addr mem.Addr
-	n    int // data length for phys-redo
+	n    int
 }
+
+// maxRetainedTail bounds the buffers a flush recycles: a larger tail is
+// dropped (with its tailRecs, which it outweighs), so a one-off bulk load
+// logging megabytes in one transaction does not pin its high-water mark
+// for the life of the log. A constant, not configuration: it only has to
+// exceed the steady-state group-commit batch (tens to hundreds of
+// kilobytes), which every workload shares.
+const maxRetainedTail = 1 << 20
 
 // OpenSystemLog opens (creating if necessary) the stable log in dir on
 // the real filesystem. An existing log is scanned to find its valid end;
@@ -299,18 +317,21 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 	if keepFrom == l.baseLSN {
 		return nil
 	}
+	// Read back only the suffix that is kept. No flush is in flight and
+	// the latch is held, so the file holds exactly the records in
+	// [baseLSN, stableEnd); the discarded prefix — after a checkpoint,
+	// nearly all of the file — is never loaded. A whole-log buffer (~140 MB
+	// on tpcb_base) would be the largest live object at the moment the
+	// collector is most likely to run, and the heap goal, hence peak RSS,
+	// follows it (397 -> 532 MB measured).
 	path := filepath.Join(l.dir, l.name)
-	data, err := l.fs.ReadFile(path)
-	if err != nil {
+	keep := make([]byte, l.stableEnd-keepFrom)
+	if _, err := l.f.ReadAt(keep, logHeaderSize+int64(keepFrom-l.baseLSN)); err != nil {
 		return fmt.Errorf("wal: compact read: %w", err)
 	}
-	cut := logHeaderSize + int(keepFrom-l.baseLSN)
-	if cut > len(data) {
-		return fmt.Errorf("wal: compact cut beyond file")
-	}
 	// Verify the cut lands on a record boundary (or end of file).
-	if cut < len(data) {
-		if _, _, err := DecodeFrame(data[cut:]); err != nil {
+	if len(keep) > 0 {
+		if _, _, err := DecodeFrame(keep); err != nil {
 			return fmt.Errorf("wal: compact point %d is not a record boundary", keepFrom)
 		}
 	}
@@ -323,7 +344,7 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 		out.Close()
 		return err
 	}
-	if _, err := out.Write(data[cut:]); err != nil {
+	if _, err := out.Write(keep); err != nil {
 		out.Close()
 		return err
 	}
@@ -384,7 +405,10 @@ func (l *SystemLog) appendLocked(recs []*Record) {
 		}
 		before := len(l.tail)
 		l.tail = r.Encode(l.tail)
-		l.tailRecs = append(l.tailRecs, tailRec{lsn: r.LSN, kind: r.Kind, addr: r.Addr, n: len(r.Data)})
+		if r.Kind == KindPhysRedo && len(r.Data) > 0 {
+			l.tailRecs = append(l.tailRecs, tailRec{addr: r.Addr, n: len(r.Data)})
+		}
+		l.tailCount++
 		l.appends++
 		l.mAppends.Inc()
 		l.mAppendBytes.Add(uint64(len(l.tail) - before))
@@ -404,8 +428,8 @@ func (l *SystemLog) poisonLocked(cause error) {
 		return
 	}
 	l.poisoned = fmt.Errorf("%w: %w", ErrLogPoisoned, cause)
-	l.tail = nil
-	l.tailRecs = nil
+	l.tail, l.tailRecs, l.tailCount = nil, nil, 0
+	l.spareTail, l.spareRecs = nil, nil
 	l.mPoisoned.Inc()
 	if l.reg.HasSinks() {
 		l.reg.Emit(obs.LogPoisonedEvent{Cause: cause})
@@ -568,12 +592,13 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		// Become the flusher for the whole current tail. The captured
 		// buffer holds every record appended so far, so on success the
 		// durable-GSN watermark advances to the stamp high-water mark read
-		// here, under the latch, before the force begins.
-		buf := l.tail
-		recs := l.tailRecs
+		// here, under the latch, before the force begins. The spare buffers
+		// become the tail; the captured ones are this goroutine's alone
+		// until it recycles them below.
+		buf, recs, nrecs := l.tail, l.tailRecs, l.tailCount
 		capturedGSN := l.stampedGSN
-		l.tail = nil
-		l.tailRecs = nil
+		l.tail, l.tailRecs, l.tailCount = l.spareTail, l.spareRecs, 0
+		l.spareTail, l.spareRecs = nil, nil
 		l.flushing = true
 		l.flushLen = len(buf)
 		l.latch.Unlock()
@@ -593,15 +618,15 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		// and the time spent in the write+sync. No latch is held here.
 		l.hFsyncNS.ObserveDuration(fsync)
 		l.hFlushBytes.Observe(uint64(len(buf)))
-		l.hGroupCommit.Observe(uint64(len(recs)))
-		l.hGroupCommitStream.Observe(uint64(len(recs)))
+		l.hGroupCommit.Observe(uint64(nrecs))
+		l.hGroupCommitStream.Observe(uint64(nrecs))
 		if ferr != nil {
 			l.mFlushErrors.Inc()
 		} else {
 			l.mFlushes.Inc()
 		}
 		if l.reg.HasSinks() {
-			l.reg.Emit(obs.LogFlushEvent{Records: len(recs), Bytes: len(buf), Fsync: fsync, Err: ferr})
+			l.reg.Emit(obs.LogFlushEvent{Records: nrecs, Bytes: len(buf), Fsync: fsync, Err: ferr})
 		}
 
 		//dbvet:allow latchorder flush reacquires the log latch it dropped for disk I/O; the caller's bracket releases it
@@ -635,9 +660,6 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		}
 		l.flushes++
 		for _, tr := range recs {
-			if tr.kind != KindPhysRedo || tr.n == 0 {
-				continue
-			}
 			first := mem.PageID(uint64(tr.addr) / uint64(l.pageSize))
 			last := mem.PageID((uint64(tr.addr) + uint64(tr.n) - 1) / uint64(l.pageSize))
 			for id := first; id <= last; id++ {
@@ -645,6 +667,11 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 					n.NoteDirty(id)
 				}
 			}
+		}
+		// The Write has returned and the latch is held: the captured
+		// buffers are dead and may take appends again.
+		if cap(buf) <= maxRetainedTail {
+			l.spareTail, l.spareRecs = buf[:0], recs[:0]
 		}
 		l.flushDone.Broadcast()
 	}
@@ -739,8 +766,7 @@ func (l *SystemLog) Reset() error {
 	}
 	l.baseLSN = 0
 	l.stableEnd = 0
-	l.tail = l.tail[:0]
-	l.tailRecs = l.tailRecs[:0]
+	l.tail, l.tailRecs, l.tailCount = l.tail[:0], l.tailRecs[:0], 0
 	l.stampedGSN = 0
 	l.durableGSN = 0
 	return nil

@@ -12,7 +12,9 @@ build:
 # Static checks plus a race-detector pass over the subsystems with the
 # most cross-goroutine state (metrics registry, WAL group commit and its
 # recycled tail buffers, the transaction slabs a checkpoint snapshots, the
-# lock manager's pooled states, the concurrent TPC-B driver), and a one-iteration smoke of the codeword
+# lock manager's pooled states, the concurrent TPC-B driver, the log
+# buffers restart recovery aliases between its passes and apply workers,
+# the schemes' shared audit loop), and a one-iteration smoke of the codeword
 # kernel benchmarks. dbvet is the repo's own eleven-pass suite (latch
 # order, guarded writes, codeword pairing, metric names, I/O path,
 # error flow, 2PC protocol, context propagation, field-level locksets,
@@ -26,7 +28,7 @@ vet: bench-smoke torture-smoke server-smoke bench-streams-smoke heal-smoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/dbvet ./...
 	$(GO) run ./cmd/dbvet -stats -debt-baseline dbvet.debt.json ./...
-	$(GO) test -race ./internal/core ./internal/wal ./internal/lockmgr ./internal/heap ./internal/obs ./internal/tpcb
+	$(GO) test -race ./internal/core ./internal/wal ./internal/lockmgr ./internal/heap ./internal/obs ./internal/tpcb ./internal/recovery ./internal/protect
 
 # End-to-end smoke of the TCP front end: a K=4 sharded server takes a
 # concurrent mixed load over the wire protocol, drains gracefully, and

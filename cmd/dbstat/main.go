@@ -3,8 +3,8 @@
 // Offline (default) it reads the checkpoint anchor and the stable log
 // without opening the database: current image, checkpoint sequence
 // number, CK_end, Audit_SN, and log extent. With -open it runs restart
-// recovery, optionally audits (-audit), and prints the full obs metrics
-// snapshot — every counter, gauge and histogram the engine maintains —
+// recovery, prints where that recovery's time went (phase table),
+// optionally audits (-audit), and prints the full obs metrics snapshot — every counter, gauge and histogram the engine maintains —
 // as aligned text or JSON (-json).
 //
 // Usage:
@@ -18,9 +18,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -77,6 +79,7 @@ func main() {
 	if rep.CorruptionMode {
 		fmt.Fprintf(info, "note: opening ran corruption recovery; %d transaction(s) deleted\n", len(rep.Deleted))
 	}
+	printPhases(info, rep)
 	if *audit {
 		if err := db.Audit(); err != nil {
 			// A dirty audit is a finding, not a tool failure: the
@@ -98,6 +101,27 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Print(snap.Text())
+}
+
+// printPhases reports where the restart that just ran spent its time: the
+// same durations the snapshot holds as recovery.*_ns.
+func printPhases(w io.Writer, rep *recovery.Report) {
+	if rep.FreshDatabase {
+		return
+	}
+	p := rep.Phases
+	fmt.Fprintf(w, "recovery: %d records scanned, %d redone, %d stream(s), %d redo worker(s)\n",
+		rep.RecordsScanned, rep.RedoApplied, rep.LogStreams, rep.RedoWorkers)
+	for _, row := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"load", p.Load}, {"scan", p.Scan}, {"redo", p.Redo}, {"apply", p.Apply}, {"build", p.Build},
+		{"  log open", p.LogOpen}, {"  recompute", p.Recompute}, {"undo", p.Undo}, {"checkpoint", p.Checkpoint},
+		{"total", p.Total()},
+	} {
+		fmt.Fprintf(w, "  %-12s %10.3f ms\n", row.name, float64(row.d)/float64(time.Millisecond))
+	}
 }
 
 // printOffline reports what the directory says without opening it.
@@ -136,7 +160,7 @@ func printOffline(dir string) error {
 		if err != nil {
 			return err
 		}
-		base, err := wal.LogBase(dir)
+		base, err := wal.LogBaseFS(iofault.OS, dir)
 		if err != nil {
 			return err
 		}

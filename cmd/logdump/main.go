@@ -73,34 +73,32 @@ func main() {
 		return *max == 0 || printed < *max
 	}
 
-	switch {
-	case nStreams <= 1 && *stream <= 0:
-		// Historical single-file layout (or explicit -stream 0 of one):
-		// scan system.log in place, no prefix.
-		start := wal.LSN(*from)
-		if base, err := wal.LogBase(*dir); err == nil && start < base {
-			start = base
+	// A single-file log prints without a prefix, a multi-stream set merges
+	// into global GSN order, and -stream reads that stream's file alone, in
+	// its local LSN order. A non-zero -from is a per-stream floor: each
+	// stream's LSN domain is independent.
+	starts := startVector(*dir, nStreams, wal.LSN(*from))
+	var cur *wal.Cursor
+	if *stream >= 0 {
+		cur, err = wal.OpenStreamCursor(iofault.OS, *dir, *stream, starts)
+	} else {
+		cur, err = wal.OpenCursor(iofault.OS, *dir, starts)
+	}
+	for err == nil && cur.Next() {
+		r := cur.Record()
+		prefix := ""
+		switch {
+		case nStreams > 1 && *stream >= 0:
+			prefix = fmt.Sprintf("s%-2d ", *stream)
+		case nStreams > 1:
+			prefix = fmt.Sprintf("s%-2d g%-10d ", cur.Stream(), r.GSN)
 		}
-		err = wal.Scan(*dir, start, func(r *wal.Record) bool {
-			return visit("", r)
-		})
-	case *stream >= 0:
-		// One stream of a multi-stream set, in its local LSN order.
-		err = scanOneStream(*dir, *stream, wal.LSN(*from), func(r *wal.Record) bool {
-			return visit(fmt.Sprintf("s%-2d ", *stream), r)
-		})
-	default:
-		// Merge every stream into global GSN order. A non-zero -from is a
-		// per-stream floor: each stream's LSN domain is independent.
-		var merged []wal.StreamRecord
-		merged, err = wal.ScanStreamsFS(iofault.OS, *dir, startVector(*dir, nStreams, wal.LSN(*from)))
-		if err == nil {
-			for _, sr := range merged {
-				if !visit(fmt.Sprintf("s%-2d g%-10d ", sr.Stream, sr.R.GSN), sr.R) {
-					break
-				}
-			}
+		if !visit(prefix, r) {
+			break
 		}
+	}
+	if err == nil {
+		err = cur.Err()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "logdump:", err)
@@ -136,19 +134,6 @@ func startVector(dir string, n int, from wal.LSN) []wal.LSN {
 		}
 	}
 	return starts
-}
-
-// scanOneStream scans a single stream file of a multi-stream set from
-// max(from, base) in local LSN order.
-func scanOneStream(dir string, stream int, from wal.LSN, fn func(*wal.Record) bool) error {
-	bases, err := wal.LogBasesFS(iofault.OS, dir)
-	if err != nil {
-		return err
-	}
-	if stream < len(bases) && from < bases[stream] {
-		from = bases[stream]
-	}
-	return wal.ScanStreamFS(iofault.OS, dir, stream, from, fn)
 }
 
 func format(r *wal.Record) string {

@@ -233,12 +233,18 @@ func RunOpts(db *core.DB, opts Options) ([]Problem, error) {
 			add(CodeLogPoisoned, SevError, "log", "stream %d is poisoned (fail-stopped): %v", st.Stream, log.Stream(st.Stream).Poisoned())
 		}
 	}
-	if recs, err := wal.ScanStreamsFS(db.FS(), db.Config().Dir, nil); err == nil {
-		for _, g := range wal.FindGSNGaps(recs) {
+	cur, err := wal.OpenCursor(db.FS(), db.Config().Dir, nil)
+	if err == nil {
+		for cur.Next() {
+		}
+		err = cur.Err()
+	}
+	if err != nil {
+		add(CodeLogGSNGap, SevWarning, "log", "stream scan for GSN density failed: %v", err)
+	} else {
+		for _, g := range cur.Gaps() {
 			add(CodeLogGSNGap, SevError, "log", "stamped-GSN hole after %d: next is %d on stream %d (a record below an acknowledged commit is missing)", g.After, g.Next, g.Stream)
 		}
-	} else {
-		add(CodeLogGSNGap, SevWarning, "log", "stream scan for GSN density failed: %v", err)
 	}
 
 	// Checkpoint anchor vs retained log.

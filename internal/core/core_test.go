@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/iofault"
 	"repro/internal/lockmgr"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -23,6 +24,21 @@ func testDB(t *testing.T, pc protect.Config) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
+}
+
+// scanLog visits every record of the stable log in dir.
+func scanLog(t *testing.T, dir string, fn func(*wal.Record)) {
+	t.Helper()
+	cur, err := wal.OpenCursor(iofault.OS, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+		fn(cur.Record())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // opUpdate performs begin-op, update, commit-op as one unit.
@@ -306,14 +322,13 @@ func TestAuditDetectsWildWriteAndLogsIt(t *testing.T) {
 	// The failing audit's corrupt ranges must be in the log for recovery.
 	db.Close()
 	var foundDirty bool
-	wal.Scan(db.Config().Dir, 0, func(r *wal.Record) bool {
+	scanLog(t, db.Config().Dir, func(r *wal.Record) {
 		if r.Kind == wal.KindAuditEnd && !r.AuditClean {
 			foundDirty = true
 			if len(r.CorruptAddrs) != 1 || r.CorruptAddrs[0] != mem.Addr(500/64*64) {
 				t.Errorf("audit-end corrupt ranges: %v", r.CorruptAddrs)
 			}
 		}
-		return true
 	})
 	if !foundDirty {
 		t.Fatal("dirty audit-end record not in log")
@@ -437,7 +452,7 @@ func TestReadLogRecordsReachSystemLog(t *testing.T) {
 
 	var kinds []wal.Kind
 	var readCW, writeCW bool
-	wal.Scan(db.Config().Dir, 0, func(r *wal.Record) bool {
+	scanLog(t, db.Config().Dir, func(r *wal.Record) {
 		kinds = append(kinds, r.Kind)
 		if r.Kind == wal.KindRead && r.HasCW {
 			readCW = true
@@ -445,7 +460,6 @@ func TestReadLogRecordsReachSystemLog(t *testing.T) {
 		if r.Kind == wal.KindPhysRedo && r.HasCW {
 			writeCW = true
 		}
-		return true
 	})
 	want := []wal.Kind{wal.KindTxnBegin, wal.KindOpBegin, wal.KindRead,
 		wal.KindPhysRedo, wal.KindOpCommit, wal.KindTxnCommit}

@@ -301,15 +301,28 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 			db.noteHeal(res, d)
 		}
 	}
+	// Every scheme derives its protection state — codewords and locator
+	// planes, or page protection — from the arena as it finds it, so a
+	// recovered image is covered from here on without a second pass.
+	start := time.Now()
 	scheme, err := protect.New(arena, pcfg)
 	if err != nil {
 		arena.Close()
 		return nil, err
 	}
-	log, err := wal.OpenLogSetFS(cfg.FS, cfg.Dir, cfg.PageSize, cfg.LogStreams)
+	var logEnds []wal.LSN
+	if loaded != nil {
+		reg.Histogram(obs.NameRecoveryRecomputeNS).Since(start)
+		logEnds = loaded.LogEnds
+	}
+	start = time.Now()
+	log, err := wal.OpenLogSetFS(cfg.FS, cfg.Dir, cfg.PageSize, cfg.LogStreams, logEnds)
 	if err != nil {
 		arena.Close()
 		return nil, err
+	}
+	if loaded != nil {
+		reg.Histogram(obs.NameRecoveryLogOpenNS).Since(start)
 	}
 	log.SetRegistry(reg)
 	ckpts, err := ckpt.OpenFS(cfg.FS, cfg.Dir, cfg.PageSize)
@@ -385,26 +398,23 @@ type RecoveredState struct {
 	NextTxnID wal.TxnID
 	// AuditSN seeds the audit serial-number counter.
 	AuditSN uint64
+	// LogEnds is the end of each log stream's valid prefix as recovery's
+	// scan established it (wal.Cursor.Ends); the log set is opened there
+	// instead of reading and walking the files again.
+	LogEnds []wal.LSN
 }
 
 // NewRecovered assembles a DB around state produced by restart recovery.
 // The caller (package recovery) is responsible for having rolled back
 // incomplete transactions before calling this; the image is trusted.
-// Codewords (and hardware page protection) are then re-derived from it.
+// Codewords (and hardware page protection) are derived from it as the
+// scheme is built.
 func NewRecovered(cfg Config, st *RecoveredState) (*DB, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	db, err := build(cfg, st)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.scheme.Recompute(); err != nil {
-		db.closeInternals()
-		return nil, err
-	}
-	return db, nil
+	return build(cfg, st)
 }
 
 // Config returns the database's configuration.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/iofault"
 	"repro/internal/protect"
 	"repro/internal/wal"
 )
@@ -398,10 +399,16 @@ func TestOpsAppearInLog(t *testing.T) {
 	cat.db.Close()
 
 	counts := map[wal.Kind]int{}
-	wal.Scan(cat.db.Config().Dir, 0, func(r *wal.Record) bool {
-		counts[r.Kind]++
-		return true
-	})
+	cur, err := wal.OpenCursor(iofault.OS, cat.db.Config().Dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+		counts[cur.Record().Kind]++
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
 	// Insert: op-begin + 2 phys (bit, record) + op-commit.
 	// Read: 1 read record. Update: op-begin + 1 phys + op-commit.
 	if counts[wal.KindOpBegin] != 2 || counts[wal.KindOpCommit] != 2 {

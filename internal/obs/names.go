@@ -65,6 +65,19 @@ const (
 	NameRecoveryParallelNS  = "recovery.parallel_ns"  // histogram: parallel redo apply wall time
 	NameRecoveryGSNGaps     = "recovery.gsn_gaps"     // holes found in the merged scan's stamped-GSN sequence
 
+	// internal/recovery — the phases of one restart, contiguous: load, scan,
+	// redo, parallel (above), build, undo and checkpoint sum to the wall time
+	// of recovery.Open. log_open and recompute are the parts of build that
+	// core reports (recovery.Report.Phases carries the same durations).
+	NameRecoveryLoadNS       = "recovery.load_ns"       // histogram: checkpoint anchor, image and ATT read
+	NameRecoveryScanNS       = "recovery.scan_ns"       // histogram: log read plus the pre-scan pass
+	NameRecoveryRedoNS       = "recovery.redo_ns"       // histogram: the redo pass
+	NameRecoveryBuildNS      = "recovery.build_ns"      // histogram: core.NewRecovered
+	NameRecoveryLogOpenNS    = "recovery.log_open_ns"   // histogram: of build, the log set open
+	NameRecoveryRecomputeNS  = "recovery.recompute_ns"  // histogram: of build, protection state derived from the image
+	NameRecoveryUndoNS       = "recovery.undo_ns"       // histogram: the undo phase
+	NameRecoveryCheckpointNS = "recovery.checkpoint_ns" // histogram: the completion checkpoint
+
 	// internal/region — codeword table maintenance.
 	NameRegionFolds         = "region.folds"
 	NameRegionFoldBytes     = "region.fold_bytes"

@@ -31,7 +31,6 @@ type deferredScheme struct {
 	arena *mem.Arena
 	tab   *region.Table
 	prot  *latch.Striped //dbvet:latch protection
-	pool  *region.Pool
 
 	mu      sync.Mutex
 	pending []region.Delta
@@ -55,7 +54,6 @@ func newDeferredScheme(arena *mem.Arena, cfg Config) (*deferredScheme, error) {
 		arena:          arena,
 		tab:            tab,
 		prot:           latch.NewStriped(min(cfg.LatchStripes, tab.NumRegions())),
-		pool:           cfg.Pool,
 		drainThreshold: 4096,
 		onHeal:         cfg.OnHeal,
 		mDrains:        cfg.Obs.Counter(obs.NameDeferredDrains),
@@ -156,23 +154,15 @@ func (s *deferredScheme) Audit() []region.Mismatch {
 	return s.AuditRange(0, s.arena.Size())
 }
 
-// AuditRange audits the regions intersecting [addr, addr+n), chunked
-// across the scheme's worker pool. Each worker preserves the serial
-// discipline per region: protection latch exclusive, drain the delta
-// queue, then verify — so a concurrently completed update of region r is
-// either applied by this worker's drain or blocked on r's latch until the
-// verification is done. Workers on other regions draining concurrently
-// only apply deltas sooner than the serial loop would have; XOR
-// commutativity makes the order irrelevant.
+// AuditRange audits the regions intersecting [addr, addr+n). Each region
+// is verified under the serial discipline — protection latch exclusive,
+// drain the delta queue, then compare — so a concurrently completed
+// update of region r is either applied by this worker's drain or blocked
+// on r's latch until the verification is done. Workers on other regions
+// draining concurrently only apply deltas sooner than the serial loop
+// would have; XOR commutativity makes the order irrelevant.
 func (s *deferredScheme) AuditRange(addr mem.Addr, n int) []region.Mismatch {
-	first, last := s.tab.RegionRange(addr, n)
-	return auditRegions(s.pool, s.tab, first, last, func(r int) []region.Mismatch {
-		l := s.prot.For(uint64(r))
-		l.Lock()
-		defer l.Unlock()
-		s.Drain()
-		return s.tab.AuditRange(s.arena, s.tab.RegionStart(r), 1)
-	})
+	return s.tab.AuditRangeLatched(s.arena, addr, n, s.prot, s.Drain)
 }
 
 // Diagnose classifies region r's ECC syndrome under the audit discipline:

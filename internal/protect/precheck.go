@@ -25,7 +25,6 @@ type precheckScheme struct {
 	arena *mem.Arena
 	tab   *region.Table
 	prot  *latch.Striped //dbvet:latch protection
-	pool  *region.Pool
 
 	reg       *obs.Registry
 	mRegions  *obs.Counter // regions verified before reads (precheck hits)
@@ -45,7 +44,6 @@ func newPrecheckScheme(arena *mem.Arena, cfg Config) (*precheckScheme, error) {
 		arena:     arena,
 		tab:       tab,
 		prot:      latch.NewStriped(min(cfg.LatchStripes, tab.NumRegions())),
-		pool:      cfg.Pool,
 		reg:       cfg.Obs,
 		mRegions:  cfg.Obs.Counter(obs.NamePrecheckRegions),
 		mFailures: cfg.Obs.Counter(obs.NamePrecheckFailures),
@@ -163,13 +161,7 @@ func (s *precheckScheme) Audit() []region.Mismatch {
 }
 
 func (s *precheckScheme) AuditRange(addr mem.Addr, n int) []region.Mismatch {
-	first, last := s.tab.RegionRange(addr, n)
-	return auditRegions(s.pool, s.tab, first, last, func(r int) []region.Mismatch {
-		l := s.prot.For(uint64(r))
-		l.Lock()
-		defer l.Unlock()
-		return s.tab.AuditRange(s.arena, s.tab.RegionStart(r), 1)
-	})
+	return s.tab.AuditRangeLatched(s.arena, addr, n, s.prot, nil)
 }
 
 func (s *precheckScheme) Recompute() error {

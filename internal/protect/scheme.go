@@ -154,39 +154,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// auditRegions is the shared parallel audit loop of the codeword schemes:
-// it checks regions first..last (clamped to the table), running check(r)
-// for each across the pool's workers, and returns the mismatches in
-// ascending region order. check carries the scheme's per-region latch
-// discipline — it must take the region's protection latch exactly as the
-// serial loop did, so chunking the range across workers changes only
-// which goroutine takes each latch, never what is held while a region is
-// compared with its codeword.
-func auditRegions(pool *region.Pool, tab *region.Table, first, last int, check func(r int) []region.Mismatch) []region.Mismatch {
-	if last >= tab.NumRegions() {
-		last = tab.NumRegions() - 1
-	}
-	if first > last {
-		return nil
-	}
-	minGrain := 1
-	if g := (64 << 10) / tab.RegionSize(); g > 1 {
-		minGrain = g
-	}
-	chunks := region.RunChunked(pool, last-first+1, minGrain, func(lo, hi int) []region.Mismatch {
-		var out []region.Mismatch
-		for r := first + lo; r < first+hi; r++ {
-			out = append(out, check(r)...)
-		}
-		return out
-	})
-	var out []region.Mismatch
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // UpdateToken carries scheme state across a BeginUpdate/EndUpdate bracket.
 // It is a plain value — the codeword schemes' guard is three words, and
 // only the hardware scheme's page list points anywhere — so a bracket

@@ -49,12 +49,14 @@ func CacheRecover(db *core.DB, ranges []Range) error {
 			copy(arena.Slice(r.Start, r.Len), loaded.Image[r.Start:int(r.Start)+r.Len])
 		}
 		// Replay committed physical history over the ranges.
-		err := wal.ScanFS(db.FS(), db.Config().Dir, loaded.Anchor.CKEnd, func(rec *wal.Record) bool {
-			if rec.Kind != wal.KindPhysRedo || len(rec.Data) == 0 {
-				return true
-			}
-			if !set.Overlaps(rec.Addr, len(rec.Data)) {
-				return true
+		cur, err := wal.OpenCursor(db.FS(), db.Config().Dir, loaded.Anchor.Vector())
+		if err != nil {
+			return err
+		}
+		for cur.Next() {
+			rec := cur.Record()
+			if rec.Kind != wal.KindPhysRedo || !set.Overlaps(rec.Addr, len(rec.Data)) {
+				continue
 			}
 			// Clip the record to each repaired range.
 			recEnd := rec.Addr + mem.Addr(len(rec.Data))
@@ -66,9 +68,8 @@ func CacheRecover(db *core.DB, ranges []Range) error {
 				}
 				copy(arena.Slice(start, int(end-start)), rec.Data[start-rec.Addr:end-rec.Addr])
 			}
-			return true
-		})
-		if err != nil {
+		}
+		if err := cur.Err(); err != nil {
 			return err
 		}
 		// Re-derive protection state and verify the repair.

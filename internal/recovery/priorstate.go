@@ -60,17 +60,20 @@ func boundaryAtOrBefore(fsys iofault.FS, dir string, target wal.LSN) (wal.LSN, e
 	if target < base {
 		return 0, fmt.Errorf("recovery: prior-state target %d precedes the retained log (base %d)", target, base)
 	}
-	cut := base
-	err = wal.ScanFS(fsys, dir, base, func(r *wal.Record) bool {
-		end := r.LSN + wal.LSN(r.EncodedSize())
-		if end > target {
-			return false
-		}
-		cut = end
-		return true
-	})
+	// Prior-state recovery cuts the historical single-stream log: stream 0
+	// is the only file read.
+	cur, err := wal.OpenStreamCursor(fsys, dir, 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	return cut, nil
+	cut := base
+	for cur.Next() {
+		r := cur.Record()
+		end := r.LSN + wal.LSN(r.EncodedSize())
+		if end > target {
+			break
+		}
+		cut = end
+	}
+	return cut, cur.Err()
 }

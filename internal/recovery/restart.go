@@ -121,6 +121,9 @@ type Report struct {
 	// (true = commit) found in this database's log — populated only on a
 	// shard that acted as coordinator.
 	Decisions map[uint64]bool
+	// Phases says where Open's wall time went; the recovered database's
+	// registry holds the same durations as recovery.*_ns histograms.
+	Phases Phases
 }
 
 // Open opens the database in cfg.Dir, running restart recovery if it has
@@ -131,6 +134,7 @@ type Report struct {
 // restart recovery runs. Recovery ends with a checkpoint, so a subsequent
 // crash recovers from a clean image.
 func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
+	start := time.Now()
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, err
@@ -215,15 +219,20 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 	} else {
 		image = make([]byte, imageSize)
 	}
+	load := time.Since(start)
 	db, rep, err := openFrom(cfg, image, meta, entries, ckEnds, auditSN, opts, report)
-	if err == nil && rep.UsedFallbackImage {
+	if err != nil {
+		return nil, nil, err
+	}
+	notePhases(db.Observability(), rep, load)
+	if rep.UsedFallbackImage {
 		reg := db.Observability()
 		reg.Counter(obs.NameCkptFallbacks).Inc()
 		if reg.HasSinks() {
 			reg.Emit(obs.CkptFallbackEvent{From: fbFrom, To: fbTo})
 		}
 	}
-	return db, rep, err
+	return db, rep, nil
 }
 
 // ImageState is an externally supplied starting point for recovery: a
@@ -246,6 +255,7 @@ type ImageState struct {
 // anchor and images in the directory are ignored and replaced by the
 // completion checkpoint.
 func OpenFromImage(cfg core.Config, st ImageState, opts Options) (*core.DB, *Report, error) {
+	start := time.Now()
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, err
@@ -261,40 +271,56 @@ func OpenFromImage(cfg core.Config, st ImageState, opts Options) (*core.DB, *Rep
 	}
 	report := &Report{ScanStart: st.CKEnd}
 	image := append([]byte(nil), st.Image...)
-	return openFrom(cfg, image, st.Meta, make(map[wal.TxnID]*wal.TxnEntry),
+	load := time.Since(start)
+	db, rep, err := openFrom(cfg, image, st.Meta, make(map[wal.TxnID]*wal.TxnEntry),
 		ckEnds, st.AuditSN, opts, report)
+	if err != nil {
+		return nil, nil, err
+	}
+	notePhases(db.Observability(), rep, load)
+	return db, rep, nil
 }
 
 // openFrom is the shared redo/undo/checkpoint pipeline behind Open and
-// OpenFromImage.
+// OpenFromImage. Each phase's wall time goes into the recovered
+// database's registry (recovery.*_ns); the phases are contiguous, so with
+// the caller's load phase they sum to the time the open took.
 func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.TxnEntry,
 	ckEnds []wal.LSN, auditSN wal.LSN, opts Options, report *Report) (*core.DB, *Report, error) {
+	phase := time.Now()
+	lap := func() time.Duration { // the time since the previous lap
+		now := time.Now()
+		d := now.Sub(phase)
+		phase = now
+		return d
+	}
 	var ckEnd wal.LSN
 	if len(ckEnds) > 0 {
 		ckEnd = ckEnds[0]
 	}
 	report.ScanStart = ckEnd
 
-	// One merged scan: every stream is read concurrently from its entry in
-	// the checkpoint's stream vector (streams the vector predates replay
-	// from their base) and the records merge into global GSN order. Both
-	// the pre-scan and the redo scan walk this one materialized sequence.
-	merged, err := wal.ScanStreamsFS(cfg.FS, cfg.Dir, ckEnds)
+	// One read of the log: every stream from its entry in the checkpoint's
+	// stream vector (streams the vector predates, from their base) into
+	// buffers the cursor owns until Release. Both passes walk those buffers;
+	// every record they see aliases them.
+	cur, err := wal.OpenCursor(cfg.FS, cfg.Dir, ckEnds)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// GSN density check: each stream's scan ended independently at its own
-	// torn tail, so a hole in the stamped sequence — a lost record with
-	// surviving higher-GSN records merged over it — would otherwise be
-	// undetectable. Gaps are surfaced (report, counter, events below), not
-	// fatal: replaying the surviving records still converges the image,
-	// and the audit pass decides what state is trustworthy.
-	report.GSNGaps = wal.FindGSNGaps(merged)
-
-	// Pre-scan: locate the last clean audit (Audit_SN), gather the
-	// corrupt ranges noted by failed audits, and find the ID horizon.
-	pre := prescan(merged, auditSN)
+	// Pre-scan: locate the last clean audit (Audit_SN), gather the corrupt
+	// ranges noted by failed audits, find the ID horizon and the
+	// transactions that finished. The merge checks GSN density as it goes
+	// (Cursor.Gaps). Gaps are surfaced (report, counter, events below), not
+	// fatal: replaying the surviving records still converges the image, and
+	// the audit pass decides what state is trustworthy.
+	pre, err := prescan(cur, auditSN)
+	if err != nil {
+		return nil, nil, err
+	}
+	report.GSNGaps = cur.Gaps()
+	logEnds := cur.Ends()
 
 	pcfg := cfg.Protect.Defaulted()
 	cwMode := pcfg.Kind == protect.KindCWReadLog && !opts.DisableCorruptionMode
@@ -336,29 +362,51 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		maxTxn:     pre.maxTxn,
 		deferApply: deferApply,
 	}
+	if deferApply {
+		scanState.items = make([]applyItem, 0, pre.physRecords)
+	}
+	if !corruptionMode {
+		// Corruption mode may delete a committed transaction from history,
+		// and decides record by record from every transaction's undo log:
+		// there, nobody is finished until the scan says so.
+		scanState.finished = pre.finished
+	}
 	for id := range entries {
 		if id > scanState.maxTxn {
 			scanState.maxTxn = id
 		}
 	}
-	if corruptionMode && !cwMode && pre.lastCleanBegin <= ckEnd {
+	scanTime := lap()
+
+	// The CorruptDataTable is seeded when the scan reaches Audit_SN (the
+	// begin record of the last clean audit, a stream-0 LSN): at once if the
+	// checkpoint is already past it, else at the first stream-0 record at or
+	// beyond it.
+	seedPending := corruptionMode && !cwMode
+	if seedPending && pre.lastCleanBegin <= ckEnd {
 		scanState.seedNow()
+		seedPending = false
 	}
-	for i, sr := range merged {
-		if corruptionMode && !cwMode && !scanState.seeded && pre.seedIdx >= 0 && i >= pre.seedIdx {
-			// The merged scan reached Audit_SN (the begin record of the
-			// last clean audit): seed the data known corrupt at that point.
+	cur.Rewind()
+	for cur.Next() {
+		r := cur.Record()
+		if seedPending && cur.Stream() == 0 && r.LSN >= pre.lastCleanBegin {
 			scanState.seedNow()
+			seedPending = false
 		}
-		if !scanState.step(sr.R) {
+		if !scanState.step(r) {
 			break
 		}
+	}
+	if scanState.err == nil {
+		scanState.err = cur.Err()
 	}
 	if scanState.err != nil {
 		return nil, nil, scanState.err
 	}
 	report.RecordsScanned = scanState.scanned
 	report.RedoApplied = scanState.applied
+	redoTime := lap()
 
 	// Deferred parallel apply: workers own disjoint contiguous partitions
 	// of the image and each walks the full apply list in global order,
@@ -366,12 +414,16 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	// byte is written by exactly one worker in record order, so the final
 	// image — and every captured before-image — is byte-identical to a
 	// serial replay.
-	var redoNS uint64
-	if deferApply && len(scanState.items) > 0 {
-		startApply := time.Now()
+	var applyTime time.Duration
+	if deferApply {
 		applyParallel(image, scanState.items, workers)
-		redoNS = uint64(time.Since(startApply).Nanoseconds())
+		applyTime = lap()
 	}
+	// Nothing below reads a log record: what outlives this point (loser and
+	// in-doubt undo logs) owns its bytes, so the buffers can go before the
+	// arena and the codeword table are allocated.
+	scanState.items = nil
+	cur.Release()
 
 	// Assemble the database around the recovered image.
 	db, err := core.NewRecovered(cfg, &core.RecoveredState{
@@ -379,15 +431,19 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		Meta:      meta,
 		NextTxnID: scanState.maxTxn + 1,
 		AuditSN:   pre.maxAuditSN,
+		LogEnds:   logEnds,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	report.LogStreams = db.Internals().Log.NumStreams()
 	reg := db.Observability()
+	reg.Histogram(obs.NameRecoveryScanNS).ObserveDuration(scanTime)
+	reg.Histogram(obs.NameRecoveryRedoNS).ObserveDuration(redoTime)
+	reg.Histogram(obs.NameRecoveryBuildNS).ObserveDuration(lap())
 	reg.Gauge(obs.NameRecoveryRedoWorkers).Set(int64(report.RedoWorkers))
 	if deferApply {
-		reg.Histogram(obs.NameRecoveryParallelNS).Observe(redoNS)
+		reg.Histogram(obs.NameRecoveryParallelNS).ObserveDuration(applyTime)
 	}
 	if len(report.GSNGaps) > 0 {
 		reg.Counter(obs.NameRecoveryGSNGaps).Add(uint64(len(report.GSNGaps)))
@@ -409,22 +465,63 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	}
 	report.FinalCorrupt = scanState.cdt.Ranges()
 	report.Decisions = scanState.decisions
+	reg.Histogram(obs.NameRecoveryUndoNS).ObserveDuration(lap())
 
 	// Completion checkpoint (§4.3): without it a future recovery would
 	// rediscover the same corruption and delete transactions that started
 	// after this recovery.
 	if opts.SkipCompletionCheckpoint {
-		if err := db.Internals().Log.Flush(); err != nil {
-			db.Close()
-			return nil, nil, err
-		}
-		return db, report, nil
+		err = db.Internals().Log.Flush()
+	} else if err = db.Checkpoint(); err != nil {
+		err = fmt.Errorf("recovery: completion checkpoint: %w", err)
 	}
-	if err := db.Checkpoint(); err != nil {
+	if err != nil {
 		db.Close()
-		return nil, nil, fmt.Errorf("recovery: completion checkpoint: %w", err)
+		return nil, nil, err
 	}
+	reg.Histogram(obs.NameRecoveryCheckpointNS).ObserveDuration(lap())
 	return db, report, nil
+}
+
+// Phases is the wall time of each stage of a recovery, in pipeline order.
+// The stages are contiguous: Load through Checkpoint sum to the time Open
+// took (LogOpen and Recompute are parts of Build, reported by core). They
+// are telemetry, copied out of the recovered database's registry
+// (recovery.*_ns); nothing recovery decides depends on them.
+type Phases struct {
+	Load       time.Duration // stream detection; checkpoint anchor, image and ATT read
+	Scan       time.Duration // log files read once; the pre-scan pass over them
+	Redo       time.Duration // the redo pass, the serial apply included
+	Apply      time.Duration // partitioned parallel apply (zero on the serial path)
+	Build      time.Duration // core.NewRecovered: arena, scheme, log set, checkpoint set
+	LogOpen    time.Duration // of Build: the log set opened at the scanned ends
+	Recompute  time.Duration // of Build: protection state derived from the image
+	Undo       time.Duration // losers and deleted transactions rolled back
+	Checkpoint time.Duration // completion checkpoint (or, in a crash drill, the log flush)
+}
+
+// Total is the wall time the phases account for.
+func (p Phases) Total() time.Duration {
+	return p.Load + p.Scan + p.Redo + p.Apply + p.Build + p.Undo + p.Checkpoint
+}
+
+// notePhases records the caller's load phase and copies the sums of the
+// registry's phase histograms — a new registry, so they hold this
+// recovery's samples only — into the report.
+func notePhases(reg *obs.Registry, rep *Report, load time.Duration) {
+	reg.Histogram(obs.NameRecoveryLoadNS).ObserveDuration(load)
+	ns := func(name string) time.Duration { return time.Duration(reg.Histogram(name).Snapshot().Sum) }
+	rep.Phases = Phases{
+		Load:       ns(obs.NameRecoveryLoadNS),
+		Scan:       ns(obs.NameRecoveryScanNS),
+		Redo:       ns(obs.NameRecoveryRedoNS),
+		Apply:      ns(obs.NameRecoveryParallelNS),
+		Build:      ns(obs.NameRecoveryBuildNS),
+		LogOpen:    ns(obs.NameRecoveryLogOpenNS),
+		Recompute:  ns(obs.NameRecoveryRecomputeNS),
+		Undo:       ns(obs.NameRecoveryUndoNS),
+		Checkpoint: ns(obs.NameRecoveryCheckpointNS),
+	}
 }
 
 func fileExists(path string) bool {
@@ -442,30 +539,35 @@ func roundUp(n, multiple int) int {
 // prescanResult carries what the first pass learned.
 type prescanResult struct {
 	lastCleanBegin wal.LSN
-	// seedIdx is the position in the merged scan where the corruption
-	// algorithm seeds the CorruptDataTable: the first stream-0 record at
-	// or past Audit_SN (audit records live on stream 0, so Audit_SN is a
-	// stream-0 LSN). -1 when no scanned record qualifies.
-	seedIdx    int
-	failRanges []Range
-	maxTxn     wal.TxnID
-	maxAuditSN uint64
+	failRanges     []Range
+	maxTxn         wal.TxnID
+	maxAuditSN     uint64
+	physRecords    int // physical redo records in the scanned tail
+	// finished holds the transactions with a commit or abort record in the
+	// scanned tail.
+	finished map[wal.TxnID]struct{}
 }
 
 // prescan finds Audit_SN (the begin LSN of the last clean audit), the
-// ranges noted corrupt by failed audits, and the transaction/audit ID
-// horizons. It must be a separate pass because corrupt ranges are seeded
-// into the CorruptDataTable when the main scan passes Audit_SN, which is
-// earlier in the log than the failed audit that noted them.
-func prescan(merged []wal.StreamRecord, anchorAuditSN wal.LSN) *prescanResult {
-	res := &prescanResult{lastCleanBegin: anchorAuditSN, seedIdx: -1}
+// ranges noted corrupt by failed audits, the transaction/audit ID
+// horizons, and the transactions that finished. It must be a separate
+// pass because corrupt ranges are seeded into the CorruptDataTable when
+// the main scan passes Audit_SN, which is earlier in the log than the
+// failed audit that noted them — and because redo wants to know at a
+// transaction's first record whether its last one is a commit.
+func prescan(cur *wal.Cursor, anchorAuditSN wal.LSN) (*prescanResult, error) {
+	res := &prescanResult{lastCleanBegin: anchorAuditSN, finished: make(map[wal.TxnID]struct{})}
 	begins := make(map[uint64]wal.LSN)
-	for _, sr := range merged {
-		r := sr.R
+	for cur.Next() {
+		r := cur.Record()
 		if r.Txn > res.maxTxn {
 			res.maxTxn = r.Txn
 		}
 		switch r.Kind {
+		case wal.KindPhysRedo:
+			res.physRecords++
+		case wal.KindTxnCommit, wal.KindTxnAbort:
+			res.finished[r.Txn] = struct{}{}
 		case wal.KindAuditBegin:
 			begins[r.AuditSN] = r.LSN
 			if r.AuditSN > res.maxAuditSN {
@@ -488,13 +590,7 @@ func prescan(merged []wal.StreamRecord, anchorAuditSN wal.LSN) *prescanResult {
 			}
 		}
 	}
-	for i, sr := range merged {
-		if sr.Stream == 0 && sr.R.LSN >= res.lastCleanBegin {
-			res.seedIdx = i
-			break
-		}
-	}
-	return res
+	return res, cur.Err()
 }
 
 // redoScan is the state of the redo phase's forward scan.
@@ -507,11 +603,16 @@ type redoScan struct {
 	cwMode     bool
 	corruption bool
 	seed       []Range
-	seeded     bool
 	maxTxn     wal.TxnID
 	scanned    int
 	applied    int
 	decisions  map[uint64]bool // coordinator verdicts seen in this log
+	// finished is the pre-scan's set of transactions that end in a commit
+	// or abort record; empty in corruption mode. Redo repeats their
+	// physical history and keeps no undo log for them: the only reader of
+	// an undo log outside corruption mode is the undo phase, and the
+	// transaction's own commit or abort record would discard it first.
+	finished map[wal.TxnID]struct{}
 	// deferApply diverts physical redos into items for the partitioned
 	// parallel apply pass instead of applying them inline.
 	deferApply bool
@@ -520,8 +621,9 @@ type redoScan struct {
 }
 
 // applyItem is one physical redo deferred for the parallel apply pass.
-// before is the undo buffer already pushed on the transaction's entry;
-// apply workers fill the parts of it that intersect their partition.
+// data aliases the log buffer. before, when non-nil, is the undo buffer
+// already pushed on the transaction's entry; apply workers fill the parts
+// of it that intersect their partition.
 type applyItem struct {
 	addr   mem.Addr
 	data   []byte
@@ -531,9 +633,10 @@ type applyItem struct {
 // applyParallel replays deferred physical redos with workers owning
 // disjoint contiguous byte partitions of the image. Each worker walks the
 // full item list in global order and copies only the intersection with
-// its partition — capturing the before-image, then applying the data —
-// so per byte the replay happens exactly in serial order, and no two
-// workers touch the same byte of the image or of any before buffer.
+// its partition — capturing the before-image where the item has one, then
+// applying the data — so per byte the replay happens exactly in serial
+// order, and no two workers touch the same byte of the image or of any
+// before buffer.
 func applyParallel(image []byte, items []applyItem, workers int) {
 	pool := region.NewPool(workers)
 	psz := (len(image) + workers - 1) / workers
@@ -562,7 +665,9 @@ func applyParallel(image []byte, items []applyItem, workers int) {
 				if s >= e {
 					continue
 				}
-				copy(it.before[s-a:e-a], image[s:e])
+				if it.before != nil {
+					copy(it.before[s-a:e-a], image[s:e])
+				}
 				copy(image[s:e], it.data[s-a:e-a])
 			}
 		}
@@ -573,7 +678,6 @@ func (s *redoScan) seedNow() {
 	for _, r := range s.seed {
 		s.cdt.Add(r)
 	}
-	s.seeded = true
 }
 
 func (s *redoScan) entry(id wal.TxnID) *wal.TxnEntry {
@@ -657,6 +761,9 @@ func (s *redoScan) step(r *wal.Record) bool {
 	if r.Txn > s.maxTxn {
 		s.maxTxn = r.Txn
 	}
+	if _, ok := s.finished[r.Txn]; ok {
+		return s.stepFinished(r)
+	}
 	switch r.Kind {
 	case wal.KindTxnBegin:
 		s.entry(r.Txn)
@@ -681,22 +788,12 @@ func (s *redoScan) step(r *wal.Record) bool {
 			s.cdt.Add(Range{Start: r.Addr, Len: len(r.Data)})
 			break
 		}
-		end := int(r.Addr) + len(r.Data)
-		if end > len(s.image) {
-			s.err = fmt.Errorf("recovery: redo record [%d,+%d) beyond image", r.Addr, len(r.Data))
+		before := make([]byte, len(r.Data))
+		if !s.redo(r, before) {
 			return false
 		}
-		e := s.entry(r.Txn)
-		before := make([]byte, len(r.Data))
-		u := e.PushPhysUndo(r.Addr, before)
+		u := s.entry(r.Txn).PushPhysUndo(r.Addr, before)
 		u.CodewordPending = false // codewords are recomputed wholesale after redo
-		if s.deferApply {
-			s.items = append(s.items, applyItem{addr: r.Addr, data: r.Data, before: before})
-		} else {
-			copy(before, s.image[r.Addr:end])
-			copy(s.image[r.Addr:end], r.Data)
-		}
-		s.applied++
 
 	case wal.KindOpBegin:
 		if s.inCTT(r.Txn) {
@@ -719,7 +816,10 @@ func (s *redoScan) step(r *wal.Record) bool {
 				return false
 			}
 		} else {
-			if err := e.CommitOp(r.Level, r.Key, r.Undo, r.OrderLSN()); err != nil {
+			// The undo log may outlive the log buffer r.Undo.Args points into.
+			undo := r.Undo
+			undo.Args = append([]byte(nil), undo.Args...)
+			if err := e.CommitOp(r.Level, r.Key, undo, r.OrderLSN()); err != nil {
 				s.err = fmt.Errorf("recovery: %w", err)
 				return false
 			}
@@ -758,6 +858,37 @@ func (s *redoScan) step(r *wal.Record) bool {
 	case wal.KindAuditBegin, wal.KindAuditEnd:
 		// Handled by the pre-scan.
 	}
+	return true
+}
+
+// stepFinished processes one record of a transaction known to end in a
+// commit or abort record: its physical history is repeated and nothing
+// else is kept — no entry, no before-image, no operation bracket.
+func (s *redoScan) stepFinished(r *wal.Record) bool {
+	switch r.Kind {
+	case wal.KindPhysRedo:
+		return s.redo(r, nil)
+	case wal.KindTxnCommit, wal.KindTxnAbort:
+		delete(s.entries, r.Txn) // an entry the checkpoint's ATT carried
+	}
+	return true
+}
+
+// redo applies (or defers) one physical record, capturing the bytes it
+// overwrites into before when the transaction may yet need undoing.
+func (s *redoScan) redo(r *wal.Record, before []byte) bool {
+	end := int(r.Addr) + len(r.Data)
+	if end > len(s.image) {
+		s.err = fmt.Errorf("recovery: redo record [%d,+%d) beyond image", r.Addr, len(r.Data))
+		return false
+	}
+	if s.deferApply {
+		s.items = append(s.items, applyItem{addr: r.Addr, data: r.Data, before: before})
+	} else {
+		copy(before, s.image[r.Addr:end])
+		copy(s.image[r.Addr:end], r.Data)
+	}
+	s.applied++
 	return true
 }
 

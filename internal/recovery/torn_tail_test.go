@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/iofault"
 	"repro/internal/protect"
 	"repro/internal/wal"
 )
@@ -49,7 +50,7 @@ type logFrame struct {
 // logHeader + x - base).
 func scanFrames(t *testing.T, dir string) (frames []logFrame, base wal.LSN, logEnd wal.LSN) {
 	t.Helper()
-	base, err := wal.LogBase(dir)
+	base, err := wal.LogBaseFS(iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +59,15 @@ func scanFrames(t *testing.T, dir string) (frames []logFrame, base wal.LSN, logE
 		t.Fatal(err)
 	}
 	logEnd = base + wal.LSN(fi.Size()-16)
-	if err := wal.Scan(dir, base, func(r *wal.Record) bool {
+	cur, err := wal.OpenCursor(iofault.OS, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+		r := cur.Record()
 		frames = append(frames, logFrame{start: r.LSN, kind: r.Kind, txn: r.Txn})
-		return true
-	}); err != nil {
+	}
+	if err := cur.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range frames {
@@ -214,5 +220,62 @@ func TestTornLogTailRecovery(t *testing.T) {
 	})
 	if scenarios < 10 {
 		t.Fatalf("only %d torn-tail scenarios generated; workload too small", scenarios)
+	}
+}
+
+// TestZeroFilledLogTailRecovery: a crash can leave the log extended but its
+// last blocks never written, which reads back as zeros. Eight zero bytes
+// look like a frame of length 0 whose checksum matches, so the walker must
+// refuse an empty payload: the padding is a torn tail — recovery opens,
+// cuts it off, and the next record written lands where it began.
+func TestZeroFilledLogTailRecovery(t *testing.T) {
+	cfg := core.Config{
+		Dir:       t.TempDir(),
+		ArenaSize: 1 << 18,
+		Protect:   protect.Config{Kind: protect.KindDataCW, RegionSize: 64},
+	}
+	db, tb := setupTable(t, cfg, 4)
+	updateRec(t, db, tb, 0, []byte{0xC0})
+	updateRec(t, db, tb, 1, []byte{0xC1})
+	db.Crash()
+	_, _, logEnd := scanFrames(t, cfg.Dir)
+
+	for _, pad := range []int{8, 16, 4096} {
+		t.Run(fmt.Sprintf("pad%d", pad), func(t *testing.T) {
+			c := cfg
+			c.Dir = copyDBDir(t, cfg.Dir)
+			f, err := os.OpenFile(filepath.Join(c.Dir, wal.LogFileName), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(make([]byte, pad)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			db2, tb2, rep := reopen(t, c, Options{})
+			if rep.RecordsScanned == 0 || readRec(t, db2, tb2, 0)[0] != 0xC0 || readRec(t, db2, tb2, 1)[0] != 0xC1 {
+				t.Fatalf("committed updates lost: scanned %d records", rep.RecordsScanned)
+			}
+			if err := db2.Audit(); err != nil {
+				t.Fatalf("audit: %v", err)
+			}
+			id := updateRec(t, db2, tb2, 2, []byte{0xC2})
+			db2.Crash()
+
+			// The valid prefix now spans the whole file — no zeros left
+			// behind the records — and ends with the new commit.
+			after, _, end := scanFrames(t, c.Dir)
+			cur, err := wal.OpenCursor(iofault.OS, c.Dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cur.Ends()[0]; got != end || end <= logEnd {
+				t.Fatalf("valid prefix ends at %d, file at %d, padding began at %d", got, end, logEnd)
+			}
+			if last := after[len(after)-1]; last.kind != wal.KindTxnCommit || last.txn != id {
+				t.Fatalf("last scanned record %+v, want the commit of txn %d", last, id)
+			}
+		})
 	}
 }

@@ -395,12 +395,26 @@ func (t *Table) auditRegion(a *mem.Arena, r int, out []Mismatch) []Mismatch {
 
 // AuditRange verifies every region intersecting [addr, addr+n) and returns
 // the mismatches found, in ascending region order. Latching discipline is
-// the caller's responsibility (the Data Codeword auditor takes protection
-// latches exclusive region by region; see protect.Scheme.Audit). When a
-// pool is attached the range is chunked across its workers; each worker
-// only reads the arena and takes the codeword latch per region, so the
-// caller's latching covers the parallel case exactly as the serial one.
+// the caller's responsibility (see AuditRangeLatched for the schemes'
+// audits). When a pool is attached the range is chunked across its
+// workers; each worker only reads the arena and takes the codeword latch
+// per region, so the caller's latching covers the parallel case exactly as
+// the serial one.
 func (t *Table) AuditRange(a *mem.Arena, addr mem.Addr, n int) []Mismatch {
+	return t.AuditRangeLatched(a, addr, n, nil, nil)
+}
+
+// AuditRangeLatched is AuditRange under a scheme's audit discipline, the
+// one audit loop there is: each region is compared with its codeword while
+// prot's latch for it is held exclusive, after drain (Deferred Maintenance's
+// delta queue; nil otherwise) has run under that latch. The latch is taken
+// region by region, as the paper prescribes — chunking the range across
+// workers changes only which goroutine takes each latch, never what is held
+// while a region is compared. The bookkeeping is per worker chunk: regions
+// counted and throughput sampled once around the chunk's loop, so
+// audit_bytes_per_sec holds one sample per 64 KB or more, not one clock
+// pair per 64-byte region (which costs more than checking it).
+func (t *Table) AuditRangeLatched(a *mem.Arena, addr mem.Addr, n int, prot *latch.Striped, drain func()) []Mismatch {
 	first, last := t.RegionRange(addr, n)
 	if last >= len(t.cws) {
 		last = len(t.cws) - 1
@@ -408,23 +422,23 @@ func (t *Table) AuditRange(a *mem.Arena, addr mem.Addr, n int) []Mismatch {
 	if first > last {
 		return nil
 	}
-	count := last - first + 1
-	t.mAudited.Add(uint64(count))
-	if !t.pool.parallel(count) {
-		var out []Mismatch
-		done := t.noteThroughput(t.mAuditBPS, count*t.regionSize)
-		for r := first; r <= last; r++ {
-			out = t.auditRegion(a, r, out)
-		}
-		done()
-		return out
-	}
-	// Chunked scan; per-chunk results keep deterministic ascending order.
-	chunks := RunChunked(t.pool, count, poolMinGrainBytes/t.regionSize, func(lo, hi int) []Mismatch {
+	// Per-chunk results keep deterministic ascending order.
+	chunks := RunChunked(t.pool, last-first+1, poolMinGrainBytes/t.regionSize, func(lo, hi int) []Mismatch {
+		t.mAudited.Add(uint64(hi - lo))
 		done := t.noteThroughput(t.mAuditBPS, (hi-lo)*t.regionSize)
 		var out []Mismatch
 		for r := first + lo; r < first+hi; r++ {
+			if prot == nil {
+				out = t.auditRegion(a, r, out)
+				continue
+			}
+			l := prot.For(uint64(r))
+			l.Lock()
+			if drain != nil {
+				drain()
+			}
 			out = t.auditRegion(a, r, out)
+			l.Unlock()
 		}
 		done()
 		return out

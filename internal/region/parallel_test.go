@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/latch"
 	"repro/internal/mem"
 )
 
@@ -145,13 +146,16 @@ func TestRecomputeAndAuditParallelMatchSerial(t *testing.T) {
 }
 
 // TestConcurrentFoldAuditNoTear runs prescribed folds, direct codeword
-// reads and parallel audits concurrently. Under -race this proves a
-// reader can never observe a torn codeword: every access to a region's
-// codeword word goes through the same stripe of the codeword latch
-// (Table.latchFor). Audits racing in-flight updates may legitimately see
-// transient mismatches (this harness takes no protection latches); the
-// invariant checked at the end is that once the writers are done, every
-// codeword again matches the reference contents.
+// reads and audits concurrently, under the Data Codeword latch discipline
+// (§3.2): a writer holds the protection latches of the regions it updates
+// shared across its whole bracket — the store into the arena and the fold
+// — and an auditor takes a region's protection latch exclusive while it
+// compares the region with its codeword. Under -race this proves a reader
+// can never observe a torn codeword (every access to a region's codeword
+// word goes through the same stripe of the codeword latch, Table.latchFor)
+// and that the discipline is enough: no audit, region by region against an
+// image that keeps changing around it or chunked across the pool with the
+// writers held off, ever sees a mismatch.
 func TestConcurrentFoldAuditNoTear(t *testing.T) {
 	const arenaSize = 1 << 18
 	const regionSize = 512
@@ -167,6 +171,9 @@ func TestConcurrentFoldAuditNoTear(t *testing.T) {
 	}
 	tab.SetPool(NewPool(4))
 	tab.RecomputeAll(a)
+	// One stripe per region: ranges are then taken in ascending order by
+	// everyone, the all-stripes sweep below included.
+	prot := latch.NewStriped(tab.NumRegions())
 
 	const writers = 4
 	stop := make(chan struct{})
@@ -181,7 +188,18 @@ func TestConcurrentFoldAuditNoTear(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			base := w * span
-			for iter := 0; ; iter++ {
+			update := func(addr mem.Addr, newData []byte) []byte {
+				first, last := tab.RegionRange(addr, len(newData))
+				g := prot.AcquireRange(uint64(first), uint64(last), false)
+				defer g.Release()
+				oldData := append([]byte(nil), a.Slice(addr, len(newData))...)
+				copy(a.Slice(addr, len(newData)), newData)
+				if err := tab.ApplyUpdate(addr, oldData, newData); err != nil {
+					t.Error(err)
+				}
+				return oldData
+			}
+			for {
 				select {
 				case <-stop:
 					return
@@ -189,36 +207,32 @@ func TestConcurrentFoldAuditNoTear(t *testing.T) {
 				}
 				n := 1 + rng.Intn(3*regionSize/2)
 				addr := mem.Addr(base + rng.Intn(span-n))
-				oldData := append([]byte(nil), a.Slice(addr, n)...)
 				newData := make([]byte, n)
 				rng.Read(newData)
-				copy(a.Slice(addr, n), newData)
-				if err := tab.ApplyUpdate(addr, oldData, newData); err != nil {
-					t.Error(err)
-					return
-				}
-				copy(a.Slice(addr, n), oldData)
-				if err := tab.ApplyUpdate(addr, newData, oldData); err != nil {
-					t.Error(err)
-					return
-				}
+				update(addr, update(addr, newData))
 			}
 		}(w)
 	}
-	// Auditors: full parallel sweeps while the folds are in flight.
+	// Region-by-region auditors, through the schemes' own audit loop: each
+	// region's latch is held only while that region is compared, so the
+	// image changes between their regions.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for {
+			for i := g; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
-					_ = tab.AuditAll(a)
+				}
+				addr := mem.Addr(i * 3 * regionSize % (arenaSize / 2))
+				if bad := tab.AuditRangeLatched(a, addr, arenaSize/2, prot, nil); len(bad) != 0 {
+					t.Errorf("audit under the protection latch saw %v", bad[0])
+					return
 				}
 			}
-		}()
+		}(g)
 	}
 	// Direct codeword readers.
 	wg.Add(1)
@@ -233,8 +247,15 @@ func TestConcurrentFoldAuditNoTear(t *testing.T) {
 			}
 		}
 	}()
-	for iter := 0; iter < 200; iter++ {
-		_ = tab.AuditRange(a, mem.Addr(iter*regionSize%arenaSize), 4*regionSize)
+	// Pool-chunked sweeps, with every stripe held: the image changes
+	// between sweeps, not under one.
+	for iter := 0; iter < 50; iter++ {
+		g := prot.AcquireRange(0, uint64(tab.NumRegions()-1), true)
+		bad := tab.AuditRange(a, mem.Addr(iter*regionSize%arenaSize), arenaSize/4)
+		g.Release()
+		if len(bad) != 0 {
+			t.Fatalf("chunked audit with the writers held off saw %v", bad[0])
+		}
 	}
 	close(stop)
 	wg.Wait()

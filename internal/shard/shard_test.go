@@ -169,18 +169,17 @@ func TestFastpathNoTwoPhaseRecords(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		sd := shardDir(dir, i)
-		base, err := wal.LogBase(sd)
+		cur, err := wal.OpenCursor(iofault.OS, sd, nil)
 		if err != nil {
-			t.Fatalf("LogBase(%s): %v", sd, err)
+			t.Fatalf("OpenCursor(%s): %v", sd, err)
 		}
-		err = wal.Scan(sd, base, func(rec *wal.Record) bool {
-			if rec.Kind == wal.KindTxnPrepare || rec.Kind == wal.KindTxnDecision {
-				t.Errorf("shard %d: unexpected %s record for single-shard workload", i, rec.Kind)
+		for cur.Next() {
+			if k := cur.Record().Kind; k == wal.KindTxnPrepare || k == wal.KindTxnDecision {
+				t.Errorf("shard %d: unexpected %s record for single-shard workload", i, k)
 			}
-			return true
-		})
-		if err != nil {
-			t.Fatalf("Scan shard %d: %v", i, err)
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatalf("scan shard %d: %v", i, err)
 		}
 	}
 }

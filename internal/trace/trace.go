@@ -190,34 +190,20 @@ func Run(dir string, opts Options) (*Result, error) {
 		return true
 	}
 
-	nStreams, err := wal.DetectStreamsFS(iofault.OS, dir)
+	// Every stream from its retained base (checkpoints compact the prefix
+	// away), merged into global order; From is a global-order floor, not a
+	// per-stream byte offset.
+	cur, err := wal.OpenCursor(iofault.OS, dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	if nStreams <= 1 {
-		// Clamp the scan start to the retained log (checkpoints compact
-		// the prefix away).
-		if base, err := wal.LogBase(dir); err == nil && opts.From < base {
-			opts.From = base
+	for cur.Next() {
+		if r := cur.Record(); r.OrderLSN() >= opts.From && !step(r) {
+			break
 		}
-		if err := wal.Scan(dir, opts.From, step); err != nil {
-			return nil, err
-		}
-	} else {
-		// Every stream from its retained base, merged into GSN order;
-		// From is a global-order floor, not a per-stream byte offset.
-		merged, err := wal.ScanStreamsFS(iofault.OS, dir, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, sr := range merged {
-			if sr.R.OrderLSN() < opts.From {
-				continue
-			}
-			if !step(sr.R) {
-				break
-			}
-		}
+	}
+	if err := cur.Err(); err != nil {
+		return nil, err
 	}
 	// Emit final copies sorted by first-taint LSN.
 	for _, tt := range tainted {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/iofault"
 )
 
 func logSize(t *testing.T, dir string) int64 {
@@ -52,7 +54,7 @@ func TestCompactDiscardsPrefixKeepsLSNs(t *testing.T) {
 
 	// Scanning from the new base sees records 10.. plus the new commit.
 	var seen []TxnID
-	if err := Scan(dir, keep, func(rec *Record) bool {
+	if err := scanLog(dir, keep, func(rec *Record) bool {
 		seen = append(seen, rec.Txn)
 		return true
 	}); err != nil {
@@ -62,12 +64,12 @@ func TestCompactDiscardsPrefixKeepsLSNs(t *testing.T) {
 		t.Fatalf("scan after compaction: %v", seen)
 	}
 	// Scanning below the base is an error, not silence.
-	if err := Scan(dir, 0, func(*Record) bool { return true }); err == nil {
+	if err := scanLog(dir, 0, func(*Record) bool { return true }); err == nil {
 		t.Fatal("scan below base accepted")
 	}
 	// LSNs of retained records are unchanged.
 	found := false
-	Scan(dir, keep, func(rec *Record) bool {
+	scanLog(dir, keep, func(rec *Record) bool {
 		if rec.Txn == 15 {
 			found = rec.LSN == lsns[15]
 		}
@@ -107,7 +109,7 @@ func TestCompactValidation(t *testing.T) {
 	}
 	l.Close()
 	count := 0
-	Scan(dir, l.BaseLSN(), func(*Record) bool { count++; return true })
+	scanLog(dir, l.BaseLSN(), func(*Record) bool { count++; return true })
 	if count != 0 {
 		t.Fatalf("records after full compaction: %d", count)
 	}
@@ -145,21 +147,21 @@ func TestCompactSurvivesReopen(t *testing.T) {
 	}
 	l2.Close()
 
-	base, err := LogBase(dir)
+	base, err := LogBaseFS(iofault.OS, dir)
 	if err != nil || base != keep {
 		t.Fatalf("LogBase = %d, %v", base, err)
 	}
 }
 
 func TestLogBaseMissingAndEmpty(t *testing.T) {
-	if base, err := LogBase(t.TempDir()); err != nil || base != 0 {
+	if base, err := LogBaseFS(iofault.OS, t.TempDir()); err != nil || base != 0 {
 		t.Fatalf("missing log: %d, %v", base, err)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, LogFileName), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if base, err := LogBase(dir); err != nil || base != 0 {
+	if base, err := LogBaseFS(iofault.OS, dir); err != nil || base != 0 {
 		t.Fatalf("empty log: %d, %v", base, err)
 	}
 }
@@ -174,17 +176,17 @@ func TestTruncateAtValidation(t *testing.T) {
 	l.Compact(r2.LSN)
 	l.Close()
 
-	if err := TruncateAt(dir, r1.LSN); err == nil {
+	if err := TruncateAtFS(iofault.OS, dir, r1.LSN); err == nil {
 		t.Fatal("truncation below base accepted")
 	}
-	if err := TruncateAt(dir, r2.LSN+1); err == nil {
+	if err := TruncateAtFS(iofault.OS, dir, r2.LSN+1); err == nil {
 		t.Fatal("truncation off a boundary accepted")
 	}
-	if err := TruncateAt(dir, r2.LSN); err != nil {
+	if err := TruncateAtFS(iofault.OS, dir, r2.LSN); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	Scan(dir, r2.LSN, func(*Record) bool { count++; return true })
+	scanLog(dir, r2.LSN, func(*Record) bool { count++; return true })
 	if count != 0 {
 		t.Fatalf("records after truncation: %d", count)
 	}
@@ -251,7 +253,7 @@ func TestCompactConcurrentWithCommitters(t *testing.T) {
 	}
 	mu.Unlock()
 	got := map[LSN]bool{}
-	if err := Scan(dir, base, func(r *Record) bool { got[r.LSN] = true; return true }); err != nil {
+	if err := scanLog(dir, base, func(r *Record) bool { got[r.LSN] = true; return true }); err != nil {
 		t.Fatal(err)
 	}
 	for lsn := range want {

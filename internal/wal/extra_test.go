@@ -13,7 +13,7 @@ import (
 func TestOpCommitCompensationRoundTrip(t *testing.T) {
 	r := &Record{Kind: KindOpCommit, Txn: 9, Level: 1, Key: 77, Compensation: true,
 		Undo: LogicalUndo{Op: 3, Key: 77, Args: []byte{1}}}
-	got, _, err := DecodeFrame(r.Encode(nil))
+	got, _, err := decodeFrame(r.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestOpCommitCompensationRoundTrip(t *testing.T) {
 		t.Fatal("compensation flag lost")
 	}
 	r.Compensation = false
-	got, _, err = DecodeFrame(r.Encode(nil))
+	got, _, err = decodeFrame(r.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

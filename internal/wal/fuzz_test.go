@@ -48,7 +48,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := DecodeFrame(data)
+		r, n, err := decodeFrame(data)
 		if err != nil {
 			return
 		}
@@ -70,14 +70,14 @@ func TestDecodeFrameRejectsTornPrefixes(t *testing.T) {
 	for _, r := range sampleRecords() {
 		frame := r.Encode(nil)
 		for cut := 0; cut < len(frame); cut++ {
-			if _, _, err := DecodeFrame(frame[:cut]); err == nil {
+			if _, _, err := decodeFrame(frame[:cut]); err == nil {
 				t.Fatalf("torn prefix of %d/%d bytes decoded", cut, len(frame))
 			}
 		}
 		for flip := 0; flip < len(frame); flip++ {
 			mut := append([]byte(nil), frame...)
 			mut[flip] ^= 0xFF
-			if _, _, err := DecodeFrame(mut); err == nil {
+			if _, _, err := decodeFrame(mut); err == nil {
 				t.Fatalf("frame with byte %d flipped decoded", flip)
 			}
 		}

@@ -20,7 +20,7 @@
 // and forces, in parallel with its own stream, any sibling still holding
 // a volatile record below the committing batch; recovery double-checks
 // the property by verifying the merged scan's stamped GSNs are dense
-// (FindGSNGaps), with per-session epoch records absorbing the counter
+// (Cursor.Gaps), with per-session epoch records absorbing the counter
 // re-seed at open.
 //
 // Stream 0 is the historical system.log. A set opened with S=1 never
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,14 +84,18 @@ type poisonCell struct{ err error }
 // OpenLogSet opens (creating if necessary) a log set of at least the
 // given number of streams in dir on the real filesystem.
 func OpenLogSet(dir string, pageSize, streams int) (*LogSet, error) {
-	return OpenLogSetFS(iofault.OS, dir, pageSize, streams)
+	return OpenLogSetFS(iofault.OS, dir, pageSize, streams, nil)
 }
 
 // OpenLogSetFS is OpenLogSet through an iofault.FS. The set is widened to
 // cover every stream file already present in dir: opening a database with
 // fewer streams than it was written with would hide committed records
 // from recovery, so the on-disk stream count is a floor, never shrunk.
-func OpenLogSetFS(fsys iofault.FS, dir string, pageSize, streams int) (*LogSet, error) {
+// ends, from a caller that has just scanned the set with a Cursor
+// (Cursor.Ends), makes stream i resume at ends[i] instead of being read
+// and walked a second time; streams beyond the vector (all of them when
+// it is nil) are walked.
+func OpenLogSetFS(fsys iofault.FS, dir string, pageSize, streams int, ends []LSN) (*LogSet, error) {
 	s := streams
 	if s < 1 {
 		s = 1
@@ -109,7 +112,11 @@ func OpenLogSetFS(fsys iofault.FS, dir string, pageSize, streams int) (*LogSet, 
 	}
 	l := &LogSet{}
 	for i := 0; i < s; i++ {
-		sl, err := openStreamLogFS(fsys, dir, StreamFileName(i), i, pageSize)
+		var end *LSN
+		if i < len(ends) {
+			end = &ends[i]
+		}
+		sl, err := openStreamLogFS(fsys, dir, StreamFileName(i), i, pageSize, end)
 		if err != nil {
 			for _, open := range l.streams {
 				open.CloseWithoutFlush()
@@ -159,7 +166,7 @@ func OpenLogSetFS(fsys iofault.FS, dir string, pageSize, streams int) (*LogSet, 
 		// Open a GSN stamping session: the epoch record takes the session's
 		// first stamp (seed+1), so a recovery scan can tell the legitimate
 		// jump a re-seeded counter makes at open from a genuine hole in the
-		// sequence (FindGSNGaps). It is appended, not forced — the first
+		// sequence (Cursor.Gaps). It is appended, not forced — the first
 		// commit's cross-stream dependency force (AppendAndFlushCtx) makes
 		// it durable before any commit of the session is acknowledged.
 		if err := l.streams[0].Append(&Record{Kind: KindGSNEpoch}); err != nil {
@@ -604,127 +611,4 @@ func LogBasesFS(fsys iofault.FS, dir string) ([]LSN, error) {
 		bases[i] = base
 	}
 	return bases, nil
-}
-
-// ScanStreamFS scans one stream file of a multi-stream set from the given
-// local LSN, in local LSN order — the per-stream analogue of ScanFS for
-// tooling that wants to inspect a single shard of the log.
-func ScanStreamFS(fsys iofault.FS, dir string, stream int, from LSN, fn func(*Record) bool) error {
-	return scanFileFS(fsys, dir, StreamFileName(stream), from, fn)
-}
-
-// StreamRecord is one record of a merged multi-stream scan, tagged with
-// the stream it was read from.
-type StreamRecord struct {
-	Stream int
-	R      *Record
-}
-
-// ScanStreamsFS reads every stream file in dir from its entry in starts
-// (streams beyond the vector scan from their base) and returns all
-// records merged into global order: GSN order for stamped records, with
-// the unstamped single-stream prefix — which only stream 0 can hold, and
-// whose LSNs every GSN exceeds by construction — first in LSN order.
-// Streams are read concurrently. Torn tails end each stream's scan, as in
-// Scan.
-func ScanStreamsFS(fsys iofault.FS, dir string, starts []LSN) ([]StreamRecord, error) {
-	n, err := DetectStreamsFS(fsys, dir)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	per := make([][]StreamRecord, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			from := LSN(0)
-			if i < len(starts) {
-				from = starts[i]
-			} else {
-				base, err := logBaseFileFS(fsys, dir, StreamFileName(i))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				from = base
-			}
-			errs[i] = scanFileFS(fsys, dir, StreamFileName(i), from, func(r *Record) bool {
-				per[i] = append(per[i], StreamRecord{Stream: i, R: r})
-				return true
-			})
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range per {
-		total += len(p)
-	}
-	out := make([]StreamRecord, 0, total)
-	for _, p := range per {
-		out = append(out, p...)
-	}
-	// Stable sort by GSN: unstamped records (GSN 0) sort first and keep
-	// their stream-0 LSN order; stamped records are globally unique, so
-	// ties exist only among the unstamped prefix.
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].R.GSN < out[b].R.GSN
-	})
-	return out, nil
-}
-
-// MergeStreamRecords sorts already-read per-stream records into the same
-// global order ScanStreamsFS produces (exported for the log tools, which
-// read streams themselves to preserve per-stream positions).
-func MergeStreamRecords(recs []StreamRecord) {
-	sort.SliceStable(recs, func(a, b int) bool {
-		return recs[a].R.GSN < recs[b].R.GSN
-	})
-}
-
-// GSNGap is a hole in the stamped-GSN sequence of a merged multi-stream
-// scan: After is the last GSN seen before the hole, Next the first GSN
-// after it (Next > After+1 and the record carrying Next is not a session
-// epoch), Stream the stream Next was read from.
-type GSNGap struct {
-	After, Next uint64
-	Stream      int
-}
-
-// FindGSNGaps verifies the density of the stamped-GSN sequence in a
-// merged scan. GSNs are stamped one per record from a single shared
-// counter, so within a stamping session the merged sequence is dense;
-// the counter re-seeds above the total bytes written at every open, and
-// the KindGSNEpoch record appended there carries the session's first
-// stamp, absorbing exactly that jump. Any other jump is a hole: each
-// stream ends its scan independently at its own torn tail, so a record
-// lost from one stream would otherwise be silently papered over by
-// higher-GSN survivors on its siblings. The commit path's cross-stream
-// dependency force keeps every record below an acknowledged commit
-// durable, so a reported gap below the last committed GSN is evidence of
-// a broken durability contract (or a damaged log), not of a normal crash
-// — recovery surfaces it rather than trusting the merge blindly. Records
-// above the cut with GSN zero (the unstamped single-stream prefix) are
-// outside the stamped sequence and are skipped.
-func FindGSNGaps(recs []StreamRecord) []GSNGap {
-	var gaps []GSNGap
-	var prev uint64
-	for _, sr := range recs {
-		g := sr.R.GSN
-		if g == 0 {
-			continue
-		}
-		if prev != 0 && g != prev+1 && sr.R.Kind != KindGSNEpoch {
-			gaps = append(gaps, GSNGap{After: prev, Next: g, Stream: sr.Stream})
-		}
-		prev = g
-	}
-	return gaps
 }

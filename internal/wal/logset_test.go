@@ -49,7 +49,7 @@ func TestLogSetSingleStreamByteCompat(t *testing.T) {
 	}
 
 	rawDir := t.TempDir()
-	sl, err := OpenSystemLog(rawDir, 4096)
+	sl, err := OpenSystemLogFS(iofault.OS, rawDir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLogSetRoutingAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged, err := ScanStreamsFS(iofault.OS, dir, nil)
+	merged, _, err := mergedScan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,29 +150,47 @@ func TestLogSetRoutingAndMerge(t *testing.T) {
 	}
 }
 
-// TestMergeStreamRecordsDeterministic pins the merge rule on a hand-built
-// interleaving: unstamped records (the single-stream prefix, GSN 0) sort
-// first in their original order; stamped records follow in GSN order
-// regardless of stream or position.
-func TestMergeStreamRecordsDeterministic(t *testing.T) {
-	recs := []StreamRecord{
-		{Stream: 0, R: &Record{Kind: KindTxnBegin, Txn: 1, LSN: 16, GSN: 0}},
-		{Stream: 0, R: &Record{Kind: KindTxnCommit, Txn: 1, LSN: 32, GSN: 0}},
-		{Stream: 1, R: &Record{Kind: KindTxnBegin, Txn: 3, GSN: 107}},
-		{Stream: 0, R: &Record{Kind: KindTxnBegin, Txn: 2, GSN: 101}},
-		{Stream: 2, R: &Record{Kind: KindTxnCommit, Txn: 3, GSN: 112}},
-		{Stream: 1, R: &Record{Kind: KindTxnCommit, Txn: 2, GSN: 104}},
+// TestCursorMergeDeterministic pins the merge rule on hand-built stream
+// files: unstamped records (the single-stream prefix, GSN 0) come first in
+// their stream-0 order; stamped records follow in GSN order regardless of
+// stream or position.
+func TestCursorMergeDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	writeStreamFile(t, dir, 0,
+		&Record{Kind: KindTxnBegin, Txn: 1}, &Record{Kind: KindTxnCommit, Txn: 1},
+		&Record{Kind: KindTxnBegin, Txn: 2, GSN: 101})
+	writeStreamFile(t, dir, 1,
+		&Record{Kind: KindTxnCommit, Txn: 2, GSN: 104}, &Record{Kind: KindTxnBegin, Txn: 3, GSN: 107})
+	writeStreamFile(t, dir, 2, &Record{Kind: KindTxnCommit, Txn: 3, GSN: 112})
+	merged, _, err := mergedScan(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	MergeStreamRecords(recs)
 	wantGSN := []uint64{0, 0, 101, 104, 107, 112}
-	wantLSN := []LSN{16, 32, 0, 0, 0, 0}
-	for i, sr := range recs {
-		if sr.R.GSN != wantGSN[i] {
-			t.Fatalf("pos %d: GSN %d, want %d", i, sr.R.GSN, wantGSN[i])
+	wantStream := []int{0, 0, 0, 1, 1, 2}
+	if len(merged) != len(wantGSN) {
+		t.Fatalf("merged %d records, want %d", len(merged), len(wantGSN))
+	}
+	for i, sr := range merged {
+		if sr.R.GSN != wantGSN[i] || sr.Stream != wantStream[i] {
+			t.Fatalf("pos %d: stream %d GSN %d, want stream %d GSN %d", i, sr.Stream, sr.R.GSN, wantStream[i], wantGSN[i])
 		}
-		if wantGSN[i] == 0 && sr.R.LSN != wantLSN[i] {
-			t.Fatalf("pos %d: unstamped prefix out of LSN order (LSN %d, want %d)", i, sr.R.LSN, wantLSN[i])
-		}
+	}
+	if merged[0].R.LSN != 0 || merged[1].R.LSN <= merged[0].R.LSN {
+		t.Fatalf("unstamped prefix out of LSN order: %d then %d", merged[0].R.LSN, merged[1].R.LSN)
+	}
+}
+
+// writeStreamFile writes stream i of a log set by hand: a base-0 header
+// and the given records' frames.
+func writeStreamFile(t *testing.T, dir string, i int, recs ...*Record) {
+	t.Helper()
+	b := encodeLogHeader(0)
+	for _, r := range recs {
+		b = r.Encode(b)
+	}
+	if err := os.WriteFile(filepath.Join(dir, StreamFileName(i)), b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -255,7 +273,7 @@ func TestLogSetUpgradeMergesOldPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged, err := ScanStreamsFS(iofault.OS, dir, nil)
+	merged, _, err := mergedScan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +344,7 @@ func TestLogSetPoisonFanOutNoAcks(t *testing.T) {
 	// The set syncs each stream file once at open (durability of the file
 	// set), so the failing sync must land after those.
 	fsys.FailNthSync(streams + 3)
-	l, err := OpenLogSetFS(fsys, dir, 4096, streams)
+	l, err := OpenLogSetFS(fsys, dir, 4096, streams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +436,7 @@ func TestLogSetCommitForcesDependencies(t *testing.T) {
 	commitGSN := l.GSN()
 	l.CloseWithoutFlush() // crash: volatile tails are dropped
 
-	merged, err := ScanStreamsFS(iofault.OS, dir, nil)
+	merged, gaps, err := mergedScan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,16 +452,16 @@ func TestLogSetCommitForcesDependencies(t *testing.T) {
 	if txn2 != 2 {
 		t.Fatalf("txn 2 left %d durable records, want 2: acked commit depends on volatile sibling-stream records", txn2)
 	}
-	if gaps := FindGSNGaps(merged); len(gaps) != 0 {
+	if len(gaps) != 0 {
 		t.Fatalf("GSN gaps after dependency-forced commit: %v", gaps)
 	}
 }
 
-// TestFindGSNGapsDetectsLostStream doctors the failure FindGSNGaps exists
+// TestGSNGapsDetectLostStream doctors the failure Cursor.Gaps exists
 // to report: a stream flushed past its siblings (bypassing the set-level
 // dependency force), then a crash dropped the volatile sibling records.
 // The merged scan must surface the hole in the stamped-GSN sequence.
-func TestFindGSNGapsDetectsLostStream(t *testing.T) {
+func TestGSNGapsDetectLostStream(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenLogSet(dir, 4096, 2)
 	if err != nil {
@@ -466,24 +484,23 @@ func TestFindGSNGapsDetectsLostStream(t *testing.T) {
 	}
 	l.CloseWithoutFlush() // crash: GSN 3 is lost, GSN 4 survives
 
-	merged, err := ScanStreamsFS(iofault.OS, dir, nil)
+	_, gaps, err := mergedScan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gaps := FindGSNGaps(merged)
 	if len(gaps) != 1 {
-		t.Fatalf("FindGSNGaps = %v, want exactly one hole", gaps)
+		t.Fatalf("gaps = %v, want exactly one hole", gaps)
 	}
 	if g := gaps[0]; g.After != 2 || g.Next != 4 || g.Stream != 1 {
 		t.Fatalf("gap = %+v, want {After:2 Next:4 Stream:1}", g)
 	}
 }
 
-// TestFindGSNGapsSessionBoundary pins that reopening a multi-stream set
+// TestGSNGapsSessionBoundary pins that reopening a multi-stream set
 // does not false-positive as a gap: the GSN counter re-seeds above the
 // previous session's stamps, and the per-open gsn-epoch record absorbs
 // exactly that jump.
-func TestFindGSNGapsSessionBoundary(t *testing.T) {
+func TestGSNGapsSessionBoundary(t *testing.T) {
 	dir := t.TempDir()
 	for _, txn := range []TxnID{2, 3} {
 		l, err := OpenLogSet(dir, 4096, 2)
@@ -501,7 +518,7 @@ func TestFindGSNGapsSessionBoundary(t *testing.T) {
 		}
 	}
 
-	merged, err := ScanStreamsFS(iofault.OS, dir, nil)
+	merged, gaps, err := mergedScan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +540,7 @@ func TestFindGSNGapsSessionBoundary(t *testing.T) {
 	if !jumped {
 		t.Fatal("second open did not re-seed the GSN above the first session (test would not exercise the epoch exemption)")
 	}
-	if gaps := FindGSNGaps(merged); len(gaps) != 0 {
+	if len(gaps) != 0 {
 		t.Fatalf("session boundary reported as gaps: %v", gaps)
 	}
 }

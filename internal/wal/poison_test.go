@@ -79,7 +79,7 @@ func TestPoisonUnderConcurrency(t *testing.T) {
 		// Every record the stable log retains decodes cleanly: the poisoned
 		// tail never leaked to disk.
 		count := 0
-		if err := Scan(dir, 0, func(r *Record) bool { count++; return true }); err != nil {
+		if err := scanLog(dir, 0, func(r *Record) bool { count++; return true }); err != nil {
 			t.Fatalf("failN=%d: scan after poison: %v", failN, err)
 		}
 		if 2*acked > count {

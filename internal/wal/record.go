@@ -365,7 +365,7 @@ func (d *decodeReader) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.pos+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.pos {
 		d.err = ErrTornRecord
 		return nil
 	}
@@ -382,43 +382,57 @@ func (d *decodeReader) uint64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// DecodeFrame decodes one framed record from b, returning the record and
-// the number of bytes consumed. A short or corrupt frame yields
-// ErrTornRecord, which scanners treat as end of log.
-func DecodeFrame(b []byte) (*Record, int, error) {
+// frameLen is the frame walker every reader of the stable log shares: the
+// byte length of the frame at the head of b, or 0 when b does not begin
+// with a whole frame whose payload matches its checksum. The valid prefix
+// of a log is the longest run of frames it accepts — where a scan ends,
+// where an open truncates, what a compaction or truncation point must sit
+// on. verify false takes the checksum on trust (bytes that passed before).
+//
+// An empty payload is no frame although its checksum, CRC32C("") = 0,
+// matches its length: no record encodes to zero bytes, and eight zero
+// bytes are what a zero-filled tail (file extended, blocks never written)
+// looks like — a torn tail, which must end the prefix, not a record.
+func frameLen(b []byte, verify bool) int {
 	if len(b) < frameHeaderSize {
-		return nil, 0, ErrTornRecord
+		return 0
 	}
-	n := int(binary.LittleEndian.Uint32(b))
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if len(b) < frameHeaderSize+n {
-		return nil, 0, ErrTornRecord
+	n := frameHeaderSize + int(binary.LittleEndian.Uint32(b))
+	if n == frameHeaderSize || n > len(b) {
+		return 0
 	}
-	payload := b[frameHeaderSize : frameHeaderSize+n]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, ErrTornRecord
+	if verify && crc32.Checksum(b[frameHeaderSize:n], castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return 0
 	}
-	r, err := decodePayload(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, frameHeaderSize + n, nil
+	return n
 }
 
-func decodePayload(payload []byte) (*Record, error) {
-	d := &decodeReader{buf: payload}
-	r := &Record{Kind: Kind(d.byte())}
+// ErrBadPayload reports a frame the walker accepts whose payload does not
+// decode (unknown kind, field past the end). Its writer checksummed exactly
+// these bytes, so it is no torn tail: scans and opens fail with this error
+// rather than truncate the record away or keep it silently.
+var ErrBadPayload = errors.New("wal: log record has a valid checksum but does not decode")
+
+// decodePayload fills r, which the caller owns and may reuse, from one
+// frame's payload. Every field is reset; the corrupt-range slices keep
+// their capacity. r.Data and r.Undo.Args alias payload: a caller that
+// keeps them past the buffer's life copies them.
+func decodePayload(r *Record, payload []byte) error {
+	d := decodeReader{buf: payload}
+	addrs, lens := r.CorruptAddrs[:0], r.CorruptLens[:0]
+	*r = Record{} // cleared in place; a literal naming r's own fields would be built aside and copied
+	r.CorruptAddrs, r.CorruptLens = addrs, lens
+	r.Kind = Kind(d.byte())
 	r.Txn = TxnID(d.uvarint())
 	switch r.Kind {
 	case KindPhysRedo:
 		r.Addr = mem.Addr(d.uvarint())
-		n := int(d.uvarint())
-		r.Data = append([]byte(nil), d.bytes(n)...)
-		r.decodeCW(d)
+		r.Data = d.bytes(int(d.uvarint()))
+		r.HasCW, r.CW = d.codeword()
 	case KindRead:
 		r.Addr = mem.Addr(d.uvarint())
 		r.Len = int(d.uvarint())
-		r.decodeCW(d)
+		r.HasCW, r.CW = d.codeword()
 	case KindOpBegin:
 		r.Level = d.byte()
 		r.Key = ObjectKey(d.uvarint())
@@ -428,8 +442,7 @@ func decodePayload(payload []byte) (*Record, error) {
 		r.Compensation = d.byte() == 1
 		r.Undo.Op = d.byte()
 		r.Undo.Key = ObjectKey(d.uvarint())
-		n := int(d.uvarint())
-		r.Undo.Args = append([]byte(nil), d.bytes(n)...)
+		r.Undo.Args = d.bytes(int(d.uvarint()))
 	case KindTxnBegin, KindTxnCommit, KindTxnAbort, KindGSNEpoch:
 	case KindTxnPrepare:
 		r.GID = d.uvarint()
@@ -447,15 +460,23 @@ func decodePayload(payload []byte) (*Record, error) {
 			r.CorruptLens = append(r.CorruptLens, uint32(d.uvarint()))
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrTornRecord, r.Kind)
+		return fmt.Errorf("%w: unknown kind %d", ErrBadPayload, r.Kind)
 	}
 	if d.err == nil && d.pos < len(d.buf) {
 		r.GSN = d.uvarint()
 	}
 	if d.err != nil {
-		return nil, d.err
+		return fmt.Errorf("%w: %s payload is short", ErrBadPayload, r.Kind)
 	}
-	return r, nil
+	return nil
+}
+
+// codeword reads the optional codeword of a read or physical record.
+func (d *decodeReader) codeword() (bool, region.Codeword) {
+	if d.byte() != 1 {
+		return false, 0
+	}
+	return true, region.Codeword(d.uint64())
 }
 
 // OrderLSN is the record's position in the global commit order: the GSN
@@ -469,11 +490,4 @@ func (r *Record) OrderLSN() LSN {
 		return LSN(r.GSN)
 	}
 	return r.LSN
-}
-
-func (r *Record) decodeCW(d *decodeReader) {
-	if d.byte() == 1 {
-		r.HasCW = true
-		r.CW = region.Codeword(d.uint64())
-	}
 }

@@ -42,7 +42,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if len(enc) != r.EncodedSize() {
 			t.Errorf("record %d (%v): EncodedSize %d != actual %d", i, r.Kind, r.EncodedSize(), len(enc))
 		}
-		got, n, err := DecodeFrame(enc)
+		got, n, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("record %d (%v): decode: %v", i, r.Kind, err)
 		}
@@ -80,7 +80,7 @@ func TestDecodeFrameTorn(t *testing.T) {
 	r := &Record{Kind: KindPhysRedo, Txn: 1, Addr: 10, Data: []byte{1, 2, 3, 4}}
 	enc := r.Encode(nil)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeFrame(enc[:cut]); !errors.Is(err, ErrTornRecord) {
+		if _, _, err := decodeFrame(enc[:cut]); !errors.Is(err, ErrTornRecord) {
 			t.Fatalf("truncated at %d: err = %v, want ErrTornRecord", cut, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestDecodeFrameCorruptPayload(t *testing.T) {
 	for i := frameHeaderSize; i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0xFF
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, err := decodeFrame(bad); err == nil {
 			t.Fatalf("bit flip at %d went undetected", i)
 		}
 	}
@@ -105,7 +105,7 @@ func TestDecodeFrameUnknownKind(t *testing.T) {
 	// Patch kind in payload and recompute checksum via re-encoding trick:
 	bad := &Record{Kind: Kind(200), Txn: 1}
 	enc = bad.Encode(nil)
-	if _, _, err := DecodeFrame(enc); err == nil {
+	if _, _, err := decodeFrame(enc); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	_ = r
@@ -115,7 +115,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	f := func(txn uint64, addr uint32, data []byte, hasCW bool, cw uint64) bool {
 		r := &Record{Kind: KindPhysRedo, Txn: TxnID(txn), Addr: mem.Addr(addr),
 			Data: data, HasCW: hasCW, CW: region.Codeword(cw)}
-		got, _, err := DecodeFrame(r.Encode(nil))
+		got, _, err := decodeFrame(r.Encode(nil))
 		if err != nil {
 			return false
 		}
@@ -140,7 +140,7 @@ func TestMultiRecordStream(t *testing.T) {
 	}
 	pos, idx := 0, 0
 	for pos < len(stream) {
-		r, n, err := DecodeFrame(stream[pos:])
+		r, n, err := decodeFrame(stream[pos:])
 		if err != nil {
 			t.Fatalf("decode at %d: %v", pos, err)
 		}

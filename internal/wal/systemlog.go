@@ -2,8 +2,11 @@ package wal
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -45,23 +48,14 @@ const (
 )
 
 func encodeLogHeader(base LSN) []byte {
-	h := make([]byte, logHeaderSize)
-	copy(h, logMagic)
-	for i := 0; i < 8; i++ {
-		h[8+i] = byte(uint64(base) >> (8 * i))
-	}
-	return h
+	return binary.LittleEndian.AppendUint64([]byte(logMagic), uint64(base))
 }
 
 func decodeLogHeader(h []byte) (LSN, error) {
 	if len(h) < logHeaderSize || string(h[:8]) != logMagic {
 		return 0, fmt.Errorf("wal: bad log header")
 	}
-	var base uint64
-	for i := 0; i < 8; i++ {
-		base |= uint64(h[8+i]) << (8 * i)
-	}
-	return LSN(base), nil
+	return LSN(binary.LittleEndian.Uint64(h[8:])), nil
 }
 
 // DirtyNoter receives the pages touched by physical log records as they
@@ -214,71 +208,84 @@ type tailRec struct {
 // kilobytes), which every workload shares.
 const maxRetainedTail = 1 << 20
 
-// OpenSystemLog opens (creating if necessary) the stable log in dir on
-// the real filesystem. An existing log is scanned to find its valid end;
-// a torn final record is truncated away. pageSize is used to translate
-// physical record addresses into dirty page notifications.
-func OpenSystemLog(dir string, pageSize int) (*SystemLog, error) {
-	return OpenSystemLogFS(iofault.OS, dir, pageSize)
+// OpenSystemLogFS opens (creating if necessary) the stable log in dir
+// through fsys, so storage-fault campaigns can inject fsync failures,
+// short writes and crash points into it. pageSize translates physical
+// record addresses into dirty page notifications.
+func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int) (*SystemLog, error) {
+	return openStreamLogFS(fsys, dir, LogFileName, 0, pageSize, nil)
 }
 
-// OpenSystemLogFS is OpenSystemLog with the log's durability I/O routed
-// through an iofault.FS, so storage-fault campaigns can inject fsync
-// failures, short writes and crash points into the stable log.
-func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int) (*SystemLog, error) {
-	return openStreamLogFS(fsys, dir, LogFileName, 0, pageSize)
+// readLogHeader reports the base LSN in f's header and f's size. An empty
+// file (size 0) has no header yet and reports base 0.
+func readLogHeader(f iofault.File) (base LSN, size int64, err error) {
+	if size, err = f.Seek(0, io.SeekEnd); err != nil || size == 0 {
+		return 0, 0, err
+	}
+	h := make([]byte, min(size, logHeaderSize))
+	if _, err := f.ReadAt(h, 0); err != nil {
+		return 0, 0, err
+	}
+	base, err = decodeLogHeader(h)
+	return base, size, err
 }
 
 // openStreamLogFS opens one stream file of a log set (stream 0 is the
 // historical system.log, so single-stream databases keep their layout).
-func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int) (*SystemLog, error) {
-	path := filepath.Join(dir, name)
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// end, when non-nil, is the end of the file's valid prefix as a Cursor
+// that just scanned it established (Cursor.Ends), and is adopted. Otherwise
+// the open walks the file itself under a scan's rule: the valid prefix
+// ends at the first frame the walker rejects, and a frame inside it that
+// does not decode fails the open (ErrBadPayload). Either way, bytes past
+// the end are a torn tail and are truncated away.
+func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int, end *LSN) (l *SystemLog, err error) {
+	f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open system log: %w", err)
 	}
-	data, err := fsys.ReadFile(path)
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	base, size, err := readLogHeader(f)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("wal: read system log: %w", err)
 	}
-	var base LSN
-	if len(data) == 0 {
-		// Fresh log: write the header.
+	if size == 0 { // fresh log
 		if _, err := f.Write(encodeLogHeader(0)); err != nil {
-			f.Close()
 			return nil, fmt.Errorf("wal: init log header: %w", err)
 		}
-		data = encodeLogHeader(0)
+		size = logHeaderSize
+	}
+	s := streamBuf{start: base}
+	if end != nil {
+		if s.pos = int(*end - base); *end < base || int64(s.pos) > size-logHeaderSize {
+			return nil, fmt.Errorf("wal: scanned log end %d outside the file's [%d, %d]", *end, base, base+LSN(size-logHeaderSize))
+		}
 	} else {
-		base, err = decodeLogHeader(data)
-		if err != nil {
-			f.Close()
-			return nil, err
+		s.buf = make([]byte, size-logHeaderSize)
+		if _, err := f.ReadAt(s.buf, logHeaderSize); err != nil {
+			return nil, fmt.Errorf("wal: read system log: %w", err)
+		}
+		for ok := true; ok; ok = s.ok {
+			if err := s.advance(); err != nil {
+				return nil, fmt.Errorf("wal: open system log: %w", err)
+			}
 		}
 	}
-	// Find the valid record prefix after the header.
-	valid := logHeaderSize
-	for valid < len(data) {
-		_, n, err := DecodeFrame(data[valid:])
-		if err != nil {
-			break
-		}
-		valid += n
-	}
-	if valid < len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
+	valid := logHeaderSize + int64(s.pos)
+	if valid < size {
+		if err := f.Truncate(valid); err != nil {
 			return nil, fmt.Errorf("wal: truncate torn log tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
+	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		return nil, err
 	}
-	l := &SystemLog{
+	l = &SystemLog{
 		fs: fsys, dir: dir, name: name, stream: stream, f: f, baseLSN: base,
-		stableEnd: base + LSN(valid-logHeaderSize),
+		stableEnd: base + LSN(s.pos),
 		pageSize:  pageSize,
 	}
 	l.flushDone = sync.NewCond(&l.latch)
@@ -330,10 +337,8 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 		return fmt.Errorf("wal: compact read: %w", err)
 	}
 	// Verify the cut lands on a record boundary (or end of file).
-	if len(keep) > 0 {
-		if _, _, err := DecodeFrame(keep); err != nil {
-			return fmt.Errorf("wal: compact point %d is not a record boundary", keepFrom)
-		}
+	if len(keep) > 0 && frameLen(keep, true) == 0 {
+		return fmt.Errorf("wal: compact point %d is not a record boundary", keepFrom)
 	}
 	tmp := path + ".compact"
 	out, err := l.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -800,126 +805,70 @@ func (l *SystemLog) CloseWithoutFlush() error {
 	return l.f.Close()
 }
 
-// LogBase reports the base LSN of the stable log in dir (the oldest
-// retained record); zero for a missing or empty log. It reads through the
-// real filesystem; recovery paths with an injectable FS use LogBaseFS.
-func LogBase(dir string) (LSN, error) { return LogBaseFS(iofault.OS, dir) }
-
-// LogBaseFS is LogBase reading through fsys, so recovery observes the
-// same (possibly fault-injected) filesystem the engine writes through.
+// LogBaseFS reports the base LSN of the stable log in dir (the oldest
+// retained record), read through fsys; zero for a missing or empty log.
 func LogBaseFS(fsys iofault.FS, dir string) (LSN, error) {
 	return logBaseFileFS(fsys, dir, LogFileName)
 }
 
-// logBaseFileFS is LogBaseFS for one named stream file.
+// logBaseFileFS is LogBaseFS for one named stream file. It reads the
+// 16-byte header through the file handle, not the file.
 func logBaseFileFS(fsys iofault.FS, dir, name string) (LSN, error) {
-	data, err := fsys.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	if len(data) == 0 {
+	f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
-	return decodeLogHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	base, _, err := readLogHeader(f)
+	return base, err
 }
 
-// TruncateAt discards every stable record at or after lsn, which must be
+// TruncateAtFS discards every stable record at or after lsn, which must be
 // a record boundary at or above the log base. Prior-state recovery uses
-// this to cut history; the log must not be open for writing. It operates
-// on the real filesystem; recovery paths use TruncateAtFS.
-func TruncateAt(dir string, lsn LSN) error { return TruncateAtFS(iofault.OS, dir, lsn) }
-
-// TruncateAtFS is TruncateAt through fsys. The shortened log is forced
-// durable before returning: a prior-state cut that silently reverts on
-// crash would resurrect the history the caller just discarded.
-func TruncateAtFS(fsys iofault.FS, dir string, lsn LSN) error {
-	path := filepath.Join(dir, LogFileName)
-	data, err := fsys.ReadFile(path)
+// this to cut history; the log must not be open for writing. The shortened
+// log is forced durable before returning: a prior-state cut that silently
+// reverts on crash would resurrect the history the caller just discarded.
+func TruncateAtFS(fsys iofault.FS, dir string, lsn LSN) (err error) {
+	f, err := fsys.OpenFile(filepath.Join(dir, LogFileName), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	base, err := decodeLogHeader(data)
-	if err != nil {
-		return err
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	base, size, err := readLogHeader(f)
+	if err == nil && size == 0 {
+		err = errors.New("wal: bad log header")
 	}
+	if err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
+	}
+	cut := logHeaderSize + int64(lsn-base)
 	if lsn < base {
 		return fmt.Errorf("wal: truncate point %d precedes log base %d", lsn, base)
 	}
-	cut := logHeaderSize + int(lsn-base)
-	if cut > len(data) {
+	if cut > size {
 		return fmt.Errorf("wal: truncate point %d beyond log end", lsn)
 	}
-	if cut < len(data) {
-		if _, _, err := DecodeFrame(data[cut:]); err != nil {
-			return fmt.Errorf("wal: truncate point %d is not a record boundary", lsn)
-		}
-	}
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
+	// A record boundary is where the walker finds a frame (or the end of
+	// the file). Only the tail being discarded is read.
+	rest := make([]byte, size-cut)
+	if _, err := f.ReadAt(rest, cut); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	if err := f.Truncate(int64(cut)); err != nil {
-		f.Close()
+	if len(rest) > 0 && frameLen(rest, true) == 0 {
+		return fmt.Errorf("wal: truncate point %d is not a record boundary", lsn)
+	}
+	if err := f.Truncate(cut); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	return f.Close()
-}
-
-// Scan reads the stable log in dir from LSN from, invoking fn for each
-// record in order. Scanning stops at the first torn record (treated as end
-// of log) or when fn returns false. It is used by restart and corruption
-// recovery; the log file must not be concurrently written. It reads the
-// real filesystem; recovery paths with an injectable FS use ScanFS.
-func Scan(dir string, from LSN, fn func(*Record) bool) error {
-	return ScanFS(iofault.OS, dir, from, fn)
-}
-
-// ScanFS is Scan reading through fsys.
-func ScanFS(fsys iofault.FS, dir string, from LSN, fn func(*Record) bool) error {
-	return scanFileFS(fsys, dir, LogFileName, from, fn)
-}
-
-// scanFileFS is ScanFS over one named stream file.
-func scanFileFS(fsys iofault.FS, dir, name string, from LSN, fn func(*Record) bool) error {
-	data, err := fsys.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("wal: scan: %w", err)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	base, err := decodeLogHeader(data)
-	if err != nil {
-		return err
-	}
-	if from < base {
-		return fmt.Errorf("wal: scan start %d precedes log base %d (compacted away)", from, base)
-	}
-	end := base + LSN(len(data)-logHeaderSize)
-	if from > end {
-		return fmt.Errorf("wal: scan start %d beyond log end %d", from, end)
-	}
-	pos := logHeaderSize + int(from-base)
-	for pos < len(data) {
-		r, n, err := DecodeFrame(data[pos:])
-		if err != nil {
-			return nil // torn tail: end of log
-		}
-		r.LSN = base + LSN(pos-logHeaderSize)
-		if !fn(r) {
-			return nil
-		}
-		pos += n
 	}
 	return nil
 }

@@ -6,12 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/iofault"
 	"repro/internal/mem"
 )
 
 func openLog(t *testing.T, dir string) *SystemLog {
 	t.Helper()
-	l, err := OpenSystemLog(dir, 4096)
+	l, err := OpenSystemLogFS(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSystemLogAppendFlushScan(t *testing.T) {
 	}
 
 	var got []*Record
-	if err := Scan(dir, 0, func(r *Record) bool { got = append(got, r); return true }); err != nil {
+	if err := scanLog(dir, 0, func(r *Record) bool { got = append(got, r); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
@@ -73,7 +74,7 @@ func TestSystemLogScanFromMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var txns []TxnID
-	if err := Scan(dir, mid, func(r *Record) bool { txns = append(txns, r.Txn); return true }); err != nil {
+	if err := scanLog(dir, mid, func(r *Record) bool { txns = append(txns, r.Txn); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(txns) != 5 || txns[0] != 5 {
@@ -89,7 +90,7 @@ func TestSystemLogScanStopsEarly(t *testing.T) {
 	}
 	l.Close()
 	count := 0
-	Scan(dir, 0, func(r *Record) bool { count++; return count < 3 })
+	scanLog(dir, 0, func(r *Record) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("scan visited %d records, want 3", count)
 	}
@@ -100,13 +101,13 @@ func TestSystemLogScanBeyondEnd(t *testing.T) {
 	l := openLog(t, dir)
 	l.Append(&Record{Kind: KindTxnBegin, Txn: 1})
 	l.Close()
-	if err := Scan(dir, 1<<40, func(*Record) bool { return true }); err == nil {
+	if err := scanLog(dir, 1<<40, func(*Record) bool { return true }); err == nil {
 		t.Fatal("scan beyond end accepted")
 	}
 }
 
 func TestSystemLogScanMissingFile(t *testing.T) {
-	if err := Scan(t.TempDir(), 0, func(*Record) bool { return true }); err != nil {
+	if err := scanLog(t.TempDir(), 0, func(*Record) bool { return true }); err != nil {
 		t.Fatalf("scan of absent log: %v", err)
 	}
 }
@@ -123,7 +124,7 @@ func TestSystemLogCrashDiscardsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var txns []TxnID
-	Scan(dir, 0, func(r *Record) bool { txns = append(txns, r.Txn); return true })
+	scanLog(dir, 0, func(r *Record) bool { txns = append(txns, r.Txn); return true })
 	if len(txns) != 1 || txns[0] != 1 {
 		t.Fatalf("after crash: %v, want only txn 1", txns)
 	}
@@ -156,7 +157,7 @@ func TestSystemLogReopenTruncatesTornTail(t *testing.T) {
 	}
 	var kinds []Kind
 	l2.Close()
-	Scan(dir, 0, func(rec *Record) bool { kinds = append(kinds, rec.Kind); return true })
+	scanLog(dir, 0, func(rec *Record) bool { kinds = append(kinds, rec.Kind); return true })
 	if len(kinds) != 2 || kinds[0] != KindTxnBegin || kinds[1] != KindTxnCommit {
 		t.Fatalf("kinds after torn-tail reopen: %v", kinds)
 	}
@@ -221,7 +222,7 @@ func TestSystemLogReset(t *testing.T) {
 	}
 	l.Close()
 	var txns []TxnID
-	Scan(dir, 0, func(rec *Record) bool { txns = append(txns, rec.Txn); return true })
+	scanLog(dir, 0, func(rec *Record) bool { txns = append(txns, rec.Txn); return true })
 	if len(txns) != 1 || txns[0] != 3 {
 		t.Fatalf("post-reset log contents: %v", txns)
 	}
@@ -253,7 +254,7 @@ func TestSystemLogConcurrentAppend(t *testing.T) {
 	}
 	count := 0
 	seen := map[LSN]bool{}
-	Scan(dir, 0, func(r *Record) bool {
+	scanLog(dir, 0, func(r *Record) bool {
 		if seen[r.LSN] {
 			t.Errorf("duplicate LSN %d", r.LSN)
 		}
@@ -272,7 +273,7 @@ func TestSystemLogReopenContinuesLSNs(t *testing.T) {
 	l.Append(&Record{Kind: KindTxnBegin, Txn: 1})
 	l.Close()
 	end := LSN(0)
-	Scan(dir, 0, func(r *Record) bool { end = r.LSN + LSN(r.EncodedSize()); return true })
+	scanLog(dir, 0, func(r *Record) bool { end = r.LSN + LSN(r.EncodedSize()); return true })
 
 	l2 := openLog(t, dir)
 	r := &Record{Kind: KindTxnBegin, Txn: 2}
@@ -326,7 +327,7 @@ func TestGroupCommitSharesForces(t *testing.T) {
 	// Every record made it to disk exactly once, in LSN order.
 	l.Close()
 	var lsns []LSN
-	Scan(dir, 0, func(r *Record) bool { lsns = append(lsns, r.LSN); return true })
+	scanLog(dir, 0, func(r *Record) bool { lsns = append(lsns, r.LSN); return true })
 	if len(lsns) != int(total) {
 		t.Fatalf("scanned %d records, want %d", len(lsns), total)
 	}

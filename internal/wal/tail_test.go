@@ -18,7 +18,7 @@ import (
 // a 100-byte physical redo record — frame encoded in place, footprint
 // noted for the dirty-page table — touches the heap zero times.
 func TestAppendAllocatesNothing(t *testing.T) {
-	l, err := OpenSystemLog(t.TempDir(), 4096)
+	l, err := OpenSystemLogFS(iofault.OS, t.TempDir(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAppendAllocatesNothing(t *testing.T) {
 // TestRecycledTailRetentionCap: a flushed buffer over the cap is dropped,
 // not kept as the spare, so one bulk load does not pin its high-water mark.
 func TestRecycledTailRetentionCap(t *testing.T) {
-	l, err := OpenSystemLog(t.TempDir(), 4096)
+	l, err := OpenSystemLogFS(iofault.OS, t.TempDir(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFlushOwnsSwappedOutTail(t *testing.T) {
 	inWrite.Wait()
 	var got int
 	seen := map[TxnID]bool{}
-	if err := Scan(dir, 0, func(r *Record) bool {
+	if err := scanLog(dir, 0, func(r *Record) bool {
 		got++
 		if seen[r.Txn] {
 			t.Errorf("txn %d logged twice", r.Txn)
@@ -270,7 +270,7 @@ func TestLogSetGSNInsideChecksum(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pos := logHeaderSize; pos < len(data); {
-			r, n, err := DecodeFrame(data[pos:])
+			r, n, err := decodeFrame(data[pos:])
 			if err != nil {
 				t.Fatalf("stream %d offset %d: %v", s, pos, err)
 			}
@@ -285,7 +285,7 @@ func TestLogSetGSNInsideChecksum(t *testing.T) {
 			// frame's final byte must trip the CRC.
 			bad := append([]byte(nil), frame...)
 			bad[len(bad)-1] ^= 0x01
-			if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrTornRecord) {
+			if _, _, err := decodeFrame(bad); !errors.Is(err, ErrTornRecord) {
 				t.Fatalf("stream %d offset %d: damaged GSN byte accepted (%v)", s, pos, err)
 			}
 			pos += n
@@ -296,11 +296,11 @@ func TestLogSetGSNInsideChecksum(t *testing.T) {
 		t.Fatalf("%d frames on disk, want %d", frames, len(want)+1)
 	}
 
-	merged, err := ScanStreamsFS(iofault.OS, dir, nil)
+	merged, gaps, err := mergedScan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gaps := FindGSNGaps(merged); len(gaps) != 0 {
+	if len(gaps) != 0 {
 		t.Fatalf("GSN gaps in a clean set: %+v", gaps)
 	}
 	merged = merged[1:] // the epoch record

@@ -13,8 +13,8 @@ build:
 # most cross-goroutine state (metrics registry, WAL group commit and its
 # recycled tail buffers, the transaction slabs a checkpoint snapshots, the
 # lock manager's pooled states, the concurrent TPC-B driver, the log
-# buffers restart recovery aliases between its passes and apply workers,
-# the schemes' shared audit loop), and a one-iteration smoke of the codeword
+# buffers restart recovery aliases between its passes, the schemes' shared
+# audit loop), and a one-iteration smoke of the codeword
 # kernel benchmarks. dbvet is the repo's own eleven-pass suite (latch
 # order, guarded writes, codeword pairing, metric names, I/O path,
 # error flow, 2PC protocol, context propagation, field-level locksets,
@@ -41,8 +41,8 @@ server-smoke:
 # every I/O point, recovery is verified from each frozen durable state,
 # and the fail-stop log-poisoning tests run under the race detector.
 # Includes the multi-stream sweep (TestCrashPointExhaustiveMultiStream):
-# the same workload over a 3-stream log set with parallel redo, so crash
-# points land in every stream file's writes and fsyncs.
+# the same workload over a 3-stream log set, so crash points land in
+# every stream file's writes and fsyncs.
 torture-smoke:
 	$(GO) test -race -short ./internal/iofault/...
 
@@ -116,18 +116,18 @@ bench-shard:
 	$(GO) run ./cmd/shardbench -txns 16000 -shards 1,2,4,8 -cross 0,0.15 -o BENCH_pr6.json
 
 # Parallel-logging sweep: concurrent TPC-B throughput over WAL stream
-# counts S=1/2/4/8, plus crash-recovery time serial vs parallel redo;
-# regenerates BENCH_pr8.json.
+# counts S=1/2/4/8; regenerates BENCH_pr8.json without the checked-in
+# file's recovery rows, which are historical (the parallel redo they
+# swept is gone).
 bench-streams:
 	$(GO) run ./cmd/tpcbbench -scale paper -log-streams 1,2,4,8 -clients 8 -ops 10000 \
-		-recovery-txns 4000 -redo-workers 1,2,4 -o BENCH_pr8.json
+		-o BENCH_pr8.json
 
-# End-to-end smoke of both sweeps (S=1/2, tiny load, report discarded):
-# exercises the multi-stream commit path and the crash + parallel-redo
-# recovery path without touching the checked-in BENCH_pr8.json.
+# End-to-end smoke of the sweep (S=1/2, tiny load, report discarded):
+# exercises the multi-stream commit path without touching the checked-in
+# BENCH_pr8.json.
 bench-streams-smoke:
-	$(GO) run ./cmd/tpcbbench -q -scale small -log-streams 1,2 -clients 4 -ops 2000 \
-		-recovery-txns 400 -redo-workers 1,2 >/dev/null
+	$(GO) run ./cmd/tpcbbench -q -scale small -log-streams 1,2 -clients 4 -ops 2000 >/dev/null
 
 examples:
 	$(GO) run ./examples/quickstart

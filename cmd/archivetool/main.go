@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/core"
+	"repro/internal/iofault"
 	"repro/internal/protect"
 )
 
@@ -38,7 +39,7 @@ func main() {
 	}
 	switch cmd {
 	case "info":
-		info, _, _, err := archive.Read(*arc)
+		info, _, _, err := archive.Read(iofault.OS, *arc)
 		if err != nil {
 			fatal(err)
 		}
@@ -48,11 +49,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "archivetool recover: -dir and -arena are required")
 			os.Exit(2)
 		}
-		pc, err := scheme(*schemeName)
+		kind, err := protect.ParseKind(*schemeName)
 		if err != nil {
 			fatal(err)
 		}
-		db, rep, err := archive.Recover(core.Config{Dir: *dir, ArenaSize: *arena, Protect: pc}, *arc)
+		db, rep, err := archive.Recover(core.Config{Dir: *dir, ArenaSize: *arena, Protect: protect.Config{Kind: kind}}, *arc)
 		if err != nil {
 			fatal(err)
 		}
@@ -65,23 +66,6 @@ func main() {
 		fmt.Println("post-recovery audit: clean")
 	default:
 		usage()
-	}
-}
-
-func scheme(name string) (protect.Config, error) {
-	switch name {
-	case "baseline":
-		return protect.Config{Kind: protect.KindBaseline}, nil
-	case "datacw":
-		return protect.Config{Kind: protect.KindDataCW}, nil
-	case "precheck":
-		return protect.Config{Kind: protect.KindPrecheck}, nil
-	case "readlog":
-		return protect.Config{Kind: protect.KindReadLog}, nil
-	case "cwreadlog":
-		return protect.Config{Kind: protect.KindCWReadLog}, nil
-	default:
-		return protect.Config{}, fmt.Errorf("unknown scheme %q", name)
 	}
 }
 

@@ -21,7 +21,7 @@
 //
 // Usage:
 //
-//	corruptool [-scheme readlog|cwreadlog|precheck|datacw] [-faults N] [-carriers N] [-seed N] [-dir DIR]
+//	corruptool [-scheme readlog|cwreadlog|precheck|datacw|deferredcw] [-faults N] [-carriers N] [-seed N] [-dir DIR]
 //	corruptool -tear-ckpt-page [-seed N] [-dir DIR]
 //	corruptool -heal [-seed N] [-dir DIR]
 package main
@@ -38,6 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/heap"
+	"repro/internal/iofault"
 	"repro/internal/protect"
 	"repro/internal/recovery"
 	"repro/internal/region"
@@ -45,7 +46,7 @@ import (
 )
 
 func main() {
-	schemeName := flag.String("scheme", "readlog", "protection scheme: datacw, precheck, readlog, cwreadlog")
+	schemeName := flag.String("scheme", "readlog", "protection scheme with codewords: datacw, precheck, readlog, cwreadlog, deferredcw")
 	faults := flag.Int("faults", 2, "wild writes to inject")
 	carriers := flag.Int("carriers", 3, "carrier transactions (each reads a faulted record and writes elsewhere)")
 	seed := flag.Int64("seed", 1, "fault injection seed")
@@ -120,7 +121,7 @@ func runTearCkptPage(seed int64, dir string) error {
 		return err
 	}
 
-	loaded, err := ckpt.Load(dir)
+	loaded, err := ckpt.Load(iofault.OS, dir)
 	if err != nil {
 		return fmt.Errorf("pre-corruption load (should be clean): %w", err)
 	}
@@ -153,7 +154,7 @@ func runTearCkptPage(seed int64, dir string) error {
 		ckpt.ImageFileName(cur))
 
 	fmt.Println("== detection: loading the anchored image")
-	if _, err := ckpt.Load(dir); !errors.Is(err, ckpt.ErrImageCorrupt) {
+	if _, err := ckpt.Load(iofault.OS, dir); !errors.Is(err, ckpt.ErrImageCorrupt) {
 		return fmt.Errorf("torn image loaded without complaint (err=%v) — page codewords missed it", err)
 	}
 	fmt.Println("   per-page codeword table REFUSED the image (ErrImageCorrupt)")
@@ -176,30 +177,19 @@ func runTearCkptPage(seed int64, dir string) error {
 	return nil
 }
 
-func schemeConfig(name string) (protect.Config, error) {
+func run(schemeName string, faults, carriers int, seed int64, dir string) error {
+	kind, err := protect.ParseKind(schemeName)
+	if err != nil {
+		return err
+	}
+	if !kind.HasCodewords() {
+		return fmt.Errorf("scheme %q keeps no codewords: there is nothing to detect the fault with", schemeName)
+	}
 	// Healing is off in the classic walkthrough: it demonstrates the
 	// paper's detect/carry/delete-transaction ladder, which an in-place
 	// ECC repair would short-circuit. The -heal mode demonstrates the
 	// correction tier with healing on.
-	switch name {
-	case "datacw":
-		return protect.Config{Kind: protect.KindDataCW, RegionSize: 512, DisableHeal: true}, nil
-	case "precheck":
-		return protect.Config{Kind: protect.KindPrecheck, RegionSize: 64, DisableHeal: true}, nil
-	case "readlog":
-		return protect.Config{Kind: protect.KindReadLog, RegionSize: 512, DisableHeal: true}, nil
-	case "cwreadlog":
-		return protect.Config{Kind: protect.KindCWReadLog, RegionSize: 64, DisableHeal: true}, nil
-	default:
-		return protect.Config{}, fmt.Errorf("unknown scheme %q", name)
-	}
-}
-
-func run(schemeName string, faults, carriers int, seed int64, dir string) error {
-	pc, err := schemeConfig(schemeName)
-	if err != nil {
-		return err
-	}
+	pc := protect.Config{Kind: kind, DisableHeal: true}
 	if dir == "" {
 		d, err := os.MkdirTemp("", "corruptool-*")
 		if err != nil {

@@ -43,24 +43,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var pc protect.Config
-	switch *schemeName {
-	case "baseline":
-		pc = protect.Config{Kind: protect.KindBaseline}
-	case "datacw":
-		pc = protect.Config{Kind: protect.KindDataCW}
-	case "precheck":
-		pc = protect.Config{Kind: protect.KindPrecheck}
-	case "readlog":
-		pc = protect.Config{Kind: protect.KindReadLog}
-	case "cwreadlog":
-		pc = protect.Config{Kind: protect.KindCWReadLog}
-	default:
-		fmt.Fprintf(os.Stderr, "dbcheck: unknown scheme %q\n", *schemeName)
+	kind, err := protect.ParseKind(*schemeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dbcheck:", err)
 		os.Exit(2)
 	}
 
-	db, rep, err := recovery.Open(core.Config{Dir: *dir, ArenaSize: *arena, Protect: pc}, recovery.Options{})
+	db, rep, err := recovery.Open(core.Config{Dir: *dir, ArenaSize: *arena, Protect: protect.Config{Kind: kind}}, recovery.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbcheck: open:", err)
 		os.Exit(2)

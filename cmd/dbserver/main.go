@@ -11,7 +11,7 @@
 // Usage:
 //
 //	dbserver -dir DBDIR [-addr :7070] [-shards 4] [-arena BYTES]
-//	         [-value BYTES] [-cap RECORDS] [-log-streams N] [-redo-workers N]
+//	         [-value BYTES] [-cap RECORDS] [-log-streams N]
 //	         [-maxconns N] [-idle DUR] [-grace DUR]
 package main
 
@@ -40,7 +40,6 @@ func main() {
 	capacity := flag.Int("cap", 4096, "record capacity per shard")
 	workers := flag.Int("workers", 0, "scan-pool workers per shard (0 = default)")
 	logStreams := flag.Int("log-streams", 0, "WAL streams per shard (0/1 = single system.log)")
-	redoWorkers := flag.Int("redo-workers", 0, "parallel redo-apply workers at restart (0 = GOMAXPROCS)")
 	lockTO := flag.Duration("locktimeout", 2*time.Second, "lock-wait timeout")
 	maxConns := flag.Int("maxconns", 64, "max concurrent connections")
 	idle := flag.Duration("idle", 5*time.Minute, "per-connection idle timeout")
@@ -61,7 +60,6 @@ func main() {
 		Capacity:    *capacity,
 		Workers:     *workers,
 		LogStreams:  *logStreams,
-		RedoWorkers: *redoWorkers,
 		LockTimeout: *lockTO,
 	})
 	if err != nil {

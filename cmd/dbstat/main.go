@@ -61,12 +61,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dbstat: -open requires -arena")
 		os.Exit(2)
 	}
-	pc, err := schemeConfig(*schemeName)
+	kind, err := protect.ParseKind(*schemeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbstat:", err)
 		os.Exit(2)
 	}
-	db, rep, err := recovery.Open(core.Config{Dir: *dir, ArenaSize: *arena, Protect: pc}, recovery.Options{})
+	db, rep, err := recovery.Open(core.Config{Dir: *dir, ArenaSize: *arena, Protect: protect.Config{Kind: kind}}, recovery.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbstat: open:", err)
 		os.Exit(2)
@@ -110,13 +110,13 @@ func printPhases(w io.Writer, rep *recovery.Report) {
 		return
 	}
 	p := rep.Phases
-	fmt.Fprintf(w, "recovery: %d records scanned, %d redone, %d stream(s), %d redo worker(s)\n",
-		rep.RecordsScanned, rep.RedoApplied, rep.LogStreams, rep.RedoWorkers)
+	fmt.Fprintf(w, "recovery: %d records scanned, %d redone, %d stream(s)\n",
+		rep.RecordsScanned, rep.RedoApplied, rep.LogStreams)
 	for _, row := range []struct {
 		name string
 		d    time.Duration
 	}{
-		{"load", p.Load}, {"scan", p.Scan}, {"redo", p.Redo}, {"apply", p.Apply}, {"build", p.Build},
+		{"load", p.Load}, {"scan", p.Scan}, {"redo", p.Redo}, {"build", p.Build},
 		{"  log open", p.LogOpen}, {"  recompute", p.Recompute}, {"undo", p.Undo}, {"checkpoint", p.Checkpoint},
 		{"total", p.Total()},
 	} {
@@ -126,7 +126,7 @@ func printPhases(w io.Writer, rep *recovery.Report) {
 
 // printOffline reports what the directory says without opening it.
 func printOffline(dir string) error {
-	loaded, err := ckpt.Load(dir)
+	loaded, err := ckpt.Load(iofault.OS, dir)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		fmt.Printf("%s: no checkpoint anchor (fresh or never checkpointed)\n", dir)
@@ -180,25 +180,4 @@ func printOffline(dir string) error {
 		}
 	}
 	return nil
-}
-
-func schemeConfig(name string) (protect.Config, error) {
-	switch name {
-	case "baseline":
-		return protect.Config{Kind: protect.KindBaseline}, nil
-	case "datacw":
-		return protect.Config{Kind: protect.KindDataCW}, nil
-	case "precheck":
-		return protect.Config{Kind: protect.KindPrecheck}, nil
-	case "readlog":
-		return protect.Config{Kind: protect.KindReadLog}, nil
-	case "cwreadlog":
-		return protect.Config{Kind: protect.KindCWReadLog}, nil
-	case "deferredcw":
-		return protect.Config{Kind: protect.KindDeferredCW}, nil
-	case "hw":
-		return protect.Config{Kind: protect.KindHW}, nil
-	default:
-		return protect.Config{}, fmt.Errorf("unknown scheme %q", name)
-	}
 }

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	shardbench [-txns N] [-workers N] [-cross F] [-shards 1,2,4,8] [-log-streams S] [-redo-workers N] [-o out.json]
+//	shardbench [-txns N] [-workers N] [-cross F] [-shards 1,2,4,8] [-log-streams S] [-o out.json]
 package main
 
 import (
@@ -62,7 +62,6 @@ func main() {
 	shardList := flag.String("shards", "1,2,4,8", "comma-separated shard counts to sweep")
 	valueBytes := flag.Int("value", 100, "value size in bytes")
 	logStreams := flag.Int("log-streams", 0, "WAL streams per shard engine (0/1 = single system.log)")
-	redoWorkers := flag.Int("redo-workers", 0, "parallel redo workers for each engine's restart recovery (0 = GOMAXPROCS)")
 	outPath := flag.String("o", "", "write JSON report to this file (default stdout)")
 	workdir := flag.String("workdir", "", "directory for run databases (default: system temp)")
 	flag.Parse()
@@ -98,7 +97,7 @@ func main() {
 		var base float64
 		fmt.Fprintf(os.Stderr, "-- cross fraction %.2f --\n", cf)
 		for _, k := range ks {
-			r, err := runOne(k, *txns, *workers, cf, *valueBytes, *logStreams, *redoWorkers, *workdir)
+			r, err := runOne(k, *txns, *workers, cf, *valueBytes, *logStreams, *workdir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "shardbench: K=%d: %v\n", k, err)
 				os.Exit(1)
@@ -130,7 +129,7 @@ func main() {
 	}
 }
 
-func runOne(k, txns, workers int, crossFrac float64, valueBytes, logStreams, redoWorkers int, workdir string) (row, error) {
+func runOne(k, txns, workers int, crossFrac float64, valueBytes, logStreams int, workdir string) (row, error) {
 	dir, err := os.MkdirTemp(workdir, "shardbench-*")
 	if err != nil {
 		return row{}, err
@@ -139,13 +138,12 @@ func runOne(k, txns, workers int, crossFrac float64, valueBytes, logStreams, red
 
 	const perShardKeys = 512
 	router, _, err := shard.Open(shard.Config{
-		Dir:         filepath.Join(dir, "db"),
-		Shards:      k,
-		ArenaSize:   1 << 22,
-		ValueSize:   valueBytes,
-		Capacity:    8 * perShardKeys,
-		LogStreams:  logStreams,
-		RedoWorkers: redoWorkers,
+		Dir:        filepath.Join(dir, "db"),
+		Shards:     k,
+		ArenaSize:  1 << 22,
+		ValueSize:  valueBytes,
+		Capacity:   8 * perShardKeys,
+		LogStreams: logStreams,
 	})
 	if err != nil {
 		return row{}, err

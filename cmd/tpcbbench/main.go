@@ -9,14 +9,13 @@
 //
 // With -log-streams it instead runs the parallel-logging sweep: the
 // concurrent TPC-B workload at a fixed client count across WAL stream
-// counts (group-commit scaling), plus — with -recovery-txns — a
-// serial-vs-parallel restart-recovery sweep over one redo-heavy crashed
-// database. That mode emits a JSON report (-o) instead of Table 2.
+// counts (group-commit scaling). That mode emits a JSON report (-o)
+// instead of Table 2.
 //
 // Usage:
 //
 //	tpcbbench [-ops N] [-runs N] [-scale paper|small] [-simprotect] [-workdir DIR]
-//	tpcbbench -log-streams 1,2,4,8 [-clients N] [-recovery-txns N] [-redo-workers 1,0] [-o BENCH.json]
+//	tpcbbench -log-streams 1,2,4,8 [-clients N] [-o BENCH.json]
 package main
 
 import (
@@ -42,8 +41,6 @@ func main() {
 	streamList := flag.String("log-streams", "", "run the parallel-logging sweep over these comma-separated WAL stream counts instead of Table 2")
 	clients := flag.Int("clients", 8, "concurrent clients for the -log-streams sweep")
 	commitEvery := flag.Int("commit-every", 10, "operations per transaction in the -log-streams sweep")
-	recTxns := flag.Int("recovery-txns", 0, "transactions in the crash-recovery sweep (0 = skip it)")
-	redoList := flag.String("redo-workers", "1,0", "comma-separated redo-worker counts for the recovery sweep (0 = GOMAXPROCS)")
 	outPath := flag.String("o", "", "write the -log-streams JSON report to this file (default stdout)")
 	flag.Parse()
 
@@ -76,13 +73,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tpcbbench: -log-streams:", err)
 			os.Exit(2)
 		}
-		redoWorkers, err := parseIntList(*redoList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tpcbbench: -redo-workers:", err)
-			os.Exit(2)
-		}
-		if err := runStreamSweep(scale, streams, *clients, *ops, *commitEvery,
-			redoWorkers, *recTxns, *workdir, *outPath); err != nil {
+		if err := runStreamSweep(scale, streams, *clients, *ops, *commitEvery, *workdir, *outPath); err != nil {
 			fmt.Fprintln(os.Stderr, "tpcbbench:", err)
 			os.Exit(1)
 		}

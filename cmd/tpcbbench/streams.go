@@ -1,19 +1,14 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/heap"
 	"repro/internal/protect"
-	"repro/internal/recovery"
 	"repro/internal/tpcb"
 )
 
@@ -31,33 +26,18 @@ type streamRow struct {
 	SpeedupVsS1   float64 `json:"speedup_vs_s1"`
 }
 
-// recoveryRow is one point of the restart-recovery sweep: the same
-// crashed multi-stream database recovered with a given redo-worker
-// count.
-type recoveryRow struct {
-	LogStreams      int     `json:"log_streams"`
-	RedoWorkers     int     `json:"redo_workers"`
-	RecoverySec     float64 `json:"recovery_sec"`
-	RecordsScanned  int     `json:"records_scanned"`
-	RedoApplied     int     `json:"redo_applied"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
 type pr8Report struct {
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	Clients     int           `json:"clients"`
-	OpsPerRun   int           `json:"ops_per_run"`
-	CommitEvery int           `json:"commit_every"`
-	Throughput  []streamRow   `json:"throughput"`
-	Recovery    []recoveryRow `json:"recovery"`
+	GOMAXPROCS  int         `json:"gomaxprocs"`
+	Clients     int         `json:"clients"`
+	OpsPerRun   int         `json:"ops_per_run"`
+	CommitEvery int         `json:"commit_every"`
+	Throughput  []streamRow `json:"throughput"`
 }
 
 // runStreamSweep measures concurrent TPC-B throughput at each stream
-// count and, when recTxns > 0, recovery time of one redo-heavy crashed
-// database under each redo-worker count. The report is written as JSON
-// to outPath ("" = stdout).
+// count. The report is written as JSON to outPath ("" = stdout).
 func runStreamSweep(scale tpcb.Scale, streams []int, clients, ops, commitEvery int,
-	redoWorkers []int, recTxns int, workdir, outPath string) error {
+	workdir, outPath string) error {
 	rep := pr8Report{
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Clients:     clients,
@@ -77,14 +57,6 @@ func runStreamSweep(scale tpcb.Scale, streams []int, clients, ops, commitEvery i
 		rep.Throughput = append(rep.Throughput, r)
 		fmt.Fprintf(os.Stderr, "streams=%-2d %8.0f ops/sec (%.2fx vs streams=%d) committed=%d aborted=%d\n",
 			s, r.OpsPerSec, r.SpeedupVsS1, streams[0], r.TxnsCommitted, r.TxnsAborted)
-	}
-	if recTxns > 0 {
-		maxStreams := streams[len(streams)-1]
-		rows, err := runRecoverySweep(maxStreams, redoWorkers, recTxns, workdir)
-		if err != nil {
-			return fmt.Errorf("recovery sweep: %w", err)
-		}
-		rep.Recovery = rows
 	}
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -136,156 +108,4 @@ func runStreamPoint(scale tpcb.Scale, logStreams, clients, ops, commitEvery int,
 		ElapsedSec:    elapsed.Seconds(),
 		OpsPerSec:     float64(res.OpsCommitted) / elapsed.Seconds(),
 	}, nil
-}
-
-// runRecoverySweep builds one redo-heavy crashed database (large-record
-// overwrites so the replay volume dwarfs the scan cost) and recovers a
-// fresh copy of it under each redo-worker count, serial first.
-func runRecoverySweep(logStreams int, workerCounts []int, txns int, workdir string) ([]recoveryRow, error) {
-	const recSize = 4096
-	const slots = 256
-	crashDir, err := os.MkdirTemp(workdir, "tpcb-recovery-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(crashDir)
-
-	cfg := core.Config{
-		Dir:                  crashDir,
-		ArenaSize:            slots*recSize + (1 << 20),
-		Protect:              protect.Config{Kind: protect.KindDataCW},
-		LogStreams:           logStreams,
-		DisableLogCompaction: true,
-	}
-	db, err := core.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cat, err := heap.Open(db)
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	tb, err := cat.CreateTable("recbench", recSize, slots)
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	load, err := db.Begin()
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	rids := make([]heap.RID, slots)
-	for s := 0; s < slots; s++ {
-		if rids[s], err = tb.Insert(load, make([]byte, recSize)); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	if err := load.Commit(); err != nil {
-		db.Close()
-		return nil, err
-	}
-	if err := db.Checkpoint(); err != nil {
-		db.Close()
-		return nil, err
-	}
-	val := make([]byte, recSize)
-	for i := 0; i < txns; i++ {
-		binary.LittleEndian.PutUint64(val, uint64(i))
-		txn, err := db.Begin()
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		if err := tb.Update(txn, rids[i%slots], 0, val); err != nil {
-			db.Close()
-			return nil, err
-		}
-		if err := txn.Commit(); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	if err := db.Crash(); err != nil {
-		return nil, err
-	}
-
-	var rows []recoveryRow
-	var serial float64
-	for _, w := range workerCounts {
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		runDir, err := os.MkdirTemp(workdir, "tpcb-recovery-run-*")
-		if err != nil {
-			return nil, err
-		}
-		if err := copyTree(crashDir, runDir); err != nil {
-			os.RemoveAll(runDir)
-			return nil, err
-		}
-		rcfg := cfg
-		rcfg.Dir = runDir
-		start := time.Now()
-		rdb, rrep, err := recovery.Open(rcfg, recovery.Options{
-			RedoWorkers:              w,
-			SkipCompletionCheckpoint: true,
-		})
-		elapsed := time.Since(start)
-		if err != nil {
-			os.RemoveAll(runDir)
-			return nil, err
-		}
-		rdb.Close()
-		os.RemoveAll(runDir)
-		row := recoveryRow{
-			LogStreams:     logStreams,
-			RedoWorkers:    w,
-			RecoverySec:    elapsed.Seconds(),
-			RecordsScanned: rrep.RecordsScanned,
-			RedoApplied:    rrep.RedoApplied,
-		}
-		if serial == 0 {
-			serial = row.RecoverySec
-		}
-		row.SpeedupVsSerial = serial / row.RecoverySec
-		rows = append(rows, row)
-		fmt.Fprintf(os.Stderr, "recovery streams=%d workers=%-2d %.3fs (%.2fx vs serial) redo=%d\n",
-			logStreams, w, row.RecoverySec, row.SpeedupVsSerial, row.RedoApplied)
-	}
-	return rows, nil
-}
-
-// copyTree copies a flat database directory (no subdirectories).
-func copyTree(src, dst string) error {
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			return fmt.Errorf("unexpected subdirectory %q", e.Name())
-		}
-		in, err := os.Open(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		out, err := os.Create(filepath.Join(dst, e.Name()))
-		if err != nil {
-			in.Close()
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			in.Close()
-			out.Close()
-			return err
-		}
-		in.Close()
-		if err := out.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

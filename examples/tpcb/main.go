@@ -25,23 +25,12 @@ func main() {
 	ops := flag.Int("ops", 5000, "operations to run")
 	flag.Parse()
 
-	var pc protect.Config
-	switch *schemeName {
-	case "baseline":
-		pc = protect.Config{Kind: protect.KindBaseline}
-	case "datacw":
-		pc = protect.Config{Kind: protect.KindDataCW, RegionSize: 512}
-	case "precheck":
-		pc = protect.Config{Kind: protect.KindPrecheck, RegionSize: 64}
-	case "readlog":
-		pc = protect.Config{Kind: protect.KindReadLog, RegionSize: 512}
-	case "cwreadlog":
-		pc = protect.Config{Kind: protect.KindCWReadLog, RegionSize: 64}
-	case "hw":
-		pc = protect.Config{Kind: protect.KindHW, ForceSimProtect: true}
-	default:
-		log.Fatalf("unknown scheme %q", *schemeName)
+	kind, err := protect.ParseKind(*schemeName)
+	if err != nil {
+		log.Fatal(err)
 	}
+	// The simulated protector: a demo should not need mprotect rights.
+	pc := protect.Config{Kind: kind, ForceSimProtect: true}
 
 	dir, err := os.MkdirTemp("", "tpcb-demo-*")
 	if err != nil {

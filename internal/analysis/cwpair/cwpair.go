@@ -17,7 +17,7 @@
 //
 // Fold calls are recognized by name (ApplyUpdate, UpdateDeltas, XorInto,
 // XorDelta, Fold, FoldDelta) and by fact: a function that folds on all
-// its own paths exports a fact, so wrappers like deferredScheme.Drain
+// its own paths exports a fact, so wrappers like cwScheme.drainQueue
 // count at their call sites.
 //
 // The pass also enforces the ECC tier's plane-pairing rule: a function
@@ -101,7 +101,7 @@ func run(pass *anz.Pass) error {
 			// Silent first walk: count would-be violations to decide the
 			// fact. A function that folds somewhere and has no successful
 			// exit without a fold is itself a fold from its callers' view
-			// (wrappers like deferredScheme.Drain).
+			// (wrappers like cwScheme.drainQueue).
 			fold, terminated := c.walk(fd.Body.List, false)
 			if !terminated && !fold {
 				c.violations++

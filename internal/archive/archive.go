@@ -132,12 +132,9 @@ func Write(db *core.DB, path string) (Info, error) {
 	return info, nil
 }
 
-// Read loads an archive file from the real filesystem.
-func Read(path string) (Info, []byte, []byte, error) { return ReadFS(iofault.OS, path) }
-
-// ReadFS loads an archive file through fsys, so media recovery under an
+// Read loads an archive file through fsys, so media recovery under an
 // injected filesystem observes the same faults the writer would.
-func ReadFS(fsys iofault.FS, path string) (Info, []byte, []byte, error) {
+func Read(fsys iofault.FS, path string) (Info, []byte, []byte, error) {
 	b, err := fsys.ReadFile(path)
 	if err != nil {
 		return Info{}, nil, nil, fmt.Errorf("archive: read: %w", err)
@@ -202,7 +199,7 @@ func Recover(cfg core.Config, archivePath string) (*core.DB, *recovery.Report, e
 	if err != nil {
 		return nil, nil, err
 	}
-	info, image, meta, err := ReadFS(cfg.FS, archivePath)
+	info, image, meta, err := Read(cfg.FS, archivePath)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/heap"
+	"repro/internal/iofault"
 	"repro/internal/protect"
 )
 
@@ -66,7 +67,7 @@ func TestArchiveWriteReadRoundTrip(t *testing.T) {
 	if info.ImageSize != db.Internals().Arena.Size() {
 		t.Fatalf("image size = %d", info.ImageSize)
 	}
-	got, image, meta, err := Read(path)
+	got, image, meta, err := Read(iofault.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,10 @@ func TestArchiveReadRejectsCorruption(t *testing.T) {
 	b, _ := os.ReadFile(path)
 	b[len(b)/2] ^= 0xFF
 	os.WriteFile(path, b, 0o644)
-	if _, _, _, err := Read(path); err == nil {
+	if _, _, _, err := Read(iofault.OS, path); err == nil {
 		t.Fatal("corrupt archive accepted")
 	}
-	if _, _, _, err := Read(filepath.Join(t.TempDir(), "missing.arc")); err == nil {
+	if _, _, _, err := Read(iofault.OS, filepath.Join(t.TempDir(), "missing.arc")); err == nil {
 		t.Fatal("missing archive accepted")
 	}
 }

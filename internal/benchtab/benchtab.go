@@ -392,11 +392,10 @@ func runOne(params Table2Params, spec SchemeSpec, run int) (opsPerSec, pagesPerO
 // region (the time-space tradeoff of §5.3 — smaller regions precheck
 // faster but cost more space).
 func (s SchemeSpec) SpaceOverhead() float64 {
-	rs := s.Protect.Defaulted().RegionSize
-	if s.Protect.Kind == protect.KindBaseline || s.Protect.Kind == protect.KindHW {
+	if !s.Protect.Kind.HasCodewords() {
 		return 0
 	}
-	return 8 / float64(rs)
+	return 8 / float64(s.Protect.Defaulted().RegionSize)
 }
 
 // FormatObsSummary renders the per-scheme engine internals captured in

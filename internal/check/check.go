@@ -259,7 +259,7 @@ func RunOpts(db *core.DB, opts Options) ([]Problem, error) {
 		if anchor.CKEnd > db.Internals().Log.End() {
 			add(CodeCkptAnchorEnd, SevError, "checkpoint", "anchor CK_end %d beyond log end %d", anchor.CKEnd, db.Internals().Log.End())
 		}
-		if _, err := ckpt.LoadFS(db.FS(), db.Config().Dir); err != nil {
+		if _, err := ckpt.Load(db.FS(), db.Config().Dir); err != nil {
 			add(CodeCkptImage, SevError, "checkpoint", "current image unloadable: %v", err)
 		}
 	}

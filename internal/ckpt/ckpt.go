@@ -222,15 +222,11 @@ func pageGrain(pageSize int) int {
 
 // Open prepares checkpoint management in dir, reading the anchor if one
 // exists. A database that has never completed a checkpoint has no anchor.
-func Open(dir string, pageSize int) (*Set, error) {
-	return OpenFS(iofault.OS, dir, pageSize)
-}
-
-// OpenFS is Open with the checkpointer's durability I/O (image writes,
-// meta writes, the anchor install and its directory fsync) routed
-// through an iofault.FS, so storage-fault campaigns can inject torn
-// pages, ENOSPC and crash points into the checkpoint path.
-func OpenFS(fsys iofault.FS, dir string, pageSize int) (*Set, error) {
+// The checkpointer's durability I/O (image writes, meta writes, the
+// anchor install and its directory fsync) goes through fsys, so
+// storage-fault campaigns can inject torn pages, ENOSPC and crash points
+// into the checkpoint path; iofault.OS is the real filesystem.
+func Open(fsys iofault.FS, dir string, pageSize int) (*Set, error) {
 	s := &Set{
 		fs:       fsys,
 		dir:      dir,
@@ -499,15 +495,12 @@ type Loaded struct {
 	Meta []byte
 }
 
-// Load reads the current checkpoint image named by the anchor in dir.
-// Failures that mean the anchored image cannot be trusted (torn pages,
-// bad checksums, missing files) wrap ErrImageCorrupt so recovery can
-// attempt LoadFallback.
-func Load(dir string) (*Loaded, error) { return LoadFS(iofault.OS, dir) }
-
-// LoadFS is Load reading through fsys, so recovery sees the same
-// (possibly fault-injected) filesystem the checkpointer wrote through.
-func LoadFS(fsys iofault.FS, dir string) (*Loaded, error) {
+// Load reads the current checkpoint image named by the anchor in dir,
+// through fsys — the same (possibly fault-injected) filesystem the
+// checkpointer wrote through. Failures that mean the anchored image
+// cannot be trusted (torn pages, bad checksums, missing files) wrap
+// ErrImageCorrupt so recovery can attempt LoadFallback.
+func Load(fsys iofault.FS, dir string) (*Loaded, error) {
 	ab, err := fsys.ReadFile(filepath.Join(dir, AnchorFileName))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: no checkpoint anchor: %w", err)
@@ -546,10 +539,7 @@ func LoadFS(fsys iofault.FS, dir string) (*Loaded, error) {
 // The fallback is only usable when the stable log still retains records
 // back to that older CK_end — log compaction normally discards them, so
 // callers must check wal.LogBase against the returned CKEnd.
-func LoadFallback(dir string) (*Loaded, error) { return LoadFallbackFS(iofault.OS, dir) }
-
-// LoadFallbackFS is LoadFallback reading through fsys.
-func LoadFallbackFS(fsys iofault.FS, dir string) (*Loaded, error) {
+func LoadFallback(fsys iofault.FS, dir string) (*Loaded, error) {
 	ab, err := fsys.ReadFile(filepath.Join(dir, AnchorFileName))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: no checkpoint anchor: %w", err)

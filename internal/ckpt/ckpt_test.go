@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/iofault"
 	"repro/internal/mem"
 	"repro/internal/wal"
 )
@@ -48,7 +49,7 @@ func TestAnchorRejectsCorruption(t *testing.T) {
 }
 
 func TestOpenEmptyDir(t *testing.T) {
-	s, err := Open(t.TempDir(), 4096)
+	s, err := Open(iofault.OS, t.TempDir(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCheckpointAndLoad(t *testing.T) {
 	arena := newArena(t, 64*1024)
 	rand.New(rand.NewSource(1)).Read(arena.Bytes())
 
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCheckpointAndLoad(t *testing.T) {
 		t.Fatalf("anchor after first checkpoint: %+v", a)
 	}
 
-	l, err := Load(dir)
+	l, err := Load(iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestCheckpointAndLoad(t *testing.T) {
 func TestPingPongAlternates(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyPages(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
 	rand.New(rand.NewSource(2)).Read(arena.Bytes())
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyPages(t *testing.T) {
 	if err := s.Certify(snap, 3); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Load(dir)
+	l, err := Load(iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyPages(t *testing.T) {
 func TestDirtySetsPerImage(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestCrashBeforeCertifyKeepsOldCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
 	rand.New(rand.NewSource(3)).Read(arena.Bytes())
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestCrashBeforeCertifyKeepsOldCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Certify. Load must still see v1.
-	l, err := Load(dir)
+	l, err := Load(iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestReopenForcesFullRewrite(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
 	rand.New(rand.NewSource(4)).Read(arena.Bytes())
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestReopenForcesFullRewrite(t *testing.T) {
 
 	// Reopen (as after a crash): dirty knowledge is gone, so the next
 	// checkpoint must write every page even though nothing is noted.
-	s2, err := Open(dir, 4096)
+	s2, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +255,14 @@ func TestReopenForcesFullRewrite(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(t.TempDir()); err == nil {
+	if _, err := Load(iofault.OS, t.TempDir()); err == nil {
 		t.Fatal("load with no anchor succeeded")
 	}
 
 	// Corrupt meta checksum.
 	dir := t.TempDir()
 	arena := newArena(t, 16*1024)
-	s, _ := Open(dir, 4096)
+	s, _ := Open(iofault.OS, dir, 4096)
 	fullCheckpoint(t, s, arena, nil, []byte("m"), 1, 1)
 	path := filepath.Join(dir, metaAName)
 	mb, err := os.ReadFile(path)
@@ -272,7 +273,7 @@ func TestLoadErrors(t *testing.T) {
 	if err := os.WriteFile(path, mb, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	if _, err := Load(iofault.OS, dir); err == nil {
 		t.Fatal("corrupt meta accepted")
 	}
 }
@@ -281,12 +282,12 @@ func TestLoadDetectsImageCorruptionOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
 	rand.New(rand.NewSource(9)).Read(arena.Bytes())
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullCheckpoint(t, s, arena, nil, nil, 1, 1)
-	if _, err := Load(dir); err != nil {
+	if _, err := Load(iofault.OS, dir); err != nil {
 		t.Fatalf("clean load: %v", err)
 	}
 
@@ -301,7 +302,7 @@ func TestLoadDetectsImageCorruptionOnDisk(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	if _, err := Load(iofault.OS, dir); err == nil {
 		t.Fatal("corrupt checkpoint image accepted")
 	}
 }
@@ -310,7 +311,7 @@ func TestIncrementalCheckpointMaintainsPageCodewords(t *testing.T) {
 	dir := t.TempDir()
 	arena := newArena(t, 32*1024)
 	rand.New(rand.NewSource(10)).Read(arena.Bytes())
-	s, err := Open(dir, 4096)
+	s, err := Open(iofault.OS, dir, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestIncrementalCheckpointMaintainsPageCodewords(t *testing.T) {
 	if err := s.Certify(snap, 3); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Load(dir)
+	l, err := Load(iofault.OS, dir)
 	if err != nil {
 		t.Fatalf("load after incremental: %v", err)
 	}

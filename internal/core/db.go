@@ -122,7 +122,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: config: LogStreams must be in [0, 64], got %d", c.LogStreams)
 	}
 	pc := c.Protect.Defaulted()
-	if schemeHasCodewords(pc.Kind) {
+	if pc.Kind.HasCodewords() {
 		if pc.RegionSize < region.MinRegionSize || pc.RegionSize&(pc.RegionSize-1) != 0 {
 			return fmt.Errorf("core: config: protection region size must be a power of two >= %d, got %d",
 				region.MinRegionSize, pc.RegionSize)
@@ -133,17 +133,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// schemeHasCodewords reports whether a scheme kind maintains a codeword
-// table (and therefore has a meaningful region size).
-func schemeHasCodewords(k protect.Kind) bool {
-	switch k {
-	case protect.KindDataCW, protect.KindPrecheck, protect.KindReadLog,
-		protect.KindCWReadLog, protect.KindDeferredCW:
-		return true
-	}
-	return false
 }
 
 // ErrCorruption is the sentinel matched by errors.Is for every corruption
@@ -325,7 +314,7 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		reg.Histogram(obs.NameRecoveryLogOpenNS).Since(start)
 	}
 	log.SetRegistry(reg)
-	ckpts, err := ckpt.OpenFS(cfg.FS, cfg.Dir, cfg.PageSize)
+	ckpts, err := ckpt.Open(cfg.FS, cfg.Dir, cfg.PageSize)
 	if err != nil {
 		log.Close()
 		arena.Close()
@@ -374,7 +363,7 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		hCkptCompactNS: reg.Histogram(obs.NameCkptCompactNS),
 		hCkptTotalNS:   reg.Histogram(obs.NameCkptTotalNS),
 	}
-	db.healAudits = schemeHasCodewords(pcfg.Kind) && !pcfg.DisableECC && !pcfg.DisableHeal
+	db.healAudits = pcfg.Kind.HasCodewords() && !pcfg.DisableECC && !pcfg.DisableHeal
 	if loaded != nil {
 		db.att = wal.NewATT(loaded.NextTxnID)
 		if loaded.Meta != nil {

@@ -233,7 +233,7 @@ func campaign(cfg Config, pc protect.Config, seed int64) (res campaignResult, er
 	case errors.As(auditErr, &ce):
 		res.detected = true
 	case auditErr == nil:
-		if pc.Kind != protect.KindCWReadLog {
+		if !pc.Kind.LogsCodewords() {
 			// No codewords (baseline) or corruption not visible: the
 			// corruption survives unnoticed.
 			res.undetected = true
@@ -255,7 +255,7 @@ func campaign(cfg Config, pc protect.Config, seed int64) (res campaignResult, er
 	}
 	defer db2.Close()
 	res.deleted = len(rep.Deleted)
-	if pc.Kind == protect.KindCWReadLog && !res.detected && len(rep.Deleted) > 0 {
+	if pc.Kind.LogsCodewords() && !res.detected && len(rep.Deleted) > 0 {
 		res.detected = true // detected at restart from read-log codewords
 	}
 	res.recovered = db2.Audit() == nil

@@ -96,18 +96,17 @@ func TestTortureSmoke(t *testing.T) {
 }
 
 // TestCrashPointExhaustiveMultiStream reruns the exhaustive sweep with
-// the WAL sharded into three streams and recovery's parallel redo-apply
-// enabled: crash points now land in every stream file's writes and
-// fsyncs (including the per-stream syncs that make the file set durable
-// at open), and recovery must still converge to acked-commits-exact from
-// each of them by merging the surviving streams in GSN order.
+// the WAL sharded into three streams: crash points now land in every
+// stream file's writes and fsyncs (including the per-stream syncs that
+// make the file set durable at open), and recovery must still converge to
+// acked-commits-exact from each of them by merging the surviving streams
+// in GSN order.
 func TestCrashPointExhaustiveMultiStream(t *testing.T) {
 	c := DefaultConfig()
 	if testing.Short() {
 		c = SmokeConfig()
 	}
 	c.LogStreams = 3
-	c.RedoWorkers = 2
 	root := t.TempDir()
 	n, err := CountPoints(filepath.Join(root, "dry"), c)
 	if err != nil {
@@ -122,15 +121,12 @@ func TestCrashPointExhaustiveMultiStream(t *testing.T) {
 	}
 	t.Logf("multi-stream workload has %d I/O points", n)
 	for k := int64(0); k < int64(n); k++ {
-		_, rep, verr := CrashPoint(
+		_, _, verr := CrashPoint(
 			filepath.Join(root, fmt.Sprintf("w%d", k)),
 			filepath.Join(root, fmt.Sprintf("r%d", k)),
 			c, k)
 		if verr != nil {
 			t.Fatalf("crash at I/O point %d/%d: %v", k, n, verr)
-		}
-		if rep != nil && !rep.FreshDatabase && !rep.CorruptionMode && rep.RedoWorkers != 2 {
-			t.Fatalf("crash at %d: recovery ran with %d redo workers, want 2", k, rep.RedoWorkers)
 		}
 	}
 }
@@ -297,7 +293,7 @@ func TestTornCheckpointPageFallsBack(t *testing.T) {
 	}
 
 	// Plain Load must refuse the anchored image.
-	if _, err := ckpt.Load(dir); !errors.Is(err, ckpt.ErrImageCorrupt) {
+	if _, err := ckpt.Load(iofault.OS, dir); !errors.Is(err, ckpt.ErrImageCorrupt) {
 		t.Fatalf("Load of torn image = %v, want ErrImageCorrupt", err)
 	}
 	// Recovery must converge via the fallback image.

@@ -60,13 +60,17 @@ const (
 	NameWALGSN                = "wal.gsn"     // gauge: last global sequence number stamped
 	NameWALGroupCommitStream  = "wal.group_commit_records.stream"
 
-	// internal/recovery — parallel merge-redo (PR 8).
-	NameRecoveryRedoWorkers = "recovery.redo_workers" // gauge: workers used by the partitioned redo pass
-	NameRecoveryParallelNS  = "recovery.parallel_ns"  // histogram: parallel redo apply wall time
-	NameRecoveryGSNGaps     = "recovery.gsn_gaps"     // holes found in the merged scan's stamped-GSN sequence
+	// internal/recovery — merged redo over the log streams (PR 8).
+	// NameRecoveryParallelNS is observed by nothing and reads 0: the
+	// partitioned parallel apply it timed was deleted for want of a measured
+	// win (DESIGN.md, "Parallel mechanisms"). The name stays declared because
+	// cmd/bench, which only a benchmark PR may edit, reads it for its
+	// recovery.parallel_ms row.
+	NameRecoveryParallelNS = "recovery.parallel_ns"
+	NameRecoveryGSNGaps    = "recovery.gsn_gaps" // holes found in the merged scan's stamped-GSN sequence
 
 	// internal/recovery — the phases of one restart, contiguous: load, scan,
-	// redo, parallel (above), build, undo and checkpoint sum to the wall time
+	// redo, build, undo and checkpoint sum to the wall time
 	// of recovery.Open. log_open and recompute are the parts of build that
 	// core reports (recovery.Report.Phases carries the same durations).
 	NameRecoveryLoadNS       = "recovery.load_ns"       // histogram: checkpoint anchor, image and ATT read

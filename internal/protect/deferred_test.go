@@ -8,26 +8,33 @@ import (
 	"repro/internal/mem"
 )
 
+// pendingDeltas reports the deferred-fold queue depth.
+func pendingDeltas(s *cwScheme) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pending)
+}
+
 func TestDeferredMaintainsLazily(t *testing.T) {
 	a := newTestArena(t, 1<<16)
 	s, err := New(a, Config{Kind: KindDeferredCW, RegionSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := s.(*deferredScheme)
+	ds := s.(*cwScheme)
 	if s.Kind() != KindDeferredCW || s.Name() == "" {
 		t.Fatal("identity wrong")
 	}
 
 	doUpdate(t, s, a, 100, []byte{1, 2, 3, 4})
-	if ds.PendingDeltas() == 0 {
+	if pendingDeltas(ds) == 0 {
 		t.Fatal("delta applied eagerly; should be queued")
 	}
 	// Audit drains and then verifies cleanly.
 	if bad := s.Audit(); len(bad) != 0 {
 		t.Fatalf("audit: %v", bad)
 	}
-	if ds.PendingDeltas() != 0 {
+	if pendingDeltas(ds) != 0 {
 		t.Fatal("audit did not drain the queue")
 	}
 }
@@ -55,15 +62,15 @@ func TestDeferredDetectsWildWrite(t *testing.T) {
 func TestDeferredThresholdDrains(t *testing.T) {
 	a := newTestArena(t, 1<<16)
 	s, _ := New(a, Config{Kind: KindDeferredCW, RegionSize: 64})
-	ds := s.(*deferredScheme)
+	ds := s.(*cwScheme)
 	ds.drainThreshold = 8
 	for i := 0; i < 40; i++ {
 		doUpdate(t, s, a, mem.Addr(i*64), []byte{byte(i + 1)})
 	}
-	if ds.Drains() == 0 {
+	if ds.mDrains.Load() == 0 {
 		t.Fatal("threshold never triggered a drain")
 	}
-	if ds.PendingDeltas() >= 40 {
+	if pendingDeltas(ds) >= 40 {
 		t.Fatal("queue unbounded")
 	}
 	if bad := s.Audit(); len(bad) != 0 {
@@ -74,11 +81,11 @@ func TestDeferredThresholdDrains(t *testing.T) {
 func TestDeferredZeroDeltaNotQueued(t *testing.T) {
 	a := newTestArena(t, 1<<16)
 	s, _ := New(a, Config{Kind: KindDeferredCW, RegionSize: 64})
-	ds := s.(*deferredScheme)
+	ds := s.(*cwScheme)
 	// Writing identical bytes produces a zero delta: nothing to queue.
 	doUpdate(t, s, a, 0, make([]byte, 16))
-	if ds.PendingDeltas() != 0 {
-		t.Fatalf("zero delta queued: %d", ds.PendingDeltas())
+	if pendingDeltas(ds) != 0 {
+		t.Fatalf("zero delta queued: %d", pendingDeltas(ds))
 	}
 }
 
@@ -88,7 +95,7 @@ func TestDeferredConcurrentUpdatesAndAudits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.(*deferredScheme).drainThreshold = 64
+	s.(*cwScheme).drainThreshold = 64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -209,9 +209,9 @@ func TestDeferredHealDrainsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := s.(*deferredScheme)
+	ds := s.(*cwScheme)
 	doUpdate(t, s, a, 5*512+40, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	if ds.PendingDeltas() == 0 {
+	if pendingDeltas(ds) == 0 {
 		t.Fatal("update did not queue a delta")
 	}
 	if res := s.Heal(5); res.Verdict != region.VerdictClean {

@@ -60,25 +60,97 @@ const (
 	KindDeferredCW
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindBaseline:
-		return "baseline"
-	case KindDataCW:
-		return "data-cw"
-	case KindPrecheck:
-		return "precheck"
-	case KindReadLog:
-		return "read-log"
-	case KindCWReadLog:
-		return "cw-read-log"
-	case KindHW:
-		return "hw-protect"
-	case KindDeferredCW:
-		return "deferred-cw"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+// readAction is the read-side column of the scheme matrix.
+type readAction uint8
+
+const (
+	// readFree: reads cost nothing (Data CW, Deferred CW, §3.2).
+	readFree readAction = iota
+	// readVerify: every covering region is verified (and, with the ECC
+	// tier on, healed) under the exclusive protection latch before the
+	// read proceeds (Read Prechecking, §3.1).
+	readVerify
+	// readLog: the read is reported for logging, identity only (§4.2).
+	readLog
+	// readLogCW: the read is logged with the codeword of the covering
+	// regions' contents, computed under the shared protection latch; a
+	// write is "treated as a read followed by a write" and logs the
+	// pre-update codeword the same way (§4.3).
+	readLogCW
+)
+
+// policy is one row of the paper's scheme matrix (Table 2), indexed by
+// Kind: every fact that tells one kind from another lives here and
+// nowhere else. The codeword kinds share one mechanism (cwScheme, §3's
+// codeword maintenance) and differ only in the last four columns;
+// Baseline and HW are mechanisms of their own and use the first three.
+type policy struct {
+	name  string // -scheme spelling, accepted by ParseKind
+	str   string // Kind.String
+	label string // Scheme.Name, the Table 2 row label; %d is the region size
+	// regionSize is the default protection region size; 0 means the kind
+	// keeps no codewords.
+	regionSize int
+	// exclusive: the update bracket holds the protection latch exclusive
+	// rather than shared, so a verifying reader never sees a region with an
+	// update in flight.
+	exclusive bool
+	read      readAction
+	// deferFold: EndUpdate queues the codeword deltas instead of folding
+	// them; the queue is drained before anything compares a region with
+	// its stored codeword.
+	deferFold bool
+}
+
+var policies = [...]policy{
+	KindBaseline:   {name: "baseline", str: "baseline", label: "Baseline"},
+	KindDataCW:     {name: "datacw", str: "data-cw", label: "Data CW (%dB)", regionSize: 512},
+	KindPrecheck:   {name: "precheck", str: "precheck", label: "Data CW w/Precheck, %d byte", regionSize: 64, exclusive: true, read: readVerify},
+	KindReadLog:    {name: "readlog", str: "read-log", label: "Data CW w/ReadLog (%dB)", regionSize: 512, read: readLog},
+	KindCWReadLog:  {name: "cwreadlog", str: "cw-read-log", label: "Data CW w/CW ReadLog (%dB)", regionSize: 64, read: readLogCW},
+	KindHW:         {name: "hw", str: "hw-protect", label: "Memory Protection"},
+	KindDeferredCW: {name: "deferredcw", str: "deferred-cw", label: "Data CW deferred (%dB)", regionSize: 512, deferFold: true},
+}
+
+// policy returns k's row; ok is false for a value that is not a Kind.
+func (k Kind) policy() (p policy, ok bool) {
+	if k < 0 || int(k) >= len(policies) {
+		return policy{}, false
 	}
+	return policies[k], true
+}
+
+func (k Kind) String() string {
+	if p, ok := k.policy(); ok {
+		return p.str
+	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// HasCodewords reports whether the kind maintains a codeword table (and
+// therefore has a meaningful region size, audits, and an ECC tier).
+func (k Kind) HasCodewords() bool {
+	p, _ := k.policy()
+	return p.regionSize != 0
+}
+
+// LogsCodewords reports whether the kind stores codewords in its read and
+// write log records, which lets corruption recovery run its
+// view-consistent variant without a failed audit to start from (§4.3).
+func (k Kind) LogsCodewords() bool {
+	p, _ := k.policy()
+	return p.read == readLogCW
+}
+
+// ParseKind maps a -scheme spelling (baseline, datacw, precheck, readlog,
+// cwreadlog, deferredcw, hw) to its Kind.
+func ParseKind(name string) (Kind, error) {
+	for k, p := range policies {
+		if p.name == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("protect: unknown scheme %q", name)
 }
 
 // Config selects and parameterizes a scheme.
@@ -86,16 +158,11 @@ type Config struct {
 	Kind Kind
 	// RegionSize is the protection region size for codeword schemes. The
 	// paper evaluates 64, 512 and 8192 bytes for prechecking. Defaults:
-	// 64 for Precheck and CWReadLog, 512 for DataCW and ReadLog.
+	// 64 for Precheck and CWReadLog, 512 for the other codeword kinds.
 	RegionSize int
-	// LatchStripes bounds the number of protection latches (default 1024).
-	LatchStripes int
-	// SimProtectCost, when nonzero with KindHW, uses a simulated protector
-	// with the given per-call cost instead of real mprotect. Used to model
-	// the paper's Table 1 platforms and in tests (a real protected-page
-	// write would segfault the process).
-	SimProtectCost time.Duration
-	// ForceSimProtect selects the simulated protector even with zero cost.
+	// ForceSimProtect, with KindHW, uses the simulated protector instead
+	// of real mprotect: tests and fault injection, where a real
+	// protected-page write would segfault the process.
 	ForceSimProtect bool
 	// HWDeferReprotect (KindHW) defers reprotection of exposed pages to
 	// the end of the enclosing operation instead of the end of each
@@ -138,15 +205,8 @@ func (c Config) Defaulted() Config { return c.withDefaults() }
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.RegionSize == 0 {
-		switch c.Kind {
-		case KindPrecheck, KindCWReadLog:
-			c.RegionSize = 64
-		default:
-			c.RegionSize = 512
-		}
-	}
-	if c.LatchStripes == 0 {
-		c.LatchStripes = 1024
+		p, _ := c.Kind.policy()
+		c.RegionSize = p.regionSize
 	}
 	if c.Pool == nil {
 		c.Pool = region.DefaultPool()
@@ -261,21 +321,19 @@ type OpEnder interface {
 // New constructs the scheme described by cfg over arena.
 func New(arena *mem.Arena, cfg Config) (Scheme, error) {
 	cfg = cfg.withDefaults()
+	pol, ok := cfg.Kind.policy()
+	if !ok {
+		return nil, fmt.Errorf("protect: unknown scheme kind %d", cfg.Kind)
+	}
 	var s Scheme
 	var err error
-	switch cfg.Kind {
-	case KindBaseline:
-		s = &baseline{arena: arena}
-	case KindDataCW, KindReadLog, KindCWReadLog:
-		s, err = newCodewordScheme(arena, cfg)
-	case KindPrecheck:
-		s, err = newPrecheckScheme(arena, cfg)
-	case KindDeferredCW:
-		s, err = newDeferredScheme(arena, cfg)
-	case KindHW:
+	switch {
+	case cfg.Kind.HasCodewords():
+		s, err = newCWScheme(arena, cfg, pol)
+	case cfg.Kind == KindHW:
 		s, err = newHWScheme(arena, cfg)
 	default:
-		return nil, fmt.Errorf("protect: unknown scheme kind %d", cfg.Kind)
+		s = &baseline{arena: arena}
 	}
 	if err != nil {
 		return nil, err
@@ -291,7 +349,7 @@ type baseline struct {
 	arena *mem.Arena
 }
 
-func (*baseline) Name() string { return "Baseline" }
+func (*baseline) Name() string { return policies[KindBaseline].label }
 func (*baseline) Kind() Kind   { return KindBaseline }
 
 func (b *baseline) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {

@@ -28,7 +28,7 @@ func CacheRecover(db *core.DB, ranges []Range) error {
 	if n := db.Internals().ATT.Len(); n != 0 {
 		return fmt.Errorf("recovery: cache recovery requires quiescence; %d transactions active", n)
 	}
-	loaded, err := ckpt.LoadFS(db.FS(), db.Config().Dir)
+	loaded, err := ckpt.Load(db.FS(), db.Config().Dir)
 	if err != nil {
 		return fmt.Errorf("recovery: cache recovery needs a certified checkpoint: %w", err)
 	}

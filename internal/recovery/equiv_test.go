@@ -78,7 +78,7 @@ func init() {
 type equivCase struct {
 	kind    protect.Kind
 	streams int
-	workers int
+	workers int  // core.Config.Workers: the pool that recomputes and certifies the recovered image
 	fault   bool // wild write + carrier transaction; audited unless the scheme logs codewords
 }
 
@@ -372,8 +372,8 @@ func equivDigest(db *core.DB, rep *Report) string {
 	for _, g := range gids {
 		dec = append(dec, fmt.Sprintf("%d=%v", g, rep.Decisions[g]))
 	}
-	return fmt.Sprintf("arena=%x scanned=%d applied=%d streams=%d workers=%d corruption=%v cw=%v auditSN=%d seed=%v deleted=%v rolledback=%v indoubt=%v decisions=[%s] gaps=%v final=%v",
-		sum[:12], rep.RecordsScanned, rep.RedoApplied, rep.LogStreams, rep.RedoWorkers,
+	return fmt.Sprintf("arena=%x scanned=%d applied=%d streams=%d corruption=%v cw=%v auditSN=%d seed=%v deleted=%v rolledback=%v indoubt=%v decisions=[%s] gaps=%v final=%v",
+		sum[:12], rep.RecordsScanned, rep.RedoApplied, rep.LogStreams,
 		rep.CorruptionMode, rep.CWMode, rep.AuditSN, rep.SeedCorrupt, rep.Deleted, rep.RolledBack,
 		rep.InDoubt, strings.Join(dec, ","), rep.GSNGaps, rep.FinalCorrupt)
 }
@@ -381,6 +381,7 @@ func equivDigest(db *core.DB, rep *Report) string {
 func equivConfig(t *testing.T, c equivCase) core.Config {
 	cfg := testConfig(t, protect.Config{Kind: c.kind, RegionSize: 64})
 	cfg.LogStreams = c.streams
+	cfg.Workers = c.workers
 	return cfg
 }
 
@@ -403,7 +404,7 @@ func TestRestartEquivalence(t *testing.T) {
 					t.Parallel()
 					cfg := equivConfig(t, c)
 					buildEquivHistory(t, cfg, c, seed)
-					db, rep, err := Open(cfg, Options{RedoWorkers: c.workers})
+					db, rep, err := Open(cfg, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -30,7 +30,7 @@ func PriorState(cfg core.Config, before wal.LSN, opts Options) (*core.DB, *Repor
 	if err != nil {
 		return nil, nil, err
 	}
-	if loaded, err := ckpt.LoadFS(cfg.FS, cfg.Dir); err == nil {
+	if loaded, err := ckpt.Load(cfg.FS, cfg.Dir); err == nil {
 		if loaded.Anchor.CKEnd > before {
 			return nil, nil, fmt.Errorf(
 				"recovery: prior-state target %d predates the checkpoint (CK_end %d); an archive image would be required",

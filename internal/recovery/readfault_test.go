@@ -61,7 +61,7 @@ func TestRecoveryObservesCorruptImageRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := ckpt.Load(cfg.Dir)
+	loaded, err := ckpt.Load(iofault.OS, cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

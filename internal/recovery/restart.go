@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/protect"
 	"repro/internal/region"
 	"repro/internal/wal"
 )
@@ -29,12 +28,6 @@ type Options struct {
 	// and asserts): the ranges are treated like ranges noted by a failed
 	// audit.
 	ExtraCorrupt []Range
-	// RedoWorkers sets the worker count for the partitioned parallel
-	// redo-apply pass (0 uses Config.Workers; 1 forces the serial path).
-	// Corruption-mode recovery is always serial regardless: the
-	// delete-transaction algorithm's corrupt-read checks consult the image
-	// as it evolves record by record.
-	RedoWorkers int
 	// SkipCompletionCheckpoint suppresses the checkpoint that normally
 	// ends recovery. FOR CRASH DRILLS ONLY: it leaves the database in the
 	// state a crash immediately before the completion checkpoint would —
@@ -78,11 +71,8 @@ type Report struct {
 	// physical records applied to the image.
 	RecordsScanned int
 	RedoApplied    int
-	// LogStreams is the stream count of the recovered database's log set;
-	// RedoWorkers the worker count the redo-apply pass ran with (1 when
-	// the serial path was taken).
-	LogStreams  int
-	RedoWorkers int
+	// LogStreams is the stream count of the recovered database's log set.
+	LogStreams int
 	// CorruptionMode reports whether the delete-transaction algorithm
 	// ran; CWMode whether the codeword-in-read-log variant was used.
 	CorruptionMode bool
@@ -169,7 +159,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		fbTo    int
 	)
 	if anchorExists {
-		loaded, err := ckpt.LoadFS(cfg.FS, cfg.Dir)
+		loaded, err := ckpt.Load(cfg.FS, cfg.Dir)
 		if errors.Is(err, ckpt.ErrImageCorrupt) {
 			// The anchored image cannot be trusted (a torn page from lying
 			// storage, a bad meta checksum). The other ping-pong image is
@@ -179,7 +169,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 			// those records, so this rescue mostly applies to databases run
 			// with DisableLogCompaction).
 			loadErr := err
-			fb, fberr := ckpt.LoadFallbackFS(cfg.FS, cfg.Dir)
+			fb, fberr := ckpt.LoadFallback(cfg.FS, cfg.Dir)
 			if fberr != nil {
 				return nil, nil, fmt.Errorf("recovery: %w (fallback image also unusable: %v)", loadErr, fberr)
 			}
@@ -323,7 +313,7 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	logEnds := cur.Ends()
 
 	pcfg := cfg.Protect.Defaulted()
-	cwMode := pcfg.Kind == protect.KindCWReadLog && !opts.DisableCorruptionMode
+	cwMode := pcfg.Kind.LogsCodewords() && !opts.DisableCorruptionMode
 	corruptionMode := cwMode || opts.ForceCorruptionMode ||
 		(!opts.DisableCorruptionMode && (len(pre.failRanges) > 0 || len(opts.ExtraCorrupt) > 0))
 	report.CorruptionMode = corruptionMode
@@ -334,19 +324,6 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	seed = append(seed, pre.failRanges...)
 	seed = append(seed, opts.ExtraCorrupt...)
 	report.SeedCorrupt = seed
-
-	// The partitioned parallel apply only runs outside corruption mode:
-	// the delete-transaction algorithm's corrupt-read checks consult the
-	// image as it evolves record by record, which is inherently serial.
-	workers := opts.RedoWorkers
-	if workers <= 0 {
-		workers = cfg.Workers
-	}
-	deferApply := !corruptionMode && workers > 1
-	report.RedoWorkers = 1
-	if deferApply {
-		report.RedoWorkers = workers
-	}
 
 	// Redo phase: forward scan in global order, repeating history
 	// physically — except for transactions found to have read corrupt
@@ -360,10 +337,6 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		corruption: corruptionMode,
 		seed:       seed,
 		maxTxn:     pre.maxTxn,
-		deferApply: deferApply,
-	}
-	if deferApply {
-		scanState.items = make([]applyItem, 0, pre.physRecords)
 	}
 	if !corruptionMode {
 		// Corruption mode may delete a committed transaction from history,
@@ -408,21 +381,9 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	report.RedoApplied = scanState.applied
 	redoTime := lap()
 
-	// Deferred parallel apply: workers own disjoint contiguous partitions
-	// of the image and each walks the full apply list in global order,
-	// copying only the bytes that intersect its partition. Every image
-	// byte is written by exactly one worker in record order, so the final
-	// image — and every captured before-image — is byte-identical to a
-	// serial replay.
-	var applyTime time.Duration
-	if deferApply {
-		applyParallel(image, scanState.items, workers)
-		applyTime = lap()
-	}
 	// Nothing below reads a log record: what outlives this point (loser and
 	// in-doubt undo logs) owns its bytes, so the buffers can go before the
 	// arena and the codeword table are allocated.
-	scanState.items = nil
 	cur.Release()
 
 	// Assemble the database around the recovered image.
@@ -441,10 +402,6 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	reg.Histogram(obs.NameRecoveryScanNS).ObserveDuration(scanTime)
 	reg.Histogram(obs.NameRecoveryRedoNS).ObserveDuration(redoTime)
 	reg.Histogram(obs.NameRecoveryBuildNS).ObserveDuration(lap())
-	reg.Gauge(obs.NameRecoveryRedoWorkers).Set(int64(report.RedoWorkers))
-	if deferApply {
-		reg.Histogram(obs.NameRecoveryParallelNS).ObserveDuration(applyTime)
-	}
 	if len(report.GSNGaps) > 0 {
 		reg.Counter(obs.NameRecoveryGSNGaps).Add(uint64(len(report.GSNGaps)))
 		if reg.HasSinks() {
@@ -491,8 +448,7 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 type Phases struct {
 	Load       time.Duration // stream detection; checkpoint anchor, image and ATT read
 	Scan       time.Duration // log files read once; the pre-scan pass over them
-	Redo       time.Duration // the redo pass, the serial apply included
-	Apply      time.Duration // partitioned parallel apply (zero on the serial path)
+	Redo       time.Duration // the redo pass: the scan and the apply of every physical record
 	Build      time.Duration // core.NewRecovered: arena, scheme, log set, checkpoint set
 	LogOpen    time.Duration // of Build: the log set opened at the scanned ends
 	Recompute  time.Duration // of Build: protection state derived from the image
@@ -502,7 +458,7 @@ type Phases struct {
 
 // Total is the wall time the phases account for.
 func (p Phases) Total() time.Duration {
-	return p.Load + p.Scan + p.Redo + p.Apply + p.Build + p.Undo + p.Checkpoint
+	return p.Load + p.Scan + p.Redo + p.Build + p.Undo + p.Checkpoint
 }
 
 // notePhases records the caller's load phase and copies the sums of the
@@ -515,7 +471,6 @@ func notePhases(reg *obs.Registry, rep *Report, load time.Duration) {
 		Load:       ns(obs.NameRecoveryLoadNS),
 		Scan:       ns(obs.NameRecoveryScanNS),
 		Redo:       ns(obs.NameRecoveryRedoNS),
-		Apply:      ns(obs.NameRecoveryParallelNS),
 		Build:      ns(obs.NameRecoveryBuildNS),
 		LogOpen:    ns(obs.NameRecoveryLogOpenNS),
 		Recompute:  ns(obs.NameRecoveryRecomputeNS),
@@ -542,7 +497,6 @@ type prescanResult struct {
 	failRanges     []Range
 	maxTxn         wal.TxnID
 	maxAuditSN     uint64
-	physRecords    int // physical redo records in the scanned tail
 	// finished holds the transactions with a commit or abort record in the
 	// scanned tail.
 	finished map[wal.TxnID]struct{}
@@ -564,8 +518,6 @@ func prescan(cur *wal.Cursor, anchorAuditSN wal.LSN) (*prescanResult, error) {
 			res.maxTxn = r.Txn
 		}
 		switch r.Kind {
-		case wal.KindPhysRedo:
-			res.physRecords++
 		case wal.KindTxnCommit, wal.KindTxnAbort:
 			res.finished[r.Txn] = struct{}{}
 		case wal.KindAuditBegin:
@@ -613,65 +565,7 @@ type redoScan struct {
 	// an undo log outside corruption mode is the undo phase, and the
 	// transaction's own commit or abort record would discard it first.
 	finished map[wal.TxnID]struct{}
-	// deferApply diverts physical redos into items for the partitioned
-	// parallel apply pass instead of applying them inline.
-	deferApply bool
-	items      []applyItem
-	err        error
-}
-
-// applyItem is one physical redo deferred for the parallel apply pass.
-// data aliases the log buffer. before, when non-nil, is the undo buffer
-// already pushed on the transaction's entry; apply workers fill the parts
-// of it that intersect their partition.
-type applyItem struct {
-	addr   mem.Addr
-	data   []byte
-	before []byte
-}
-
-// applyParallel replays deferred physical redos with workers owning
-// disjoint contiguous byte partitions of the image. Each worker walks the
-// full item list in global order and copies only the intersection with
-// its partition — capturing the before-image where the item has one, then
-// applying the data — so per byte the replay happens exactly in serial
-// order, and no two workers touch the same byte of the image or of any
-// before buffer.
-func applyParallel(image []byte, items []applyItem, workers int) {
-	pool := region.NewPool(workers)
-	psz := (len(image) + workers - 1) / workers
-	if psz < 1 {
-		psz = 1
-	}
-	pool.Run(workers, 1, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plo := p * psz
-			phi := plo + psz
-			if plo >= len(image) {
-				continue
-			}
-			if phi > len(image) {
-				phi = len(image)
-			}
-			for _, it := range items {
-				a := int(it.addr)
-				s, e := a, a+len(it.data)
-				if s < plo {
-					s = plo
-				}
-				if e > phi {
-					e = phi
-				}
-				if s >= e {
-					continue
-				}
-				if it.before != nil {
-					copy(it.before[s-a:e-a], image[s:e])
-				}
-				copy(image[s:e], it.data[s-a:e-a])
-			}
-		}
-	})
+	err      error
 }
 
 func (s *redoScan) seedNow() {
@@ -874,20 +768,16 @@ func (s *redoScan) stepFinished(r *wal.Record) bool {
 	return true
 }
 
-// redo applies (or defers) one physical record, capturing the bytes it
-// overwrites into before when the transaction may yet need undoing.
+// redo applies one physical record, capturing the bytes it overwrites
+// into before when the transaction may yet need undoing.
 func (s *redoScan) redo(r *wal.Record, before []byte) bool {
 	end := int(r.Addr) + len(r.Data)
 	if end > len(s.image) {
 		s.err = fmt.Errorf("recovery: redo record [%d,+%d) beyond image", r.Addr, len(r.Data))
 		return false
 	}
-	if s.deferApply {
-		s.items = append(s.items, applyItem{addr: r.Addr, data: r.Data, before: before})
-	} else {
-		copy(before, s.image[r.Addr:end])
-		copy(s.image[r.Addr:end], r.Data)
-	}
+	copy(before, s.image[r.Addr:end])
+	copy(s.image[r.Addr:end], r.Data)
 	s.applied++
 	return true
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/wal"
 )
@@ -46,13 +45,10 @@ func crashedMultiStream(t *testing.T, rounds int) (core.Config, [][]byte) {
 // to every slot — the cross-stream ordering contract.
 func TestMultiStreamRecoveryMergesByGSN(t *testing.T) {
 	cfg, want := crashedMultiStream(t, 5)
-	db, tb, rep := reopen(t, cfg, Options{RedoWorkers: 1})
+	db, tb, rep := reopen(t, cfg, Options{})
 	defer db.Close()
 	if rep.LogStreams != 4 {
 		t.Fatalf("report streams = %d, want 4", rep.LogStreams)
-	}
-	if rep.RedoWorkers != 1 {
-		t.Fatalf("report redo workers = %d, want 1", rep.RedoWorkers)
 	}
 	if rep.RedoApplied == 0 {
 		t.Fatal("no redo applied; workload not post-checkpoint?")
@@ -64,56 +60,6 @@ func TestMultiStreamRecoveryMergesByGSN(t *testing.T) {
 	}
 	if err := db.Audit(); err != nil {
 		t.Fatalf("post-recovery audit: %v", err)
-	}
-}
-
-// TestParallelRedoMatchesSerial recovers one crashed multi-stream state
-// twice — serial and with the partitioned parallel apply — and requires
-// bit-identical arenas and identical reports: the parallel pass is an
-// optimization, never a semantic change.
-func TestParallelRedoMatchesSerial(t *testing.T) {
-	cfg, want := crashedMultiStream(t, 6)
-	par := filepath.Join(t.TempDir(), "par")
-	if err := os.MkdirAll(par, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	copyDir(t, cfg.Dir, par)
-
-	serialDB, _, serialRep := reopen(t, cfg, Options{
-		RedoWorkers: 1, SkipCompletionCheckpoint: true,
-	})
-	defer serialDB.Close()
-
-	pcfg := cfg
-	pcfg.Dir = par
-	parDB, parTb, parRep := reopen(t, pcfg, Options{
-		RedoWorkers: 4, SkipCompletionCheckpoint: true,
-	})
-	defer parDB.Close()
-
-	if parRep.RedoWorkers != 4 {
-		t.Fatalf("parallel report redo workers = %d, want 4", parRep.RedoWorkers)
-	}
-	if serialRep.RecordsScanned != parRep.RecordsScanned ||
-		serialRep.RedoApplied != parRep.RedoApplied {
-		t.Fatalf("reports diverge: serial %d/%d, parallel %d/%d",
-			serialRep.RecordsScanned, serialRep.RedoApplied,
-			parRep.RecordsScanned, parRep.RedoApplied)
-	}
-	if !bytes.Equal(serialDB.Internals().Arena.Bytes(), parDB.Internals().Arena.Bytes()) {
-		t.Fatal("parallel redo produced a different arena than serial redo")
-	}
-	for s := range want {
-		if got := readRec(t, parDB, parTb, uint32(s)); !bytes.Equal(got, want[s]) {
-			t.Fatalf("slot %d after parallel redo: %x, want %x", s, got[:4], want[s][:4])
-		}
-	}
-	snap := parDB.Observability().Snapshot()
-	if snap.Gauge(obs.NameRecoveryRedoWorkers) != 4 {
-		t.Fatalf("gauge %s = %d, want 4", obs.NameRecoveryRedoWorkers, snap.Gauge(obs.NameRecoveryRedoWorkers))
-	}
-	if h := snap.Histogram(obs.NameRecoveryParallelNS); h.Count == 0 {
-		t.Fatalf("histogram %s never observed", obs.NameRecoveryParallelNS)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestTornLogTailRecovery(t *testing.T) {
 	}
 	db.Crash()
 
-	loaded, err := ckpt.Load(cfg.Dir)
+	loaded, err := ckpt.Load(iofault.OS, cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,9 +259,6 @@ func runCrossShardTorture(t *testing.T, logStreams int) {
 	mkCfg := func(dir string) Config {
 		c := testConfig(t, dir, K)
 		c.LogStreams = logStreams
-		if logStreams > 1 {
-			c.RedoWorkers = 2
-		}
 		return c
 	}
 	seed := filepath.Join(t.TempDir(), "seed")

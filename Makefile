@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-compare bench-smoke bench-shard bench-streams bench-streams-smoke server-smoke torture torture-smoke heal heal-smoke table1 table2 faultstudy faultstudy-disk examples clean
+.PHONY: all build vet test race cover bench bench-compare bench-smoke bench-shard server-smoke torture torture-smoke heal heal-smoke table1 table2 faultstudy faultstudy-disk examples clean
 
 all: build vet test
 
@@ -24,7 +24,7 @@ build:
 # load to gate suppression debt: the count of //dbvet:allow sites per
 # pass must not grow past the checked-in dbvet.debt.json baseline.
 # See DESIGN.md "Machine-checked invariants".
-vet: bench-smoke torture-smoke server-smoke bench-streams-smoke heal-smoke
+vet: bench-smoke torture-smoke server-smoke heal-smoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/dbvet ./...
 	$(GO) run ./cmd/dbvet -stats -debt-baseline dbvet.debt.json ./...
@@ -40,9 +40,9 @@ server-smoke:
 # Bounded crash-point recovery torture: the smoke workload is crashed at
 # every I/O point, recovery is verified from each frozen durable state,
 # and the fail-stop log-poisoning tests run under the race detector.
-# Includes the multi-stream sweep (TestCrashPointExhaustiveMultiStream):
-# the same workload over a 3-stream log set, so crash points land in
-# every stream file's writes and fsyncs.
+# Includes the same sweep under codeword read logging
+# (TestCrashPointExhaustiveMultiStream), where every recovery runs the
+# delete-transaction pass.
 torture-smoke:
 	$(GO) test -race -short ./internal/iofault/...
 
@@ -114,20 +114,6 @@ faultstudy-disk:
 # regenerates BENCH_pr6.json.
 bench-shard:
 	$(GO) run ./cmd/shardbench -txns 16000 -shards 1,2,4,8 -cross 0,0.15 -o BENCH_pr6.json
-
-# Parallel-logging sweep: concurrent TPC-B throughput over WAL stream
-# counts S=1/2/4/8; regenerates BENCH_pr8.json without the checked-in
-# file's recovery rows, which are historical (the parallel redo they
-# swept is gone).
-bench-streams:
-	$(GO) run ./cmd/tpcbbench -scale paper -log-streams 1,2,4,8 -clients 8 -ops 10000 \
-		-o BENCH_pr8.json
-
-# End-to-end smoke of the sweep (S=1/2, tiny load, report discarded):
-# exercises the multi-stream commit path without touching the checked-in
-# BENCH_pr8.json.
-bench-streams-smoke:
-	$(GO) run ./cmd/tpcbbench -q -scale small -log-streams 1,2 -clients 4 -ops 2000 >/dev/null
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,9 +1,9 @@
 // Command dbcheck opens a database (running restart recovery if needed)
 // and runs the full consistency check suite: codeword audit, heap
 // structure, index structure, checkpoint/log agreement, and the log
-// stream audit (CW050 stamped-GSN density, CW051 watermark inversions,
-// CW052 poisoned streams — the runtime counterparts of dbvet's
-// determinism, lockfield and errflow contracts). Exit status 0 means
+// audit (CW051 stable end beyond the log's end, CW052 poisoned log — the
+// runtime counterparts of dbvet's lockfield and errflow contracts). Exit
+// status 0 means
 // consistent (warning-severity findings are printed but do not fail the
 // check); 1 means error-severity problems were found, including any of
 // the CW05x log findings; 2 means the check could not run. Problem

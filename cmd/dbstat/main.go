@@ -110,8 +110,8 @@ func printPhases(w io.Writer, rep *recovery.Report) {
 		return
 	}
 	p := rep.Phases
-	fmt.Fprintf(w, "recovery: %d records scanned, %d redone, %d stream(s)\n",
-		rep.RecordsScanned, rep.RedoApplied, rep.LogStreams)
+	fmt.Fprintf(w, "recovery: %d records scanned, %d redone\n",
+		rep.RecordsScanned, rep.RedoApplied)
 	for _, row := range []struct {
 		name string
 		d    time.Duration
@@ -141,43 +141,22 @@ func printOffline(dir string) error {
 		fmt.Printf("%s:\n", dir)
 		fmt.Printf("  checkpoint:   image %s, seqno %d\n", img, a.SeqNo)
 		fmt.Printf("  CK_end:       %d\n", a.CKEnd)
-		if vec := a.Vector(); len(vec) > 1 {
-			fmt.Printf("  CK_ends:      %v (per stream)\n", vec)
-		}
 		fmt.Printf("  Audit_SN:     %d\n", a.AuditSN)
 		fmt.Printf("  image size:   %d bytes\n", len(loaded.Image))
 		fmt.Printf("  ATT entries:  %d\n", len(loaded.ATTEntries))
 	}
-	nStreams, err := wal.DetectStreamsFS(iofault.OS, dir)
+	base, err := wal.LogBaseFS(iofault.OS, dir)
 	if err != nil {
 		return err
 	}
+	st, err := os.Stat(filepath.Join(dir, wal.LogFileName))
 	switch {
-	case nStreams == 0:
+	case errors.Is(err, fs.ErrNotExist):
 		fmt.Printf("  log:          none\n")
-	case nStreams == 1:
-		st, err := os.Stat(filepath.Join(dir, wal.LogFileName))
-		if err != nil {
-			return err
-		}
-		base, err := wal.LogBaseFS(iofault.OS, dir)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  log:          %d bytes on disk, base LSN %d\n", st.Size(), base)
+	case err != nil:
+		return err
 	default:
-		bases, err := wal.LogBasesFS(iofault.OS, dir)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  log:          %d streams\n", nStreams)
-		for i := 0; i < nStreams; i++ {
-			st, err := os.Stat(filepath.Join(dir, wal.StreamFileName(i)))
-			if err != nil {
-				return err
-			}
-			fmt.Printf("    stream %-3d  %d bytes on disk, base LSN %d\n", i, st.Size(), bases[i])
-		}
+		fmt.Printf("  log:          %d bytes on disk, base LSN %d\n", st.Size(), base)
 	}
 	return nil
 }

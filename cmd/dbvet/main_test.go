@@ -22,29 +22,21 @@ import (
 func TestBuggySchemeDifferential(t *testing.T) {
 	diags := anztest.Diagnostics(t, ".", "../../internal/analysis/testdata/buggyscheme", analyzers...)
 
-	// Expected (file, line) per pass and rule — generation 1 in buggy.go,
-	// generation 2 in buggy2.go, generation 3 (the parallel-log rules) in
-	// buggy3.go, generation 4 (lockset/lock-graph/determinism rules) in
-	// buggy4.go; update alongside the fixtures. A pass with two entries
-	// carries one violation per rule, each firing exactly once.
+	// Expected (file, line) per pass — generation 1 in buggy.go,
+	// generation 2 in buggy2.go, generation 4 (lockset/lock-graph/
+	// determinism rules) in buggy4.go; update alongside the fixtures.
 	wantLines := map[string][]string{
-		"latchorder": {
-			"buggy.go:30",  // s.prot.Lock() under the syslog latch
-			"buggy3.go:25", // second stream latch acquired under the first
-		},
-		"guardedwrite": {"buggy.go:37"}, // direct store through arena.Slice
-		"cwpair":       {"buggy.go:44"}, // return nil without a fold
-		"obsnames":     {"buggy.go:50"}, // undeclared metric name
+		"latchorder":   {"buggy.go:30"},  // s.prot.Lock() under the syslog latch
+		"guardedwrite": {"buggy.go:37"},  // direct store through arena.Slice
+		"cwpair":       {"buggy.go:44"},  // return nil without a fold
+		"obsnames":     {"buggy.go:50"},  // undeclared metric name
 		"iopath":       {"buggy2.go:15"}, // raw os.ReadFile on the durable path
-		"errflow": {
-			"buggy2.go:24", // discarded SystemLog.Append error
-			"buggy3.go:33", // stream-file sync failure never poisons the set
-		},
-		"twophase": {"buggy2.go:37"}, // CommitPrepared before the decision
-		"ctxflow":  {"buggy2.go:42"}, // context.Background() inside RunCtx
-		"lockfield":   {"buggy4.go:34"}, // durable watermark read outside its latch
-		"latchcycle":  {"buggy4.go:55"}, // idx/dat mutexes nested in opposite orders
-		"determinism": {"buggy4.go:63"}, // in-doubt gids collected in map order
+		"errflow":      {"buggy2.go:24"}, // discarded SystemLog.Append error
+		"twophase":     {"buggy2.go:37"}, // CommitPrepared before the decision
+		"ctxflow":      {"buggy2.go:42"}, // context.Background() inside RunCtx
+		"lockfield":    {"buggy4.go:34"}, // durable watermark read outside its latch
+		"latchcycle":   {"buggy4.go:55"}, // idx/dat mutexes nested in opposite orders
+		"determinism":  {"buggy4.go:63"}, // in-doubt gids collected in map order
 	}
 	got := make(map[string][]string)
 	total := 0

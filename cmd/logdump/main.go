@@ -3,15 +3,9 @@
 // where present. Useful for inspecting read-log volume, verifying
 // operation bracketing, and debugging recovery scenarios.
 //
-// Multi-stream log sets (core.Config.LogStreams > 1) are detected
-// automatically: all stream files are scanned and merged into global GSN
-// order, and each line is prefixed with its stream index and GSN. With
-// -stream only that stream's file is dumped, in its local LSN order.
-// Single-stream directories keep the historical single-file output.
-//
 // Usage:
 //
-//	logdump -dir DBDIR [-from LSN] [-kinds read,phys-redo] [-txn ID] [-n MAX] [-stream S]
+//	logdump -dir DBDIR [-from LSN] [-kinds read,phys-redo] [-txn ID] [-n MAX]
 package main
 
 import (
@@ -26,12 +20,11 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "database directory (required)")
-	from := flag.Uint64("from", 0, "scan from this LSN (multi-stream: applied per stream)")
+	from := flag.Uint64("from", 0, "scan from this LSN (clamped to the retained base)")
 	kindsFlag := flag.String("kinds", "", "comma-separated kind filter (e.g. read,phys-redo)")
 	txnFlag := flag.Uint64("txn", 0, "show only this transaction (0 = all)")
 	max := flag.Int("n", 0, "stop after N records (0 = all)")
 	stats := flag.Bool("stats", false, "print per-kind record counts and byte totals at the end")
-	stream := flag.Int("stream", -1, "dump only this stream of a multi-stream set (-1 = merge all)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -46,20 +39,10 @@ func main() {
 		}
 	}
 
-	nStreams, err := wal.DetectStreamsFS(iofault.OS, *dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "logdump:", err)
-		os.Exit(1)
-	}
-	if *stream >= nStreams {
-		fmt.Fprintf(os.Stderr, "logdump: -stream %d out of range (log set has %d stream(s))\n", *stream, nStreams)
-		os.Exit(2)
-	}
-
 	counts := map[wal.Kind]int{}
 	bytes := map[wal.Kind]int{}
 	printed := 0
-	visit := func(prefix string, r *wal.Record) bool {
+	visit := func(r *wal.Record) bool {
 		counts[r.Kind]++
 		bytes[r.Kind] += r.EncodedSize()
 		if len(wantKind) > 0 && !wantKind[r.Kind.String()] {
@@ -68,32 +51,23 @@ func main() {
 		if *txnFlag != 0 && uint64(r.Txn) != *txnFlag {
 			return true
 		}
-		fmt.Println(prefix + format(r))
+		fmt.Println(format(r))
 		printed++
 		return *max == 0 || printed < *max
 	}
 
-	// A single-file log prints without a prefix, a multi-stream set merges
-	// into global GSN order, and -stream reads that stream's file alone, in
-	// its local LSN order. A non-zero -from is a per-stream floor: each
-	// stream's LSN domain is independent.
-	starts := startVector(*dir, nStreams, wal.LSN(*from))
-	var cur *wal.Cursor
-	if *stream >= 0 {
-		cur, err = wal.OpenStreamCursor(iofault.OS, *dir, *stream, starts)
-	} else {
-		cur, err = wal.OpenCursor(iofault.OS, *dir, starts)
-	}
-	for err == nil && cur.Next() {
-		r := cur.Record()
-		prefix := ""
-		switch {
-		case nStreams > 1 && *stream >= 0:
-			prefix = fmt.Sprintf("s%-2d ", *stream)
-		case nStreams > 1:
-			prefix = fmt.Sprintf("s%-2d g%-10d ", cur.Stream(), r.GSN)
+	// A non-zero -from below the retained base starts at the base.
+	var start *wal.LSN
+	if *from != 0 {
+		s := wal.LSN(*from)
+		if base, err := wal.LogBaseFS(iofault.OS, *dir); err == nil && s < base {
+			s = base
 		}
-		if !visit(prefix, r) {
+		start = &s
+	}
+	cur, err := wal.OpenCursor(iofault.OS, *dir, start)
+	for err == nil && cur.Next() {
+		if !visit(cur.Record()) {
 			break
 		}
 	}
@@ -114,26 +88,6 @@ func main() {
 		}
 		fmt.Printf("%-12s %8d records %10d bytes\n", "total", total, totalBytes)
 	}
-}
-
-// startVector clamps a user-supplied -from below every stream's retained
-// base. A zero from returns nil, letting the scan use each base directly.
-func startVector(dir string, n int, from wal.LSN) []wal.LSN {
-	if from == 0 {
-		return nil
-	}
-	bases, err := wal.LogBasesFS(iofault.OS, dir)
-	if err != nil {
-		return nil
-	}
-	starts := make([]wal.LSN, n)
-	for i := range starts {
-		starts[i] = from
-		if i < len(bases) && starts[i] < bases[i] {
-			starts[i] = bases[i]
-		}
-	}
-	return starts
 }
 
 func format(r *wal.Record) string {

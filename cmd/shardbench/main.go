@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	shardbench [-txns N] [-workers N] [-cross F] [-shards 1,2,4,8] [-log-streams S] [-o out.json]
+//	shardbench [-txns N] [-workers N] [-cross F] [-shards 1,2,4,8] [-o out.json]
 package main
 
 import (
@@ -51,7 +51,6 @@ type report struct {
 	Workers    int     `json:"workers"`
 	TxnsPerRun int     `json:"txns_per_run"`
 	ValueBytes int     `json:"value_bytes"`
-	LogStreams int     `json:"log_streams"`
 	Sweeps     []sweep `json:"sweeps"`
 }
 
@@ -61,7 +60,6 @@ func main() {
 	crossList := flag.String("cross", "0,0.15", "comma-separated remote-shard (2PC) transaction fractions to sweep")
 	shardList := flag.String("shards", "1,2,4,8", "comma-separated shard counts to sweep")
 	valueBytes := flag.Int("value", 100, "value size in bytes")
-	logStreams := flag.Int("log-streams", 0, "WAL streams per shard engine (0/1 = single system.log)")
 	outPath := flag.String("o", "", "write JSON report to this file (default stdout)")
 	workdir := flag.String("workdir", "", "directory for run databases (default: system temp)")
 	flag.Parse()
@@ -90,14 +88,13 @@ func main() {
 		Workers:    *workers,
 		TxnsPerRun: *txns,
 		ValueBytes: *valueBytes,
-		LogStreams: *logStreams,
 	}
 	for _, cf := range crosses {
 		sw := sweep{CrossFrac: cf}
 		var base float64
 		fmt.Fprintf(os.Stderr, "-- cross fraction %.2f --\n", cf)
 		for _, k := range ks {
-			r, err := runOne(k, *txns, *workers, cf, *valueBytes, *logStreams, *workdir)
+			r, err := runOne(k, *txns, *workers, cf, *valueBytes, *workdir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "shardbench: K=%d: %v\n", k, err)
 				os.Exit(1)
@@ -129,7 +126,7 @@ func main() {
 	}
 }
 
-func runOne(k, txns, workers int, crossFrac float64, valueBytes, logStreams int, workdir string) (row, error) {
+func runOne(k, txns, workers int, crossFrac float64, valueBytes int, workdir string) (row, error) {
 	dir, err := os.MkdirTemp(workdir, "shardbench-*")
 	if err != nil {
 		return row{}, err
@@ -138,12 +135,11 @@ func runOne(k, txns, workers int, crossFrac float64, valueBytes, logStreams int,
 
 	const perShardKeys = 512
 	router, _, err := shard.Open(shard.Config{
-		Dir:        filepath.Join(dir, "db"),
-		Shards:     k,
-		ArenaSize:  1 << 22,
-		ValueSize:  valueBytes,
-		Capacity:   8 * perShardKeys,
-		LogStreams: logStreams,
+		Dir:       filepath.Join(dir, "db"),
+		Shards:    k,
+		ArenaSize: 1 << 22,
+		ValueSize: valueBytes,
+		Capacity:  8 * perShardKeys,
 	})
 	if err != nil {
 		return row{}, err

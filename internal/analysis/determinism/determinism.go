@@ -24,8 +24,8 @@
 //     a slice captured from the enclosing function orders results by
 //     scheduling accident. The deterministic chunk protocol — each
 //     worker writes only its own index (per[i] = append(per[i], …)) —
-//     is the sanctioned shape, exactly how the parallel log-stream scan
-//     merges its per-stream results.
+//     is the sanctioned shape, the one region.RunChunked uses to return
+//     per-chunk results in chunk order.
 //
 // Scope: the recovery, audit (internal/check) and shard-resolution
 // packages, where replay determinism is the paper-level contract.

@@ -296,21 +296,13 @@ func fieldSyncCall(pass *anz.Pass, a *ast.AssignStmt) *ast.CallExpr {
 
 // isFieldSync recognizes x.f.Sync() where f is a struct field of type
 // iofault.File (or a fixture stand-in named File): the long-lived durable
-// handle, as opposed to a local temporary being built and certified. The
-// per-stream variant x.files[i].Sync() — a field of slice or array of
-// File, indexed — is the same obligation: in a sharded log set each
-// stream file is an independent durable handle, and a failed force of any
-// one of them must fail-stop the whole set.
+// handle, as opposed to a local temporary being built and certified.
 func isFieldSync(pass *anz.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Sync" {
 		return false
 	}
-	x := ast.Unparen(sel.X)
-	if ix, ok := x.(*ast.IndexExpr); ok {
-		x = ast.Unparen(ix.X)
-	}
-	recv, ok := x.(*ast.SelectorExpr)
+	recv, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -318,14 +310,7 @@ func isFieldSync(pass *anz.Pass, call *ast.CallExpr) bool {
 	if !ok || !fieldObj.IsField() {
 		return false
 	}
-	t := fieldObj.Type()
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		t = u.Elem()
-	case *types.Array:
-		t = u.Elem()
-	}
-	named, _ := t.(*types.Named)
+	named, _ := fieldObj.Type().(*types.Named)
 	if named == nil {
 		return false
 	}

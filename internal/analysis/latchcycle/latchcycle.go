@@ -16,12 +16,9 @@
 // insertion makes its target reach its source completes a cycle, which
 // is reported once, at the acquisition that closed it.
 //
-// Division of labor with latchorder: rank-list violations and nested
-// same-stream acquisitions (the any-stream-before-none rule of the
-// index-ordered per-stream latch family, where every stream shares one
-// field declaration and a cycle would be a self-edge) are latchorder's;
-// this pass reports only cycles between distinct latch declarations,
-// so the two passes never double-report one site.
+// Division of labor with latchorder: rank-list violations are
+// latchorder's; this pass reports only cycles between distinct latch
+// declarations, so the two passes never double-report one site.
 package latchcycle
 
 import (
@@ -447,7 +444,7 @@ func removeNode(held []types.Object, node types.Object) []types.Object {
 }
 
 // addEdge inserts u → v and reports when the insertion closes a cycle
-// (v already reaches u). Self-edges are latchorder's any-stream rule.
+// (v already reaches u). Self-edges are not cycles between two latches.
 func (c *checker) addEdge(u, v types.Object, pos token.Pos) {
 	if u == nil || v == nil || u == v {
 		return

@@ -228,11 +228,11 @@ func (c *checker) calleeAcquires(fn *types.Func) map[string]bool {
 type lockOp int
 
 const (
-	opNone lockOp = iota
-	opAcquire      // Lock / RLock on a latch or mutex
-	opRelease      // Unlock / RUnlock
-	opAcquireGuard // Striped.AcquireRange
-	opReleaseGuard // MultiGuard.Release
+	opNone         lockOp = iota
+	opAcquire             // Lock / RLock on a latch or mutex
+	opRelease             // Unlock / RUnlock
+	opAcquireGuard        // Striped.AcquireRange
+	opReleaseGuard        // MultiGuard.Release
 )
 
 type lockInfo struct {
@@ -481,20 +481,6 @@ func (c *checker) orderCheck(call *ast.CallExpr, cls string, st *state, callee s
 	rank := anz.LatchRank(cls)
 	if rank == 0 {
 		return
-	}
-	// Any-stream-before-none: a path holding one stream latch may not
-	// acquire another — streams are flushed by concurrent workers, and a
-	// second nested stream latch deadlocks against a sibling holding the
-	// pair in the other order. Direct acquisitions only: a callee summary
-	// cannot distinguish sequential per-stream brackets (acquire, release,
-	// next stream) from genuine nesting.
-	if cls == anz.LatchStream && callee == "" {
-		for _, l := range st.held {
-			if l.class == anz.LatchStream {
-				c.pass.Reportf(call.Pos(), "acquires a stream latch while another stream latch is held (streams are latched independently; hold at most one)")
-				return
-			}
-		}
 	}
 	for _, l := range st.held {
 		if hr := anz.LatchRank(l.class); hr > rank {

@@ -1,8 +1,8 @@
 // buggy4.go carries the fourth generation of differential violations —
 // the lockset, lock-graph, and replay-determinism rules, one per pass,
 // each firing exactly once. Kept in a separate file so the earlier
-// generations' pinned line numbers in buggy.go, buggy2.go and buggy3.go
-// never shift.
+// generations' pinned line numbers in buggy.go and buggy2.go never
+// shift.
 package buggyscheme
 
 import (

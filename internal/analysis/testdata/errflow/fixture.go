@@ -136,31 +136,3 @@ func syncLocal(fs FS) error {
 	}
 	return f.Sync()
 }
-
-// ---- rule 3, per-stream: indexed durable handles ----
-
-// StreamedLog is the stand-in for a sharded log set holding one durable
-// file per stream.
-type StreamedLog struct {
-	files []File
-}
-
-func (l *StreamedLog) poison(err error) {}
-
-// Shape 3d: a failed force of stream i is handled but never poisons —
-// the sibling streams keep acking commits over the hole.
-func streamSyncNoPoison(l *StreamedLog, i int) error {
-	if err := l.files[i].Sync(); err != nil { // want "must reach the poison transition"
-		return err
-	}
-	return nil
-}
-
-// Clean: any stream's sync failure fail-stops the whole set.
-func streamSyncPoisons(l *StreamedLog, i int) error {
-	if err := l.files[i].Sync(); err != nil {
-		l.poison(err)
-		return err
-	}
-	return nil
-}

@@ -94,50 +94,3 @@ func (s *server) handoff() *token {
 func (t *token) close() {
 	t.g.Release()
 }
-
-// ---- stream latches (sharded log sets) ----
-
-type streamedLog struct {
-	tails []streamTail
-}
-
-type streamTail struct {
-	mu latch.Latch //dbvet:latch stream
-}
-
-// Shape 5: nesting two stream latches. Streams are latched
-// independently and flushed by concurrent workers; holding a pair
-// invites a deadlock against a sibling holding them in the other order.
-func (l *streamedLog) nested() {
-	l.tails[0].mu.Lock()
-	defer l.tails[0].mu.Unlock()
-	l.tails[1].mu.Lock() // want "acquires a stream latch while another stream latch is held"
-	l.tails[1].mu.Unlock()
-}
-
-// Clean: one stream at a time, released before the next (the
-// sequential per-stream bracket every LogSet walk uses).
-func (l *streamedLog) sequential() {
-	for i := range l.tails {
-		l.tails[i].mu.Lock()
-		l.tails[i].mu.Unlock()
-	}
-}
-
-// Clean: the stream latch ranks with syslog in the cross-class order,
-// so taking one under the codeword latch is fine — and nothing may be
-// acquired under it.
-func (s *server) streamUnderCW(l *streamedLog) {
-	s.cw.Lock()
-	defer s.cw.Unlock()
-	l.tails[0].mu.Lock()
-	defer l.tails[0].mu.Unlock()
-}
-
-// Shape 6: the cross-class order still applies to stream latches.
-func (s *server) protUnderStream(l *streamedLog) {
-	l.tails[0].mu.Lock()
-	defer l.tails[0].mu.Unlock()
-	s.prot.Lock() // want "acquires the protection latch while the stream latch is held"
-	s.prot.Unlock()
-}

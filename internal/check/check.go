@@ -3,8 +3,7 @@
 // codeword audits (which verify bytes against codewords but know nothing
 // of structure). It verifies the heap catalog against allocation bitmaps,
 // hash indexes against the heap records they point to, the checkpoint
-// anchor against the retained log, the log streams' watermark and
-// poison state plus the density of the merged stamped-GSN sequence, and
+// anchor against the retained log, the log's end and poison state, and
 // the codeword audit itself.
 package check
 
@@ -42,14 +41,13 @@ func (s Severity) String() string {
 // Stable machine-readable problem codes. Tooling keys on these; the
 // human-readable Desc text may be reworded freely. Codes are grouped by
 // area (CW00x att, CW01x codeword, CW02x heap, CW03x index, CW04x
-// checkpoint, CW05x log, CW06x ecc) and are never renumbered or reused.
+// checkpoint, CW05x log, CW06x ecc) and are never renumbered or reused
+// (CW050, a multi-stream log check, is retired).
 //
-// The CW05x codes are the runtime counterparts of dbvet's parallel-log
-// contracts: CW050 audits what the determinism pass assumes (a dense
-// stamped-GSN order for the merged replay), CW051 what the lockfield
-// pass guards (watermarks that only move under their tail latch move
-// monotonically), CW052 the poison transition the errflow pass forces
-// failed syncs through.
+// The CW05x codes are runtime counterparts of dbvet's log contracts:
+// CW051 checks what the lockfield pass guards (the stable end moves only
+// under the log latch, never past the end), CW052 the poison transition
+// the errflow pass forces failed syncs through.
 const (
 	CodeActiveTxns       = "CW001" // transactions active while checking
 	CodeCodewordMismatch = "CW010" // region codeword does not match data
@@ -62,9 +60,8 @@ const (
 	CodeCkptAnchorBase   = "CW040" // anchor precedes retained log base
 	CodeCkptAnchorEnd    = "CW041" // anchor beyond log end
 	CodeCkptImage        = "CW042" // checkpoint image unloadable
-	CodeLogGSNGap        = "CW050" // hole in the merged stamped-GSN sequence
-	CodeLogWatermark     = "CW051" // stream watermark inversion (durable > stamped or stable > end)
-	CodeLogPoisoned      = "CW052" // log stream fail-stopped (poisoned)
+	CodeLogWatermark     = "CW051" // stable end beyond the log's end
+	CodeLogPoisoned      = "CW052" // log fail-stopped (poisoned)
 	CodeECCRepairable    = "CW060" // single-word damage located; repairable in place (run with heal)
 	CodeECCRepaired      = "CW061" // damage was repaired in place during this check
 	CodeECCUnrepairable  = "CW062" // damage past the correction radius; escalate to recovery
@@ -218,33 +215,13 @@ func RunOpts(db *core.DB, opts Options) ([]Problem, error) {
 		}
 	}
 
-	// Log streams: watermark sanity, poison state, and the density of
-	// the stamped-GSN sequence across the merged streams.
+	// Log: end sanity and poison state.
 	log := db.Internals().Log
-	for _, st := range log.StreamStats() {
-		stamped, durable := log.Stream(st.Stream).GSNWatermarks()
-		if durable > stamped {
-			add(CodeLogWatermark, SevError, "log", "stream %d: durable GSN %d above stamped GSN %d", st.Stream, durable, stamped)
-		}
-		if st.StableEnd > st.End {
-			add(CodeLogWatermark, SevError, "log", "stream %d: stable end %d beyond tail end %d", st.Stream, st.StableEnd, st.End)
-		}
-		if st.Poisoned {
-			add(CodeLogPoisoned, SevError, "log", "stream %d is poisoned (fail-stopped): %v", st.Stream, log.Stream(st.Stream).Poisoned())
-		}
+	if stable, end := log.StableEnd(), log.End(); stable > end {
+		add(CodeLogWatermark, SevError, "log", "stable end %d beyond tail end %d", stable, end)
 	}
-	cur, err := wal.OpenCursor(db.FS(), db.Config().Dir, nil)
-	if err == nil {
-		for cur.Next() {
-		}
-		err = cur.Err()
-	}
-	if err != nil {
-		add(CodeLogGSNGap, SevWarning, "log", "stream scan for GSN density failed: %v", err)
-	} else {
-		for _, g := range cur.Gaps() {
-			add(CodeLogGSNGap, SevError, "log", "stamped-GSN hole after %d: next is %d on stream %d (a record below an acknowledged commit is missing)", g.After, g.Next, g.Stream)
-		}
+	if err := log.Poisoned(); err != nil {
+		add(CodeLogPoisoned, SevError, "log", "log is poisoned (fail-stopped): %v", err)
 	}
 
 	// Checkpoint anchor vs retained log.
@@ -256,8 +233,8 @@ func RunOpts(db *core.DB, opts Options) ([]Problem, error) {
 		if anchor.CKEnd < base {
 			add(CodeCkptAnchorBase, SevError, "checkpoint", "anchor CK_end %d precedes the retained log base %d", anchor.CKEnd, base)
 		}
-		if anchor.CKEnd > db.Internals().Log.End() {
-			add(CodeCkptAnchorEnd, SevError, "checkpoint", "anchor CK_end %d beyond log end %d", anchor.CKEnd, db.Internals().Log.End())
+		if anchor.CKEnd > log.End() {
+			add(CodeCkptAnchorEnd, SevError, "checkpoint", "anchor CK_end %d beyond log end %d", anchor.CKEnd, log.End())
 		}
 		if _, err := ckpt.Load(db.FS(), db.Config().Dir); err != nil {
 			add(CodeCkptImage, SevError, "checkpoint", "current image unloadable: %v", err)

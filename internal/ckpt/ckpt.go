@@ -72,99 +72,41 @@ type Anchor struct {
 	// SeqNo increments with every completed checkpoint.
 	SeqNo uint64
 	// CKEnd is the log position the image is update-consistent with:
-	// recovery's forward scan starts here. On multi-stream log sets this is
-	// stream 0's position (CKEnds[0]); Audit_SN comparisons stay in stream
-	// 0's LSN domain.
+	// recovery's forward scan starts here.
 	CKEnd wal.LSN
 	// AuditSN is the LSN of the begin record of the last clean audit
 	// (the paper's Audit_SN).
 	AuditSN wal.LSN
-	// CKEnds is the per-stream consistent cut of a multi-stream log set
-	// (wal.LogSet): stream i's recovery scan starts at CKEnds[i], and
-	// compaction truncates stream i to CKEnds[i]. nil on single-stream
-	// databases, whose anchors keep the historical fixed-size format
-	// byte-for-byte.
-	CKEnds []wal.LSN
 }
 
-// Equal reports whether two anchors are identical, including their
-// stream vectors (Anchor is no longer comparable with ==).
-func (a Anchor) Equal(b Anchor) bool {
-	if a.Current != b.Current || a.SeqNo != b.SeqNo || a.CKEnd != b.CKEnd || a.AuditSN != b.AuditSN {
-		return false
-	}
-	if len(a.CKEnds) != len(b.CKEnds) {
-		return false
-	}
-	for i := range a.CKEnds {
-		if a.CKEnds[i] != b.CKEnds[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Vector returns the per-stream scan-start vector: CKEnds when recorded,
-// else the single-stream vector {CKEnd}.
-func (a Anchor) Vector() []wal.LSN {
-	if len(a.CKEnds) > 0 {
-		return a.CKEnds
-	}
-	return []wal.LSN{a.CKEnd}
-}
+// anchorSize is the encoded anchor: the four fields and a CRC32C.
+const anchorSize = 32
 
 func (a Anchor) encode() []byte {
-	b := make([]byte, 0, 40+8*len(a.CKEnds))
+	b := make([]byte, 0, anchorSize)
 	b = binary.LittleEndian.AppendUint32(b, uint32(a.Current))
 	b = binary.LittleEndian.AppendUint64(b, a.SeqNo)
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.CKEnd))
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.AuditSN))
-	// Multi-stream anchors append the stream vector; a single-stream anchor
-	// writes exactly the historical 32 bytes (length discriminates the two
-	// formats on read).
-	if len(a.CKEnds) > 1 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.CKEnds)))
-		for _, e := range a.CKEnds {
-			b = binary.LittleEndian.AppendUint64(b, uint64(e))
-		}
-	}
 	sum := crc32.Checksum(b, crcTable)
 	return append(b, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
 }
 
 func decodeAnchor(b []byte) (Anchor, error) {
-	if len(b) < 32 {
-		return Anchor{}, fmt.Errorf("ckpt: anchor is %d bytes, want >= 32", len(b))
+	if len(b) != anchorSize {
+		return Anchor{}, fmt.Errorf("ckpt: anchor is %d bytes, want %d", len(b), anchorSize)
 	}
 	body, sumBytes := b[:len(b)-4], b[len(b)-4:]
 	sum := uint32(sumBytes[0]) | uint32(sumBytes[1])<<8 | uint32(sumBytes[2])<<16 | uint32(sumBytes[3])<<24
 	if crc32.Checksum(body, crcTable) != sum {
 		return Anchor{}, fmt.Errorf("ckpt: anchor checksum mismatch")
 	}
-	a := Anchor{
+	return Anchor{
 		Current: int(binary.LittleEndian.Uint32(body)),
 		SeqNo:   binary.LittleEndian.Uint64(body[4:]),
 		CKEnd:   wal.LSN(binary.LittleEndian.Uint64(body[12:])),
 		AuditSN: wal.LSN(binary.LittleEndian.Uint64(body[20:])),
-	}
-	if len(b) == 32 {
-		return a, nil // historical single-stream anchor
-	}
-	if len(body) < 32 {
-		return Anchor{}, fmt.Errorf("ckpt: anchor stream vector truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(body[28:]))
-	if n < 2 || len(body) != 32+8*n {
-		return Anchor{}, fmt.Errorf("ckpt: anchor stream vector malformed (%d streams in %d bytes)", n, len(b))
-	}
-	a.CKEnds = make([]wal.LSN, n)
-	for i := 0; i < n; i++ {
-		a.CKEnds[i] = wal.LSN(binary.LittleEndian.Uint64(body[32+8*i:]))
-	}
-	if a.CKEnds[0] != a.CKEnd {
-		return Anchor{}, fmt.Errorf("ckpt: anchor stream 0 cut %d disagrees with CK_end %d", a.CKEnds[0], a.CKEnd)
-	}
-	return a, nil
+	}, nil
 }
 
 // pageSet is a set of dirty pages.
@@ -291,28 +233,15 @@ type Snapshot struct {
 	ATT []byte
 	// Meta is the serialized database metadata (catalog, allocator).
 	Meta []byte
-	// CKEnd is the stable log end the snapshot is consistent with
-	// (stream 0 of a multi-stream log set: CKEnds[0]).
+	// CKEnd is the stable log end the snapshot is consistent with.
 	CKEnd wal.LSN
-	// CKEnds is the per-stream consistent cut captured under the barrier
-	// (the epoch barrier of a multi-stream log set). Always at least one
-	// entry; entry 0 equals CKEnd.
-	CKEnds []wal.LSN
 }
 
 // Begin captures a snapshot for the next checkpoint. The caller must hold
 // the database's update barrier in exclusive mode and must have flushed
-// every log stream (ckEnds is the resulting per-stream stable-end vector;
-// single-stream databases pass one entry). Pages are copied to the side so
-// the barrier can be released before disk writes begin.
-func (s *Set) Begin(arena *mem.Arena, att, meta []byte, ckEnds []wal.LSN) *Snapshot {
-	if len(ckEnds) == 0 {
-		// Begin is exported API: an empty cut vector must not panic inside
-		// the checkpoint path. Synthesize the single-stream zero cut — the
-		// snapshot is then consistent with "nothing replayed", which is the
-		// only cut an empty vector can honestly claim.
-		ckEnds = []wal.LSN{0}
-	}
+// the log (ckEnd is the resulting stable end). Pages are copied to the
+// side so the barrier can be released before disk writes begin.
+func (s *Set) Begin(arena *mem.Arena, att, meta []byte, ckEnd wal.LSN) *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	img := 0
@@ -320,12 +249,11 @@ func (s *Set) Begin(arena *mem.Arena, att, meta []byte, ckEnds []wal.LSN) *Snaps
 		img = 1 - s.anchor.Current
 	}
 	snap := &Snapshot{
-		image:  img,
-		Pages:  make(map[mem.PageID][]byte),
-		ATT:    att,
-		Meta:   meta,
-		CKEnd:  ckEnds[0],
-		CKEnds: append([]wal.LSN(nil), ckEnds...),
+		image: img,
+		Pages: make(map[mem.PageID][]byte),
+		ATT:   att,
+		Meta:  meta,
+		CKEnd: ckEnd,
 	}
 	if !s.initialized[img] {
 		for id := 0; id < arena.NumPages(); id++ {
@@ -414,15 +342,6 @@ func (s *Set) Write(snap *Snapshot, arenaSize int) error {
 	for _, cw := range cws {
 		mb = binary.LittleEndian.AppendUint64(mb, uint64(cw))
 	}
-	// Multi-stream checkpoints append the per-stream cut after the page
-	// codewords; single-stream meta files keep the historical layout
-	// byte-for-byte (loadImage detects the vector by leftover length).
-	if len(snap.CKEnds) > 1 {
-		mb = binary.LittleEndian.AppendUint64(mb, uint64(len(snap.CKEnds)))
-		for _, e := range snap.CKEnds {
-			mb = binary.LittleEndian.AppendUint64(mb, uint64(e))
-		}
-	}
 	sum := crc32.Checksum(mb, crcTable)
 	mb = binary.LittleEndian.AppendUint32(mb, sum)
 	if err := iofault.WriteFileSync(s.fs, filepath.Join(s.dir, metaName(snap.image)), mb); err != nil {
@@ -442,9 +361,6 @@ func (s *Set) Certify(snap *Snapshot, auditSN wal.LSN) error {
 		SeqNo:   s.anchor.SeqNo + 1,
 		CKEnd:   snap.CKEnd,
 		AuditSN: auditSN,
-	}
-	if len(snap.CKEnds) > 1 {
-		a.CKEnds = append([]wal.LSN(nil), snap.CKEnds...)
 	}
 	if err := s.writeAnchor(a); err != nil {
 		return err
@@ -509,17 +425,12 @@ func Load(fsys iofault.FS, dir string) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckEnd, ckEnds, img, entries, meta, err := loadImage(fsys, dir, a.Current)
+	ckEnd, img, entries, meta, err := loadImage(fsys, dir, a.Current)
 	if err != nil {
 		return nil, err
 	}
 	if ckEnd != a.CKEnd {
 		return nil, fmt.Errorf("%w: meta CK_end %d disagrees with anchor %d", ErrImageCorrupt, ckEnd, a.CKEnd)
-	}
-	if len(a.CKEnds) == 0 && len(ckEnds) > 1 {
-		// Anchor written before the set widened (or by an older binary):
-		// trust the meta file's own vector, which certifies with the image.
-		a.CKEnds = ckEnds
 	}
 	return &Loaded{
 		Anchor:     a,
@@ -549,14 +460,13 @@ func LoadFallback(fsys iofault.FS, dir string) (*Loaded, error) {
 		return nil, err
 	}
 	fb := 1 - a.Current
-	ckEnd, ckEnds, img, entries, meta, err := loadImage(fsys, dir, fb)
+	ckEnd, img, entries, meta, err := loadImage(fsys, dir, fb)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: fallback image %d: %w", fb, err)
 	}
 	la := a
 	la.Current = fb
 	la.CKEnd = ckEnd
-	la.CKEnds = ckEnds // the fallback meta's own cut, not the anchored one
 	la.AuditSN = 0
 	return &Loaded{
 		Anchor:     la,
@@ -567,44 +477,43 @@ func LoadFallback(fsys iofault.FS, dir string) (*Loaded, error) {
 }
 
 // loadImage reads and verifies one checkpoint image and its meta file,
-// returning the meta's CK_end, its per-stream cut (nil for single-stream
-// meta files), the image bytes, the checkpointed ATT and the database
-// metadata. Every verification failure wraps ErrImageCorrupt.
-func loadImage(fsys iofault.FS, dir string, image int) (wal.LSN, []wal.LSN, []byte, []*wal.TxnEntry, []byte, error) {
+// returning the meta's CK_end, the image bytes, the checkpointed ATT and
+// the database metadata. Every verification failure wraps ErrImageCorrupt.
+func loadImage(fsys iofault.FS, dir string, image int) (wal.LSN, []byte, []*wal.TxnEntry, []byte, error) {
 	img, err := fsys.ReadFile(filepath.Join(dir, imageName(image)))
 	if err != nil {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: read image: %v", ErrImageCorrupt, err)
+		return 0, nil, nil, nil, fmt.Errorf("%w: read image: %v", ErrImageCorrupt, err)
 	}
 	mb, err := fsys.ReadFile(filepath.Join(dir, metaName(image)))
 	if err != nil {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: read meta: %v", ErrImageCorrupt, err)
+		return 0, nil, nil, nil, fmt.Errorf("%w: read meta: %v", ErrImageCorrupt, err)
 	}
 	if len(mb) < 20 {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: meta too short", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: meta too short", ErrImageCorrupt)
 	}
 	body, sumb := mb[:len(mb)-4], mb[len(mb)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(sumb) {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: meta checksum mismatch", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: meta checksum mismatch", ErrImageCorrupt)
 	}
 	ckEnd := wal.LSN(binary.LittleEndian.Uint64(body))
 	pos := 8
 	attLen := int(binary.LittleEndian.Uint64(body[pos:]))
 	pos += 8
 	if pos+attLen > len(body) {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: meta truncated", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: meta truncated", ErrImageCorrupt)
 	}
 	entries, err := wal.DecodeEntries(body[pos : pos+attLen])
 	if err != nil {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: decode ATT: %v", ErrImageCorrupt, err)
+		return 0, nil, nil, nil, fmt.Errorf("%w: decode ATT: %v", ErrImageCorrupt, err)
 	}
 	pos += attLen
 	if pos+8 > len(body) {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: meta truncated", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: meta truncated", ErrImageCorrupt)
 	}
 	metaLen := int(binary.LittleEndian.Uint64(body[pos:]))
 	pos += 8
 	if pos+metaLen > len(body) {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: meta truncated", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: meta truncated", ErrImageCorrupt)
 	}
 	meta := append([]byte(nil), body[pos:pos+metaLen]...)
 	pos += metaLen
@@ -614,32 +523,18 @@ func loadImage(fsys iofault.FS, dir string, image int) (wal.LSN, []wal.LSN, []by
 	// write, truncation, tampering) must not be trusted as a recovery
 	// starting point.
 	if pos+8 > len(body) {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: meta truncated (no page codewords)", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: meta truncated (no page codewords)", ErrImageCorrupt)
 	}
 	numPages := int(binary.LittleEndian.Uint64(body[pos:]))
 	pos += 8
 	if pos+8*numPages > len(body) {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: page codeword table truncated", ErrImageCorrupt)
+		return 0, nil, nil, nil, fmt.Errorf("%w: page codeword table truncated", ErrImageCorrupt)
 	}
 	if numPages == 0 || len(img)%numPages != 0 {
-		return 0, nil, nil, nil, nil, fmt.Errorf("%w: image size %d not divisible into %d pages", ErrImageCorrupt, len(img), numPages)
+		return 0, nil, nil, nil, fmt.Errorf("%w: image size %d not divisible into %d pages", ErrImageCorrupt, len(img), numPages)
 	}
-	// Per-stream cut (multi-stream checkpoints only): appended after the
-	// codeword table; a historical meta file ends exactly at the table.
-	var ckEnds []wal.LSN
-	if vpos := pos + 8*numPages; vpos+8 <= len(body) {
-		n := int(binary.LittleEndian.Uint64(body[vpos:]))
-		vpos += 8
-		if n < 2 || vpos+8*n != len(body) {
-			return 0, nil, nil, nil, nil, fmt.Errorf("%w: stream cut vector malformed", ErrImageCorrupt)
-		}
-		ckEnds = make([]wal.LSN, n)
-		for i := 0; i < n; i++ {
-			ckEnds[i] = wal.LSN(binary.LittleEndian.Uint64(body[vpos+8*i:]))
-		}
-		if ckEnds[0] != ckEnd {
-			return 0, nil, nil, nil, nil, fmt.Errorf("%w: stream 0 cut %d disagrees with CK_end %d", ErrImageCorrupt, ckEnds[0], ckEnd)
-		}
+	if pos+8*numPages != len(body) {
+		return 0, nil, nil, nil, fmt.Errorf("%w: %d bytes past the page codeword table", ErrImageCorrupt, len(body)-pos-8*numPages)
 	}
 	pageSize := len(img) / numPages
 	// The verification scan is pure (no state but the image bytes), so it
@@ -659,11 +554,11 @@ func loadImage(fsys iofault.FS, dir string, image int) (wal.LSN, []wal.LSN, []by
 		if id >= 0 {
 			stored := region.Codeword(binary.LittleEndian.Uint64(body[pos+8*id:]))
 			actual := region.Compute(img[id*pageSize : (id+1)*pageSize])
-			return 0, nil, nil, nil, nil, fmt.Errorf("%w: image page %d (stored %016x, actual %016x)",
+			return 0, nil, nil, nil, fmt.Errorf("%w: image page %d (stored %016x, actual %016x)",
 				ErrImageCorrupt, id, uint64(stored), uint64(actual))
 		}
 	}
-	return ckEnd, ckEnds, img, entries, meta, nil
+	return ckEnd, img, entries, meta, nil
 }
 
 func imageName(i int) string {
@@ -679,4 +574,3 @@ func metaName(i int) string {
 	}
 	return metaBName
 }
-

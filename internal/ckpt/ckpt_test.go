@@ -28,7 +28,7 @@ func TestAnchorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(a) {
+	if got != a {
 		t.Fatalf("roundtrip: %+v != %+v", got, a)
 	}
 }
@@ -60,7 +60,7 @@ func TestOpenEmptyDir(t *testing.T) {
 
 func fullCheckpoint(t *testing.T, s *Set, arena *mem.Arena, att, meta []byte, ckEnd, auditSN wal.LSN) {
 	t.Helper()
-	snap := s.Begin(arena, att, meta, []wal.LSN{ckEnd})
+	snap := s.Begin(arena, att, meta, ckEnd)
 	if err := s.Write(snap, arena.Size()); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCheckpointAndLoad(t *testing.T) {
 	if string(l.Meta) != "catalog-bytes" {
 		t.Fatalf("loaded meta: %q", l.Meta)
 	}
-	if !l.Anchor.Equal(a) {
+	if l.Anchor != a {
 		t.Fatalf("loaded anchor %+v != %+v", l.Anchor, a)
 	}
 }
@@ -142,7 +142,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyPages(t *testing.T) {
 	// Dirty page 3, checkpoint: snapshot must contain only page 3.
 	arena.Page(3)[0] = 0xAB
 	s.NoteDirty(3)
-	snap := s.Begin(arena, nil, nil, []wal.LSN{3})
+	snap := s.Begin(arena, nil, nil, 3)
 	if len(snap.Pages) != 1 {
 		t.Fatalf("snapshot holds %d pages, want 1", len(snap.Pages))
 	}
@@ -181,7 +181,7 @@ func TestDirtySetsPerImage(t *testing.T) {
 		t.Fatalf("dirty counts = %d,%d", d0, d1)
 	}
 	// Checkpoint to image A consumes A's set; B still remembers page 1.
-	snapA := s.Begin(arena, nil, nil, []wal.LSN{3})
+	snapA := s.Begin(arena, nil, nil, 3)
 	if len(snapA.Pages) != 1 {
 		t.Fatalf("image A snapshot pages = %d", len(snapA.Pages))
 	}
@@ -191,7 +191,7 @@ func TestDirtySetsPerImage(t *testing.T) {
 	if err := s.Certify(snapA, 3); err != nil {
 		t.Fatal(err)
 	}
-	snapB := s.Begin(arena, nil, nil, []wal.LSN{4})
+	snapB := s.Begin(arena, nil, nil, 4)
 	if len(snapB.Pages) != 1 {
 		t.Fatalf("image B snapshot pages = %d (page 1 forgotten or duplicated)", len(snapB.Pages))
 	}
@@ -210,7 +210,7 @@ func TestCrashBeforeCertifyKeepsOldCheckpoint(t *testing.T) {
 	// Second checkpoint writes the image but "crashes" before Certify.
 	arena.Page(0)[0] = 0xFF
 	s.NoteDirty(0)
-	snap := s.Begin(arena, nil, []byte("v2"), []wal.LSN{2})
+	snap := s.Begin(arena, nil, []byte("v2"), 2)
 	if err := s.Write(snap, arena.Size()); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestReopenForcesFullRewrite(t *testing.T) {
 	if !ok || a.SeqNo != 2 {
 		t.Fatalf("anchor after reopen: %+v ok=%v", a, ok)
 	}
-	snap := s2.Begin(arena, nil, nil, []wal.LSN{3})
+	snap := s2.Begin(arena, nil, nil, 3)
 	if len(snap.Pages) != arena.NumPages() {
 		t.Fatalf("post-reopen snapshot pages = %d, want all %d", len(snap.Pages), arena.NumPages())
 	}
@@ -322,7 +322,7 @@ func TestIncrementalCheckpointMaintainsPageCodewords(t *testing.T) {
 	// verifiable.
 	arena.Page(5)[100] = 0x42
 	s.NoteDirty(5)
-	snap := s.Begin(arena, nil, nil, []wal.LSN{3})
+	snap := s.Begin(arena, nil, nil, 3)
 	if err := s.Write(snap, arena.Size()); err != nil {
 		t.Fatal(err)
 	}

@@ -351,7 +351,7 @@ func TestCheckpointRefusedWhenCorrupt(t *testing.T) {
 		t.Fatalf("checkpoint of corrupt database: %v", err)
 	}
 	a2, _ := db.Internals().Checkpoints.Anchor()
-	if !a2.Equal(a1) {
+	if a2 != a1 {
 		t.Fatal("corrupt checkpoint was certified")
 	}
 }

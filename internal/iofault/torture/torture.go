@@ -39,10 +39,9 @@ type Config struct {
 	// transactions (0 = only the post-load checkpoint).
 	Txns            int
 	CheckpointEvery int
-	// LogStreams shards the WAL into this many independent streams
-	// (core.Config.LogStreams; 0/1 = the historical single system.log).
-	// Crash points then land in every stream file's writes and fsyncs.
-	LogStreams int
+	// kind is the protection scheme the workload runs under (DefaultConfig:
+	// data codewords); the package's own sweeps vary it.
+	kind protect.Kind
 }
 
 // DefaultConfig is the exhaustive-test workload: small enough that the
@@ -52,12 +51,13 @@ type Config struct {
 // sync, not just log flushes).
 func DefaultConfig() Config {
 	return Config{
-		PageSize:  4096,
-		ArenaSize: 32 << 10,
-		Slots:     8,
-		RecSize:   64,
-		Txns:      12,
+		PageSize:        4096,
+		ArenaSize:       32 << 10,
+		Slots:           8,
+		RecSize:         64,
+		Txns:            12,
 		CheckpointEvery: 4,
+		kind:            protect.KindDataCW,
 	}
 }
 
@@ -71,19 +71,19 @@ func SmokeConfig() Config {
 
 // CoreConfig is the database configuration the workload runs under:
 // single-threaded scan pool (fully deterministic I/O-point sequence),
-// data codewords with small regions, and no log compaction — retaining
+// data codewords (DefaultConfig's scheme) with small regions, and no log
+// compaction — retaining
 // the log keeps the older ping-pong image recoverable, which the
 // torn-page fallback path depends on.
 func CoreConfig(dir string, fsys iofault.FS, c Config) core.Config {
 	return core.Config{
-		Dir:       dir,
-		ArenaSize: c.ArenaSize,
-		PageSize:  c.PageSize,
-		Protect:   protect.Config{Kind: protect.KindDataCW, RegionSize: 64},
-		Workers:   1,
-		LogStreams: c.LogStreams,
+		Dir:                  dir,
+		ArenaSize:            c.ArenaSize,
+		PageSize:             c.PageSize,
+		Protect:              protect.Config{Kind: c.kind, RegionSize: 64},
+		Workers:              1,
 		DisableLogCompaction: true,
-		FS:        fsys,
+		FS:                   fsys,
 	}
 }
 

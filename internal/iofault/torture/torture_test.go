@@ -10,6 +10,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/iofault"
+	"repro/internal/protect"
 	"repro/internal/recovery"
 	"repro/internal/wal"
 )
@@ -95,38 +96,34 @@ func TestTortureSmoke(t *testing.T) {
 	}
 }
 
-// TestCrashPointExhaustiveMultiStream reruns the exhaustive sweep with
-// the WAL sharded into three streams: crash points now land in every
-// stream file's writes and fsyncs (including the per-stream syncs that
-// make the file set durable at open), and recovery must still converge to
-// acked-commits-exact from each of them by merging the surviving streams
-// in GSN order.
+// TestCrashPointExhaustiveMultiStream reruns the exhaustive sweep under
+// codewords in the read log instead of DefaultConfig's data codewords:
+// every physical redo record then carries its region's codeword, and every
+// recovery runs the delete-transaction algorithm, checking each logged
+// codeword against the image being rebuilt. From every crash point it must
+// still converge to acked-commits-exact, deleting nothing.
 func TestCrashPointExhaustiveMultiStream(t *testing.T) {
 	c := DefaultConfig()
 	if testing.Short() {
 		c = SmokeConfig()
 	}
-	c.LogStreams = 3
+	c.kind = protect.KindCWReadLog
 	root := t.TempDir()
 	n, err := CountPoints(filepath.Join(root, "dry"), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The multi-stream workload must actually spread I/O across stream
-	// files — otherwise the sweep silently degenerates to the S=1 one.
-	for i := 0; i < c.LogStreams; i++ {
-		if _, err := os.Stat(filepath.Join(root, "dry", wal.StreamFileName(i))); err != nil {
-			t.Fatalf("dry run left no stream file %d: %v", i, err)
-		}
-	}
-	t.Logf("multi-stream workload has %d I/O points", n)
+	t.Logf("codeword read-logging workload has %d I/O points", n)
 	for k := int64(0); k < int64(n); k++ {
-		_, _, verr := CrashPoint(
+		_, rep, verr := CrashPoint(
 			filepath.Join(root, fmt.Sprintf("w%d", k)),
 			filepath.Join(root, fmt.Sprintf("r%d", k)),
 			c, k)
 		if verr != nil {
 			t.Fatalf("crash at I/O point %d/%d: %v", k, n, verr)
+		}
+		if !rep.FreshDatabase && (!rep.CWMode || len(rep.Deleted) != 0) {
+			t.Fatalf("crash at I/O point %d/%d: cw mode %v, deleted %v; want the codeword pass to delete nothing", k, n, rep.CWMode, rep.Deleted)
 		}
 	}
 }
@@ -174,7 +171,7 @@ func TestPoisonedLogFailsEverything(t *testing.T) {
 	}
 	fsys := iofault.NewFaultFS(dir)
 	fsys.FailNthSync(1)
-	l, err := wal.OpenSystemLogFS(fsys, dir, 4096)
+	l, err := wal.OpenSystemLogFS(fsys, dir, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +239,7 @@ func TestENOSPCDuringCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint error = %v, want ErrNoSpace in chain", err)
 	}
 	anchorAfter, ok := db.Internals().Checkpoints.Anchor()
-	if !ok || !anchorAfter.Equal(anchorBefore) {
+	if !ok || anchorAfter != anchorBefore {
 		t.Fatalf("failed checkpoint moved the anchor: %+v -> %+v", anchorBefore, anchorAfter)
 	}
 	// With space back, the next checkpoint completes.

@@ -49,7 +49,7 @@ func CacheRecover(db *core.DB, ranges []Range) error {
 			copy(arena.Slice(r.Start, r.Len), loaded.Image[r.Start:int(r.Start)+r.Len])
 		}
 		// Replay committed physical history over the ranges.
-		cur, err := wal.OpenCursor(db.FS(), db.Config().Dir, loaded.Anchor.Vector())
+		cur, err := wal.OpenCursor(db.FS(), db.Config().Dir, &loaded.Anchor.CKEnd)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -30,11 +31,14 @@ import (
 // without decisions, checkpoints with transactions in flight, and for the
 // read-logging schemes a wild write that a carrier transaction spreads —
 // then crashes it. Recovery's outcome (the arena, byte for byte, and the
-// report) is compared with testdata/equiv_golden.json, which was written
-// by this same test running on the pipeline of PR 12 (materialized
-// []StreamRecord scan, an undo log for every transaction), before the
-// streaming cursor and loser-only undo replaced it. A digest that moves
-// means restart recovery changed what it recovers, not how fast.
+// report) is compared with testdata/equiv_golden.json. The file was first
+// written on the pipeline the streaming cursor and loser-only undo
+// replaced (a materialized scan, an undo log for every transaction), and
+// regenerated only when the log became a single stream: the digest lost
+// its stream count and GSN gaps, and the S3 cases' Audit_SN became an LSN
+// of the one log; arena, deleted, rolled-back, in-doubt, decision and
+// final-corrupt fields did not move. A digest that moves means restart
+// recovery changed what it recovers, not how fast.
 //
 // Regenerate with `go test ./internal/recovery -run TestRestartEquivalence
 // -update-equiv` only for a change that is meant to alter the recovered
@@ -76,14 +80,18 @@ func init() {
 }
 
 type equivCase struct {
-	kind    protect.Kind
-	streams int
-	workers int  // core.Config.Workers: the pool that recomputes and certifies the recovered image
-	fault   bool // wild write + carrier transaction; audited unless the scheme logs codewords
+	kind protect.Kind
+	// sessions (S in the case name) is the number of restart sessions run
+	// over the crashed history: recover, then crash and recover again until
+	// S sessions have run. Every later session must recover the first
+	// one's arena and in-doubt set.
+	sessions int
+	workers  int  // core.Config.Workers: the pool that recomputes and certifies the recovered image
+	fault    bool // wild write + carrier transaction; audited unless the scheme logs codewords
 }
 
 func (c equivCase) name(seed int64) string {
-	return fmt.Sprintf("%s/S%d/w%d/fault=%v/seed%d", c.kind, c.streams, c.workers, c.fault, seed)
+	return fmt.Sprintf("%s/S%d/w%d/fault=%v/seed%d", c.kind, c.sessions, c.workers, c.fault, seed)
 }
 
 var equivCases = []equivCase{
@@ -372,15 +380,14 @@ func equivDigest(db *core.DB, rep *Report) string {
 	for _, g := range gids {
 		dec = append(dec, fmt.Sprintf("%d=%v", g, rep.Decisions[g]))
 	}
-	return fmt.Sprintf("arena=%x scanned=%d applied=%d streams=%d corruption=%v cw=%v auditSN=%d seed=%v deleted=%v rolledback=%v indoubt=%v decisions=[%s] gaps=%v final=%v",
-		sum[:12], rep.RecordsScanned, rep.RedoApplied, rep.LogStreams,
+	return fmt.Sprintf("arena=%x scanned=%d applied=%d corruption=%v cw=%v auditSN=%d seed=%v deleted=%v rolledback=%v indoubt=%v decisions=[%s] final=%v",
+		sum[:12], rep.RecordsScanned, rep.RedoApplied,
 		rep.CorruptionMode, rep.CWMode, rep.AuditSN, rep.SeedCorrupt, rep.Deleted, rep.RolledBack,
-		rep.InDoubt, strings.Join(dec, ","), rep.GSNGaps, rep.FinalCorrupt)
+		rep.InDoubt, strings.Join(dec, ","), rep.FinalCorrupt)
 }
 
 func equivConfig(t *testing.T, c equivCase) core.Config {
 	cfg := testConfig(t, protect.Config{Kind: c.kind, RegionSize: 64})
-	cfg.LogStreams = c.streams
 	cfg.Workers = c.workers
 	return cfg
 }
@@ -408,8 +415,25 @@ func TestRestartEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer db.Close()
 					d := equivDigest(db, rep)
+					arena := append([]byte(nil), db.Internals().Arena.Bytes()...)
+					for s := 2; s <= c.sessions; s++ {
+						if err := db.Crash(); err != nil {
+							t.Fatal(err)
+						}
+						again, rep2, err := Open(cfg, Options{})
+						if err != nil {
+							t.Fatalf("session %d: %v", s, err)
+						}
+						db = again
+						if !bytes.Equal(db.Internals().Arena.Bytes(), arena) {
+							t.Errorf("session %d recovered a different arena", s)
+						}
+						if !reflect.DeepEqual(rep2.InDoubt, rep.InDoubt) {
+							t.Errorf("session %d: in doubt %v, first session %v", s, rep2.InDoubt, rep.InDoubt)
+						}
+					}
+					defer db.Close()
 					mu.Lock()
 					got[c.name(seed)] = d
 					mu.Unlock()
@@ -476,11 +500,15 @@ func (f *recordingFile) ReadAt(p []byte, off int64) (int, error) {
 // buffer the pipeline read the log into is overwritten after Open returns;
 // aborting the in-doubt transactions must still restore the exact values
 // their records held before they ran.
+//
+// S is the number of restart sessions before the rollback: with S3 the
+// database is recovered, crashed and recovered again, twice, so the
+// in-doubt transactions' undo logs come back through two completion
+// checkpoints' ATT images as well.
 func TestRecoveredUndoLogsOwnTheirBytes(t *testing.T) {
-	for _, streams := range []int{1, 3} {
-		t.Run(fmt.Sprintf("S%d", streams), func(t *testing.T) {
+	for _, sessions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("S%d", sessions), func(t *testing.T) {
 			cfg := testConfig(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
-			cfg.LogStreams = streams
 			db, tb := setupTable(t, cfg, 8)
 			before := make([][]byte, 8)
 			for s := range before {
@@ -509,6 +537,12 @@ func TestRecoveredUndoLogsOwnTheirBytes(t *testing.T) {
 			rfs := &recordingFS{FS: iofault.OS}
 			cfg.FS = rfs
 			db2, tb2, rep := reopen(t, cfg, Options{})
+			for s := 2; s <= sessions; s++ {
+				if err := db2.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				db2, tb2, rep = reopen(t, cfg, Options{})
+			}
 			defer db2.Close()
 			if len(rep.InDoubt) != 3 {
 				t.Fatalf("in-doubt = %v, want 3 transactions", rep.InDoubt)

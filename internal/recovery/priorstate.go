@@ -60,9 +60,7 @@ func boundaryAtOrBefore(fsys iofault.FS, dir string, target wal.LSN) (wal.LSN, e
 	if target < base {
 		return 0, fmt.Errorf("recovery: prior-state target %d precedes the retained log (base %d)", target, base)
 	}
-	// Prior-state recovery cuts the historical single-stream log: stream 0
-	// is the only file read.
-	cur, err := wal.OpenStreamCursor(fsys, dir, 0, nil)
+	cur, err := wal.OpenCursor(fsys, dir, nil)
 	if err != nil {
 		return 0, err
 	}

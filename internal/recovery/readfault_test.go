@@ -3,6 +3,7 @@ package recovery
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -18,8 +19,9 @@ import (
 // subtests pass recovery a faulted filesystem it never consults, recovery
 // succeeds cleanly, and the tests fail.
 
-// TestRecoveryObservesFailedRead arms a hard failure of the very first
-// read (the checkpoint anchor) and requires recovery to surface it.
+// TestRecoveryObservesFailedRead arms a hard failure of the checkpoint
+// anchor's read — the second read recovery makes, after the log header it
+// probes first — and requires recovery to surface it.
 func TestRecoveryObservesFailedRead(t *testing.T) {
 	cfg := testConfig(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
 	db, tb := setupTable(t, cfg, 4)
@@ -29,10 +31,10 @@ func TestRecoveryObservesFailedRead(t *testing.T) {
 	}
 
 	ffs := iofault.NewFaultFS(cfg.Dir)
-	ffs.FailNthRead(1)
+	ffs.FailNthRead(2)
 	fcfg := cfg
 	fcfg.FS = ffs
-	if db, _, err := Open(fcfg, Options{}); !errors.Is(err, iofault.ErrInjected) {
+	if db, _, err := Open(fcfg, Options{}); !errors.Is(err, iofault.ErrInjected) || !strings.Contains(err.Error(), "anchor") {
 		if err == nil {
 			db.Close()
 		}

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,8 +72,6 @@ type Report struct {
 	// physical records applied to the image.
 	RecordsScanned int
 	RedoApplied    int
-	// LogStreams is the stream count of the recovered database's log set.
-	LogStreams int
 	// CorruptionMode reports whether the delete-transaction algorithm
 	// ran; CWMode whether the codeword-in-read-log variant was used.
 	CorruptionMode bool
@@ -93,16 +92,6 @@ type Report struct {
 	// other ping-pong image instead, replaying the log from its older
 	// CK_end.
 	UsedFallbackImage bool
-	// GSNGaps lists holes found in the merged scan's stamped-GSN
-	// sequence. GSNs are stamped densely within a session (per-open epoch
-	// records absorb the counter re-seed), and the commit path forces every
-	// record below an acknowledged commit durable across streams before
-	// acking — so a gap means a record that surviving sibling-stream
-	// records may depend on was lost, and the recovered state past the
-	// first gap should not be trusted blindly. Recovery still replays
-	// (surviving records are better applied than dropped) but surfaces the
-	// holes here, in the recovery.gsn_gaps counter, and as events.
-	GSNGaps []wal.GSNGap
 	// InDoubt lists 2PC-prepared transactions recovery left attached
 	// (neither undone nor released), sorted by ID. The opener must resolve
 	// each against its coordinator's decision.
@@ -132,11 +121,18 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 	report := &Report{}
 
 	anchorExists := fileExists(filepath.Join(cfg.Dir, ckpt.AnchorFileName))
-	nStreams, err := wal.DetectStreamsFS(cfg.FS, cfg.Dir)
+	// The log's base is what a fallback image is checked against; reading
+	// it first also refuses a multi-stream directory before anything in it
+	// is loaded or written.
+	logBase, err := wal.LogBaseFS(cfg.FS, cfg.Dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: %w", err)
 	}
-	logExists := nStreams > 0
+	_, err = cfg.FS.Stat(filepath.Join(cfg.Dir, wal.LogFileName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("recovery: %w", err)
+	}
+	logExists := err == nil
 	if !anchorExists && !logExists {
 		db, err := core.Open(cfg)
 		if err != nil {
@@ -153,7 +149,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		image   []byte
 		meta    []byte
 		entries = make(map[wal.TxnID]*wal.TxnEntry)
-		ckEnds  []wal.LSN
+		ckEnd   wal.LSN
 		auditSN wal.LSN
 		fbFrom  int // images involved in a fallback load, for the event
 		fbTo    int
@@ -173,18 +169,9 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 			if fberr != nil {
 				return nil, nil, fmt.Errorf("recovery: %w (fallback image also unusable: %v)", loadErr, fberr)
 			}
-			bases, berr := wal.LogBasesFS(cfg.FS, cfg.Dir)
-			if berr != nil {
-				return nil, nil, fmt.Errorf("recovery: %w (fallback log base: %v)", loadErr, berr)
-			}
-			fbVec := fb.Anchor.Vector()
-			for i, base := range bases {
-				// Streams beyond the fallback's vector replay from their own
-				// base, which trivially reaches back far enough.
-				if i < len(fbVec) && base > fbVec[i] {
-					return nil, nil, fmt.Errorf("recovery: %w (fallback image needs stream %d log from %d but it was compacted to %d)",
-						loadErr, i, fbVec[i], base)
-				}
+			if logBase > fb.Anchor.CKEnd {
+				return nil, nil, fmt.Errorf("recovery: %w (fallback image needs the log from %d but it was compacted to %d)",
+					loadErr, fb.Anchor.CKEnd, logBase)
 			}
 			loaded, err = fb, nil
 			report.UsedFallbackImage = true
@@ -200,7 +187,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		}
 		image = loaded.Image
 		meta = loaded.Meta
-		ckEnds = loaded.Anchor.Vector()
+		ckEnd = loaded.Anchor.CKEnd
 		auditSN = loaded.Anchor.AuditSN
 		report.CheckpointSeq = loaded.Anchor.SeqNo
 		for _, e := range loaded.ATTEntries {
@@ -210,7 +197,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		image = make([]byte, imageSize)
 	}
 	load := time.Since(start)
-	db, rep, err := openFrom(cfg, image, meta, entries, ckEnds, auditSN, opts, report)
+	db, rep, err := openFrom(cfg, image, meta, entries, ckEnd, auditSN, opts, report)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -233,10 +220,6 @@ type ImageState struct {
 	Meta    []byte
 	CKEnd   wal.LSN
 	AuditSN wal.LSN
-	// CKEnds is the per-stream consistency vector for multi-stream logs
-	// (entry 0 equals CKEnd). Empty means single-stream: streams beyond
-	// the vector replay from their base.
-	CKEnds []wal.LSN
 }
 
 // OpenFromImage runs restart recovery from an externally supplied image
@@ -255,15 +238,11 @@ func OpenFromImage(cfg core.Config, st ImageState, opts Options) (*core.DB, *Rep
 		return nil, nil, fmt.Errorf("recovery: supplied image is %d bytes, config implies %d",
 			len(st.Image), imageSize)
 	}
-	ckEnds := st.CKEnds
-	if len(ckEnds) == 0 {
-		ckEnds = []wal.LSN{st.CKEnd}
-	}
-	report := &Report{ScanStart: st.CKEnd}
+	report := &Report{}
 	image := append([]byte(nil), st.Image...)
 	load := time.Since(start)
 	db, rep, err := openFrom(cfg, image, st.Meta, make(map[wal.TxnID]*wal.TxnEntry),
-		ckEnds, st.AuditSN, opts, report)
+		st.CKEnd, st.AuditSN, opts, report)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,7 +255,7 @@ func OpenFromImage(cfg core.Config, st ImageState, opts Options) (*core.DB, *Rep
 // database's registry (recovery.*_ns); the phases are contiguous, so with
 // the caller's load phase they sum to the time the open took.
 func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.TxnEntry,
-	ckEnds []wal.LSN, auditSN wal.LSN, opts Options, report *Report) (*core.DB, *Report, error) {
+	ckEnd, auditSN wal.LSN, opts Options, report *Report) (*core.DB, *Report, error) {
 	phase := time.Now()
 	lap := func() time.Duration { // the time since the previous lap
 		now := time.Now()
@@ -284,33 +263,24 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		phase = now
 		return d
 	}
-	var ckEnd wal.LSN
-	if len(ckEnds) > 0 {
-		ckEnd = ckEnds[0]
-	}
 	report.ScanStart = ckEnd
 
-	// One read of the log: every stream from its entry in the checkpoint's
-	// stream vector (streams the vector predates, from their base) into
-	// buffers the cursor owns until Release. Both passes walk those buffers;
-	// every record they see aliases them.
-	cur, err := wal.OpenCursor(cfg.FS, cfg.Dir, ckEnds)
+	// One read of the log, from CK_end into a buffer the cursor owns until
+	// Release. Both passes walk that buffer; every record they see aliases
+	// it.
+	cur, err := wal.OpenCursor(cfg.FS, cfg.Dir, &ckEnd)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Pre-scan: locate the last clean audit (Audit_SN), gather the corrupt
 	// ranges noted by failed audits, find the ID horizon and the
-	// transactions that finished. The merge checks GSN density as it goes
-	// (Cursor.Gaps). Gaps are surfaced (report, counter, events below), not
-	// fatal: replaying the surviving records still converges the image, and
-	// the audit pass decides what state is trustworthy.
+	// transactions that finished.
 	pre, err := prescan(cur, auditSN)
 	if err != nil {
 		return nil, nil, err
 	}
-	report.GSNGaps = cur.Gaps()
-	logEnds := cur.Ends()
+	logEnd := cur.End()
 
 	pcfg := cfg.Protect.Defaulted()
 	cwMode := pcfg.Kind.LogsCodewords() && !opts.DisableCorruptionMode
@@ -325,7 +295,7 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	seed = append(seed, opts.ExtraCorrupt...)
 	report.SeedCorrupt = seed
 
-	// Redo phase: forward scan in global order, repeating history
+	// Redo phase: forward scan in log order, repeating history
 	// physically — except for transactions found to have read corrupt
 	// data, whose writes are diverted into the CorruptDataTable (§4.3).
 	scanState := &redoScan{
@@ -352,9 +322,8 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	scanTime := lap()
 
 	// The CorruptDataTable is seeded when the scan reaches Audit_SN (the
-	// begin record of the last clean audit, a stream-0 LSN): at once if the
-	// checkpoint is already past it, else at the first stream-0 record at or
-	// beyond it.
+	// begin record of the last clean audit): at once if the checkpoint is
+	// already past it, else at the first record at or beyond it.
 	seedPending := corruptionMode && !cwMode
 	if seedPending && pre.lastCleanBegin <= ckEnd {
 		scanState.seedNow()
@@ -363,7 +332,7 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	cur.Rewind()
 	for cur.Next() {
 		r := cur.Record()
-		if seedPending && cur.Stream() == 0 && r.LSN >= pre.lastCleanBegin {
+		if seedPending && r.LSN >= pre.lastCleanBegin {
 			scanState.seedNow()
 			seedPending = false
 		}
@@ -392,24 +361,15 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		Meta:      meta,
 		NextTxnID: scanState.maxTxn + 1,
 		AuditSN:   pre.maxAuditSN,
-		LogEnds:   logEnds,
+		LogEnd:    logEnd,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	report.LogStreams = db.Internals().Log.NumStreams()
 	reg := db.Observability()
 	reg.Histogram(obs.NameRecoveryScanNS).ObserveDuration(scanTime)
 	reg.Histogram(obs.NameRecoveryRedoNS).ObserveDuration(redoTime)
 	reg.Histogram(obs.NameRecoveryBuildNS).ObserveDuration(lap())
-	if len(report.GSNGaps) > 0 {
-		reg.Counter(obs.NameRecoveryGSNGaps).Add(uint64(len(report.GSNGaps)))
-		if reg.HasSinks() {
-			for _, g := range report.GSNGaps {
-				reg.Emit(obs.RecoveryGSNGapEvent{After: g.After, Next: g.Next, Stream: g.Stream})
-			}
-		}
-	}
 
 	// Undo phase: every remaining entry — incomplete transactions and
 	// deleted (corrupt) transactions alike — is rolled back, level by
@@ -446,11 +406,11 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 // are telemetry, copied out of the recovered database's registry
 // (recovery.*_ns); nothing recovery decides depends on them.
 type Phases struct {
-	Load       time.Duration // stream detection; checkpoint anchor, image and ATT read
-	Scan       time.Duration // log files read once; the pre-scan pass over them
+	Load       time.Duration // log probe; checkpoint anchor, image and ATT read
+	Scan       time.Duration // log file read once; the pre-scan pass over it
 	Redo       time.Duration // the redo pass: the scan and the apply of every physical record
-	Build      time.Duration // core.NewRecovered: arena, scheme, log set, checkpoint set
-	LogOpen    time.Duration // of Build: the log set opened at the scanned ends
+	Build      time.Duration // core.NewRecovered: arena, scheme, log, checkpoint set
+	LogOpen    time.Duration // of Build: the log opened at the scanned end
 	Recompute  time.Duration // of Build: protection state derived from the image
 	Undo       time.Duration // losers and deleted transactions rolled back
 	Checkpoint time.Duration // completion checkpoint (or, in a crash drill, the log flush)
@@ -713,7 +673,7 @@ func (s *redoScan) step(r *wal.Record) bool {
 			// The undo log may outlive the log buffer r.Undo.Args points into.
 			undo := r.Undo
 			undo.Args = append([]byte(nil), undo.Args...)
-			if err := e.CommitOp(r.Level, r.Key, undo, r.OrderLSN()); err != nil {
+			if err := e.CommitOp(r.Level, r.Key, undo, r.LSN); err != nil {
 				s.err = fmt.Errorf("recovery: %w", err)
 				return false
 			}

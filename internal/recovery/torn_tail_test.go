@@ -270,7 +270,7 @@ func TestZeroFilledLogTailRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cur.Ends()[0]; got != end || end <= logEnd {
+			if got := cur.End(); got != end || end <= logEnd {
 				t.Fatalf("valid prefix ends at %d, file at %d, padding began at %d", got, end, logEnd)
 			}
 			if last := after[len(after)-1]; last.kind != wal.KindTxnCommit || last.txn != id {

@@ -239,28 +239,24 @@ func TestCrossShardCommitSurvivesReopen(t *testing.T) {
 // at least one transaction through the in-doubt path (prepared records
 // durable, decision applied or presumed abort at open).
 func TestCrossShardTortureEveryCrashPoint(t *testing.T) {
-	runCrossShardTorture(t, 0)
-}
-
-// TestCrossShardTortureEveryCrashPointMultiStream reruns the campaign
-// with each shard's WAL sharded into two streams: crash points now land
-// inside every stream file's writes and fsyncs, and in-doubt 2PC
-// resolution must merge prepare/decision records across streams by GSN.
-func TestCrossShardTortureEveryCrashPointMultiStream(t *testing.T) {
 	runCrossShardTorture(t, 2)
 }
 
-func runCrossShardTorture(t *testing.T, logStreams int) {
+// TestCrossShardTortureEveryCrashPointMultiStream reruns the campaign
+// with three participants: the coordinator's decision now waits on two
+// remote prepares, crash points land inside three shard logs, and a crash
+// can leave one participant prepared, one committed and one untouched —
+// recovery must still converge every shard to the same outcome.
+func TestCrossShardTortureEveryCrashPointMultiStream(t *testing.T) {
+	runCrossShardTorture(t, 3)
+}
+
+func runCrossShardTorture(t *testing.T, shards int) {
 	if testing.Short() {
 		t.Skip("torture campaign is long; skipped with -short")
 	}
 
-	const K = 2
-	mkCfg := func(dir string) Config {
-		c := testConfig(t, dir, K)
-		c.LogStreams = logStreams
-		return c
-	}
+	mkCfg := func(dir string) Config { return testConfig(t, dir, shards) }
 	seed := filepath.Join(t.TempDir(), "seed")
 
 	// Build the seed state once: baseline values for one key per shard.

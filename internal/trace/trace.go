@@ -77,15 +77,13 @@ type Result struct {
 // Options configures a trace.
 type Options struct {
 	// From is the log position to scan from (a checkpoint's CK_end, or 0
-	// for the whole log). For a multi-stream log set this is a position in
-	// the global order — the GSN domain — not a stream-local LSN.
+	// for the whole log).
 	From wal.LSN
 	// SeedRanges marks byte ranges as corrupt once the scan passes SeedAt.
 	SeedRanges []recovery.Range
 	// SeedAt is the log position at which SeedRanges become corrupt — the
 	// analogue of recovery's Audit_SN (the last moment the data was known
-	// clean). Zero seeds them from the start of the scan. For a
-	// multi-stream log set this is a global (GSN-domain) position.
+	// clean). Zero seeds them from the start of the scan.
 	SeedAt wal.LSN
 	// SeedTxns marks transactions as suspect from the start: all their
 	// writes are treated as corrupt (the logical-corruption case — a
@@ -94,11 +92,7 @@ type Options struct {
 	SeedTxns []wal.TxnID
 }
 
-// Run scans the log in dir and returns the propagation report. A
-// multi-stream log set is detected automatically: every stream is scanned
-// and the records are merged into global GSN order, so taint propagates
-// in true commit order even when the carriers' records live on different
-// streams. Positions in reasons and options are then global (OrderLSN).
+// Run scans the log in dir and returns the propagation report.
 func Run(dir string, opts Options) (*Result, error) {
 	res := &Result{Generations: make(map[wal.TxnID]int)}
 	var data recovery.RangeSet
@@ -135,7 +129,7 @@ func Run(dir string, opts Options) (*Result, error) {
 
 	step := func(r *wal.Record) bool {
 		res.Records++
-		pos := r.OrderLSN()
+		pos := r.LSN
 		if !seeded && pos >= opts.SeedAt {
 			seedNow()
 		}
@@ -190,15 +184,15 @@ func Run(dir string, opts Options) (*Result, error) {
 		return true
 	}
 
-	// Every stream from its retained base (checkpoints compact the prefix
-	// away), merged into global order; From is a global-order floor, not a
-	// per-stream byte offset.
+	// The log from its retained base (checkpoints compact the prefix away);
+	// From is a floor on record positions, so it need not be a record
+	// boundary.
 	cur, err := wal.OpenCursor(iofault.OS, dir, nil)
 	if err != nil {
 		return nil, err
 	}
 	for cur.Next() {
-		if r := cur.Record(); r.OrderLSN() >= opts.From && !step(r) {
+		if r := cur.Record(); r.LSN >= opts.From && !step(r) {
 			break
 		}
 	}

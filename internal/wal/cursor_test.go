@@ -13,7 +13,7 @@ import (
 	"repro/internal/iofault"
 )
 
-// cursorTestLog writes a single-stream log of n records of mixed kinds,
+// cursorTestLog writes a log of n records of mixed kinds,
 // shaped like a TPC-B tail, and returns its directory.
 func cursorTestLog(t testing.TB, n int) string {
 	t.Helper()
@@ -86,7 +86,7 @@ func TestCursorAllocations(t *testing.T) {
 	}
 }
 
-// openEnd opens the log set in dir the way a database without a scan to
+// openEnd opens the log in dir the way a database without a scan to
 // vouch for it does, and reports the end it adopted.
 func openEnd(t *testing.T, dir string) (LSN, error) {
 	t.Helper()
@@ -111,7 +111,6 @@ func TestOpenAndScanAgreeOnTheValidPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range sampleRecords() {
-		r.GSN = 0
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +150,7 @@ func TestOpenAndScanAgreeOnTheValidPrefix(t *testing.T) {
 		if err := cur.Err(); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
-		scanEnd := cur.Ends()[0]
+		scanEnd := cur.End()
 
 		end, err := openEnd(t, dir)
 		if err != nil {
@@ -161,7 +160,7 @@ func TestOpenAndScanAgreeOnTheValidPrefix(t *testing.T) {
 			t.Fatalf("%s: open adopted end %d, scan reported %d", name, end, scanEnd)
 		}
 		// Reopen at the scanned end (the recovery path) and append.
-		l, err := OpenLogSetFS(iofault.OS, dir, 4096, 1, []LSN{scanEnd})
+		l, err := OpenSystemLogFS(iofault.OS, dir, 4096, &scanEnd)
 		if err != nil {
 			t.Fatalf("%s: open at scanned end: %v", name, err)
 		}
@@ -175,11 +174,11 @@ func TestOpenAndScanAgreeOnTheValidPrefix(t *testing.T) {
 		if marker.LSN != scanEnd {
 			t.Fatalf("%s: appended at %d, scan ended at %d", name, marker.LSN, scanEnd)
 		}
-		again, _, err := mergedScan(dir)
+		again, err := scanAll(dir)
 		if err != nil {
 			t.Fatalf("%s: rescan: %v", name, err)
 		}
-		if last := again[len(again)-1].R; len(again) != scanned+1 || last.Txn != marker.Txn || last.LSN != scanEnd {
+		if last := again[len(again)-1]; len(again) != scanned+1 || last.Txn != marker.Txn || last.LSN != scanEnd {
 			t.Fatalf("%s: rescan returned %d records ending %+v, want %d ending with the appended commit", name, len(again), last, scanned+1)
 		}
 	}
@@ -242,52 +241,36 @@ func shortPayloadFrame() []byte {
 	return append(b, payload...)
 }
 
-// TestStreamCursorReadsOneFile: a walk over one stream of a set returns that
-// stream's records in its LSN order, reports no gaps for the GSNs its
-// siblings hold, and is indifferent to a sibling the merged walk refuses.
+// TestStreamCursorReadsOneFile: the cursor reads system.log alone, in LSN
+// order, and ends where the file's valid prefix ends. Other files in the
+// directory — a compaction's leftover temporary, checkpoint files — are
+// never read, so garbage in them cannot fail the walk.
 func TestStreamCursorReadsOneFile(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLogSet(dir, 4096, 3)
+	dir := cursorTestLog(t, 30)
+	want, err := scanAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
-		if err := l.Append(&Record{Kind: KindTxnBegin, Txn: TxnID(1 + i%6)}); err != nil {
+	for _, name := range []string{LogFileName + ".compact", "ckpt_A.meta"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a log header"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	merged, _, err := mergedScan(dir)
+	cur, err := OpenCursor(iofault.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, StreamFileName(2)), []byte("not a log header"), 0o644); err != nil {
-		t.Fatal(err)
+	i := 0
+	for ; cur.Next(); i++ {
+		if i >= len(want) || cur.Record().LSN != want[i].LSN || cur.Record().Txn != want[i].Txn {
+			t.Fatalf("record %d: LSN %d txn %d, want %+v", i, cur.Record().LSN, cur.Record().Txn, want[min(i, len(want)-1)])
+		}
 	}
-	if _, err := OpenCursor(iofault.OS, dir, nil); err == nil {
-		t.Fatal("merged walk accepted a stream with a bad header")
+	if err := cur.Err(); err != nil || i != len(want) {
+		t.Fatalf("walked %d of %d records, err %v", i, len(want), err)
 	}
-	for stream := 0; stream < 2; stream++ {
-		cur, err := OpenStreamCursor(iofault.OS, dir, stream, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []LSN
-		for _, sr := range merged {
-			if sr.Stream == stream {
-				want = append(want, sr.R.LSN)
-			}
-		}
-		for i := 0; cur.Next(); i++ {
-			if i >= len(want) || cur.Record().LSN != want[i] || cur.Stream() != stream {
-				t.Fatalf("stream %d record %d: LSN %d on stream %d, want %v", stream, i, cur.Record().LSN, cur.Stream(), want)
-			}
-			want[i] = 0
-		}
-		if err := cur.Err(); err != nil || len(cur.Gaps()) != 0 || len(want) == 0 || want[len(want)-1] != 0 {
-			t.Fatalf("stream %d: err %v, gaps %v, unvisited %v", stream, err, cur.Gaps(), want)
-		}
+	last := want[len(want)-1]
+	if end := cur.End(); end != last.LSN+LSN(last.EncodedSize()) {
+		t.Fatalf("End() = %d, want %d (after the last record)", end, last.LSN+LSN(last.EncodedSize()))
 	}
 }

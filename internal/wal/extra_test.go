@@ -141,14 +141,14 @@ func TestHasUndoForKeyAcrossKinds(t *testing.T) {
 
 // TestRecordEncodedSizeMatchesForAllKinds is the property that lets
 // EncodedSize be arithmetic: for every Kind, with and without a codeword,
-// a GSN stamp, logical-undo args and a corrupt-range list, it equals the
+// logical-undo args and a corrupt-range list, it equals the
 // length of the frame Encode produces.
 func TestRecordEncodedSizeMatchesForAllKinds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		// Shifting by a random amount spreads values over every varint width.
 		u64 := func() uint64 { return rng.Uint64() >> uint(rng.Intn(64)) }
-		for k := KindPhysRedo; k <= KindGSNEpoch; k++ {
+		for k := KindPhysRedo; k <= KindTxnDecision; k++ {
 			r := &Record{
 				Kind: k, Txn: TxnID(u64()), Addr: mem.Addr(u64()), Len: int(u64() >> 1),
 				Level: uint8(rng.Intn(256)), Key: ObjectKey(u64()),
@@ -165,9 +165,6 @@ func TestRecordEncodedSizeMatchesForAllKinds(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 {
 				r.HasCW, r.CW = true, region.Codeword(rng.Uint64())
-			}
-			if rng.Intn(2) == 0 {
-				r.GSN = u64()
 			}
 			for i := rng.Intn(4); i > 0; i-- {
 				r.CorruptAddrs = append(r.CorruptAddrs, mem.Addr(u64()))

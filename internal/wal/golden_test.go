@@ -10,7 +10,7 @@ import (
 
 // goldenFrames pins the exact on-disk frame of one record of every Kind
 // (plus the optional fields: codeword, compensation flag, corrupt-range
-// list, trailing GSN). The hex was produced by the allocating encoder
+// list). The hex was produced by the allocating encoder
 // that preceded encode-in-place, so any byte the in-place encoder moves
 // fails here before it can reach a log file.
 var goldenFrames = []struct {
@@ -45,9 +45,6 @@ var goldenFrames = []struct {
 		"09000000c89a28a30a0d8d808080808040"},
 	{"txn-decision", Record{Kind: KindTxnDecision, GID: 0x0001_0000_0000_000d, Decision: true},
 		"0a0000008a1b35b00b008d80808080804001"},
-	{"gsn-epoch", Record{Kind: KindGSNEpoch, GSN: 4097}, "0400000082f5dd0d0c008120"},
-	{"phys-redo+gsn", Record{Kind: KindPhysRedo, Txn: 7, GSN: 1 << 33, Addr: 1234, Data: []byte("abcdefgh")},
-		"130000005c5475fb0107d209086162636465666768008080808020"},
 }
 
 func TestGoldenFrames(t *testing.T) {
@@ -73,7 +70,7 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: EncodedSize %d, frame is %d bytes", g.name, n, len(want))
 		}
 	}
-	for k := KindPhysRedo; k <= KindGSNEpoch; k++ {
+	for k := KindPhysRedo; k <= KindTxnDecision; k++ {
 		if !seen[k] {
 			t.Errorf("no golden frame for kind %v", k)
 		}

@@ -18,7 +18,7 @@ func TestPoisonUnderConcurrency(t *testing.T) {
 		dir := t.TempDir()
 		fsys := iofault.NewFaultFS(dir)
 		fsys.FailNthSync(failN)
-		l, err := OpenSystemLogFS(fsys, dir, 4096)
+		l, err := OpenSystemLogFS(fsys, dir, 4096, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

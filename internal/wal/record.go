@@ -82,16 +82,6 @@ const (
 	// identifies the global transaction; Decision is true for commit.
 	// Under presumed abort, a missing decision record means abort.
 	KindTxnDecision
-	// KindGSNEpoch marks the start of a GSN stamping session: a multi-stream
-	// log set appends one to stream 0 at every open, immediately after
-	// seeding its GSN counter, so the record's own GSN is the first stamp of
-	// the session. The counter is seeded above the sum of stream ends (to
-	// dominate pre-stream LSNs), which jumps past the previous session's
-	// last stamp — recovery's gap detector uses the epoch record to tell
-	// these legitimate session-boundary jumps from a genuine hole, where a
-	// record a durable commit depended on was lost. Single-stream logs
-	// never write one, preserving their byte-exact format.
-	KindGSNEpoch
 )
 
 var kindNames = map[Kind]string{
@@ -106,7 +96,6 @@ var kindNames = map[Kind]string{
 	KindAuditEnd:    "audit-end",
 	KindTxnPrepare:  "txn-prepare",
 	KindTxnDecision: "txn-decision",
-	KindGSNEpoch:    "gsn-epoch",
 }
 
 func (k Kind) String() string {
@@ -132,14 +121,6 @@ type Record struct {
 	LSN  LSN // assigned when the record enters the system log tail
 	Kind Kind
 	Txn  TxnID
-
-	// GSN is the global sequence number stamped by a multi-stream log set
-	// (wal.LogSet) under the owning stream's latch: an atomic counter shared
-	// by all streams, so (stream, LSN) pairs merge into one total order
-	// without a shared append-path latch. Zero on single-stream logs — the
-	// encoder omits a zero GSN entirely, keeping S=1 output byte-identical
-	// to the pre-stream format.
-	GSN uint64
 
 	// Physical fields (KindPhysRedo, KindRead).
 	Addr mem.Addr
@@ -225,9 +206,6 @@ func (r *Record) EncodedSize() int {
 			n += uvarintLen(uint64(r.CorruptAddrs[i])) + uvarintLen(uint64(r.CorruptLens[i]))
 		}
 	}
-	if r.GSN != 0 {
-		n += uvarintLen(r.GSN)
-	}
 	return n
 }
 
@@ -280,9 +258,8 @@ func (r *Record) encodePayload(b []byte) []byte {
 		b = appendUvarint(b, uint64(r.Undo.Key))
 		b = appendUvarint(b, uint64(len(r.Undo.Args)))
 		b = append(b, r.Undo.Args...)
-	case KindTxnBegin, KindTxnCommit, KindTxnAbort, KindGSNEpoch:
-		// Kind and Txn suffice (the epoch's session seed is carried by its
-		// own GSN stamp in the trailing field).
+	case KindTxnBegin, KindTxnCommit, KindTxnAbort:
+		// Kind and Txn suffice.
 	case KindTxnPrepare:
 		b = appendUvarint(b, r.GID)
 	case KindTxnDecision:
@@ -306,14 +283,6 @@ func (r *Record) encodePayload(b []byte) []byte {
 			b = appendUvarint(b, uint64(r.CorruptAddrs[i]))
 			b = appendUvarint(b, uint64(r.CorruptLens[i]))
 		}
-	}
-	// Optional trailing GSN: only stamped by multi-stream log sets. The
-	// decoder treats leftover payload bytes as this field, so old readers
-	// (which ignore trailing bytes) and old records (which have none)
-	// interoperate; a single-stream log never writes it, keeping its
-	// on-disk format byte-identical to the pre-stream layout.
-	if r.GSN != 0 {
-		b = appendUvarint(b, r.GSN)
 	}
 	return b
 }
@@ -408,9 +377,10 @@ func frameLen(b []byte, verify bool) int {
 }
 
 // ErrBadPayload reports a frame the walker accepts whose payload does not
-// decode (unknown kind, field past the end). Its writer checksummed exactly
-// these bytes, so it is no torn tail: scans and opens fail with this error
-// rather than truncate the record away or keep it silently.
+// decode (unknown kind, field past the end, bytes after the last field).
+// Its writer checksummed exactly these bytes, so it is no torn tail: scans
+// and opens fail with this error rather than truncate the record away or
+// keep it silently.
 var ErrBadPayload = errors.New("wal: log record has a valid checksum but does not decode")
 
 // decodePayload fills r, which the caller owns and may reuse, from one
@@ -443,7 +413,7 @@ func decodePayload(r *Record, payload []byte) error {
 		r.Undo.Op = d.byte()
 		r.Undo.Key = ObjectKey(d.uvarint())
 		r.Undo.Args = d.bytes(int(d.uvarint()))
-	case KindTxnBegin, KindTxnCommit, KindTxnAbort, KindGSNEpoch:
+	case KindTxnBegin, KindTxnCommit, KindTxnAbort:
 	case KindTxnPrepare:
 		r.GID = d.uvarint()
 	case KindTxnDecision:
@@ -462,11 +432,11 @@ func decodePayload(r *Record, payload []byte) error {
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrBadPayload, r.Kind)
 	}
-	if d.err == nil && d.pos < len(d.buf) {
-		r.GSN = d.uvarint()
-	}
 	if d.err != nil {
 		return fmt.Errorf("%w: %s payload is short", ErrBadPayload, r.Kind)
+	}
+	if d.pos != len(d.buf) {
+		return fmt.Errorf("%w: %s payload has %d bytes past its last field", ErrBadPayload, r.Kind, len(d.buf)-d.pos)
 	}
 	return nil
 }
@@ -477,17 +447,4 @@ func (d *decodeReader) codeword() (bool, region.Codeword) {
 		return false, 0
 	}
 	return true, region.Codeword(d.uint64())
-}
-
-// OrderLSN is the record's position in the global commit order: the GSN
-// when one was stamped (multi-stream log sets), the stream-local LSN
-// otherwise. Logical-undo ordering across transactions compares OrderLSNs;
-// a log set seeds its GSN counter above every byte offset already written,
-// so mixed GSN/LSN comparisons across a stream-count change stay
-// conservative-correct (newer operations always compare larger).
-func (r *Record) OrderLSN() LSN {
-	if r.GSN != 0 {
-		return LSN(r.GSN)
-	}
-	return r.LSN
 }

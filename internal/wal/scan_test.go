@@ -2,11 +2,10 @@ package wal
 
 import "repro/internal/iofault"
 
-// scanLog visits the stable records in dir from LSN from (every stream of
-// a set, merged; stream 0 starts at from) until fn returns false. Each
-// record handed to fn is a copy the test may keep.
+// scanLog visits the stable records in dir from LSN from until fn returns
+// false. Each record handed to fn is a copy the test may keep.
 func scanLog(dir string, from LSN, fn func(*Record) bool) error {
-	cur, err := OpenCursor(iofault.OS, dir, []LSN{from})
+	cur, err := OpenCursor(iofault.OS, dir, &from)
 	if err != nil {
 		return err
 	}
@@ -18,24 +17,18 @@ func scanLog(dir string, from LSN, fn func(*Record) bool) error {
 	return cur.Err()
 }
 
-// mergedScan returns every stable record in dir in global order, each
-// tagged with the stream it was read from, plus the GSN gaps the merge
-// found.
-func mergedScan(dir string) ([]streamRecord, []GSNGap, error) {
+// scanAll returns every stable record in dir, from the log's base, in LSN
+// order.
+func scanAll(dir string) ([]*Record, error) {
 	cur, err := OpenCursor(iofault.OS, dir, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var out []streamRecord
+	var out []*Record
 	for cur.Next() {
-		out = append(out, streamRecord{Stream: cur.Stream(), R: cloneRecord(cur.Record())})
+		out = append(out, cloneRecord(cur.Record()))
 	}
-	return out, cur.Gaps(), cur.Err()
-}
-
-type streamRecord struct {
-	Stream int
-	R      *Record
+	return out, cur.Err()
 }
 
 // cloneRecord detaches a cursor's record from the cursor's buffers.

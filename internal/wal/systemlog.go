@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/iofault"
@@ -77,7 +76,7 @@ func (f DirtyNoterFunc) NoteDirty(id mem.PageID) { f(id) }
 // appends so that LSNs are dense byte offsets into the (stable ++ tail)
 // byte stream.
 type SystemLog struct {
-	latch latch.Latch //dbvet:latch stream — the paper's "system log latch"; one per stream in a sharded set
+	latch latch.Latch //dbvet:latch syslog — the paper's "system log latch"
 	// flushDone is signalled whenever a flush completes; committers
 	// waiting for their records to become durable sleep on it (group
 	// commit: the latch is NOT held across the fsync, so appends and
@@ -92,8 +91,6 @@ type SystemLog struct {
 
 	fs        iofault.FS
 	dir       string
-	name      string // file name within dir (LogFileName, or a stream file)
-	stream    int    // stream index within a LogSet (0 for a standalone log)
 	f         iofault.File
 	baseLSN   LSN       // LSN of the first record in the file (post-compaction)
 	stableEnd LSN       // everything below this LSN is on disk
@@ -111,30 +108,9 @@ type SystemLog struct {
 	spareRecs []tailRec
 	pageSize  int
 
-	// gsnSrc, when non-nil, is the owning LogSet's shared global sequence
-	// counter: appendLocked stamps every record from it (under this
-	// stream's latch), giving cross-stream records a total order without a
-	// shared append-path latch. nil on standalone (single-stream) logs.
-	gsnSrc *atomic.Uint64
-	// stampedGSN is the highest GSN stamped onto a record of this stream;
-	// durableGSN is the stampedGSN value as of the capture of the last
-	// completed flush. Both are guarded by the stream latch. Because a
-	// stream's records are stamped in ascending GSN order, every volatile
-	// (not yet durable) record has GSN > durableGSN — the owning LogSet's
-	// commit path uses this to decide which sibling streams must be forced
-	// before a commit is acknowledged (cross-stream prefix durability).
-	stampedGSN uint64
-	durableGSN uint64
-
 	// poisoned, once set, permanently fails every Append/Flush (fail-stop
 	// after a stable-log write/fsync failure). Guarded by the log latch.
 	poisoned error
-	// onPoison, when set, is called exactly once at poison time (with this
-	// stream's latch held). The owning LogSet installs a hook here that
-	// fail-stops the sibling streams: it must not acquire another stream's
-	// latch synchronously (it flips a set-level atomic and fans out on a
-	// fresh goroutine).
-	onPoison func(cause error)
 
 	noters []DirtyNoter
 
@@ -155,11 +131,6 @@ type SystemLog struct {
 	hFsyncNS     *obs.Histogram
 	hFlushBytes  *obs.Histogram
 	hGroupCommit *obs.Histogram
-	// hGroupCommitStream, set by an owning multi-stream LogSet, additionally
-	// records this stream's group-commit batch sizes under a per-stream
-	// metric name, so an operator can see whether commit load spreads
-	// across streams. nil (no-op) on standalone logs.
-	hGroupCommitStream *obs.Histogram
 }
 
 // SetRegistry wires the log's metrics and events into reg: append/flush
@@ -208,12 +179,35 @@ type tailRec struct {
 // kilobytes), which every workload shares.
 const maxRetainedTail = 1 << 20
 
-// OpenSystemLogFS opens (creating if necessary) the stable log in dir
-// through fsys, so storage-fault campaigns can inject fsync failures,
-// short writes and crash points into it. pageSize translates physical
-// record addresses into dirty page notifications.
-func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int) (*SystemLog, error) {
-	return openStreamLogFS(fsys, dir, LogFileName, 0, pageSize, nil)
+// OpenLogSet opens (creating if necessary) the system log in dir on the
+// real filesystem. It is kept for callers written against the
+// multi-stream log set earlier versions had: streams must be 0 or 1, and
+// the result is the one system log.
+func OpenLogSet(dir string, pageSize, streams int) (*SystemLog, error) {
+	if streams > 1 {
+		return nil, fmt.Errorf("wal: %d log streams requested; the system log is a single stream", streams)
+	}
+	return OpenSystemLogFS(iofault.OS, dir, pageSize, nil)
+}
+
+// legacyStreamFile is the second stream file of the multi-stream log set
+// earlier versions could write. A directory holding one has committed
+// records this log cannot see, so every opener and reader refuses it
+// rather than open it as a narrower log.
+const legacyStreamFile = "system-1.log"
+
+// refuseStreams fails, naming the file, when dir holds a multi-stream log.
+// It only probes metadata: a refused directory is left as it was.
+func refuseStreams(fsys iofault.FS, dir string) error {
+	_, err := fsys.Stat(filepath.Join(dir, legacyStreamFile))
+	switch {
+	case err == nil:
+		return fmt.Errorf("wal: %s holds %s, a multi-stream log this version cannot read", dir, legacyStreamFile)
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	default:
+		return fmt.Errorf("wal: probe %s: %w", legacyStreamFile, err)
+	}
 }
 
 // readLogHeader reports the base LSN in f's header and f's size. An empty
@@ -230,16 +224,21 @@ func readLogHeader(f iofault.File) (base LSN, size int64, err error) {
 	return base, size, err
 }
 
-// openStreamLogFS opens one stream file of a log set (stream 0 is the
-// historical system.log, so single-stream databases keep their layout).
-// end, when non-nil, is the end of the file's valid prefix as a Cursor
-// that just scanned it established (Cursor.Ends), and is adopted. Otherwise
-// the open walks the file itself under a scan's rule: the valid prefix
-// ends at the first frame the walker rejects, and a frame inside it that
-// does not decode fails the open (ErrBadPayload). Either way, bytes past
-// the end are a torn tail and are truncated away.
-func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int, end *LSN) (l *SystemLog, err error) {
-	f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
+// OpenSystemLogFS opens (creating if necessary) the stable log in dir
+// through fsys, so storage-fault campaigns can inject fsync failures,
+// short writes and crash points into it. pageSize translates physical
+// record addresses into dirty page notifications. end, when non-nil, is
+// the end of the file's valid prefix as a Cursor that just scanned it
+// established (Cursor.End), and is adopted. Otherwise the open walks the
+// file itself under a scan's rule: the valid prefix ends at the first
+// frame the walker rejects, and a frame inside it that does not decode
+// fails the open (ErrBadPayload). Either way, bytes past the end are a
+// torn tail and are truncated away.
+func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int, end *LSN) (l *SystemLog, err error) {
+	if err := refuseStreams(fsys, dir); err != nil {
+		return nil, err
+	}
+	f, err := fsys.OpenFile(filepath.Join(dir, LogFileName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open system log: %w", err)
 	}
@@ -258,7 +257,7 @@ func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int, en
 		}
 		size = logHeaderSize
 	}
-	s := streamBuf{start: base}
+	s := logBuf{start: base}
 	if end != nil {
 		if s.pos = int(*end - base); *end < base || int64(s.pos) > size-logHeaderSize {
 			return nil, fmt.Errorf("wal: scanned log end %d outside the file's [%d, %d]", *end, base, base+LSN(size-logHeaderSize))
@@ -284,7 +283,7 @@ func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int, en
 		return nil, err
 	}
 	l = &SystemLog{
-		fs: fsys, dir: dir, name: name, stream: stream, f: f, baseLSN: base,
+		fs: fsys, dir: dir, f: f, baseLSN: base,
 		stableEnd: base + LSN(s.pos),
 		pageSize:  pageSize,
 	}
@@ -331,7 +330,7 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 	// on tpcb_base) would be the largest live object at the moment the
 	// collector is most likely to run, and the heap goal, hence peak RSS,
 	// follows it (397 -> 532 MB measured).
-	path := filepath.Join(l.dir, l.name)
+	path := filepath.Join(l.dir, LogFileName)
 	keep := make([]byte, l.stableEnd-keepFrom)
 	if _, err := l.f.ReadAt(keep, logHeaderSize+int64(keepFrom-l.baseLSN)); err != nil {
 		return fmt.Errorf("wal: compact read: %w", err)
@@ -404,10 +403,6 @@ func (l *SystemLog) Append(recs ...*Record) error {
 func (l *SystemLog) appendLocked(recs []*Record) {
 	for _, r := range recs {
 		r.LSN = l.endLocked()
-		if l.gsnSrc != nil {
-			r.GSN = l.gsnSrc.Add(1)
-			l.stampedGSN = r.GSN
-		}
 		before := len(l.tail)
 		l.tail = r.Encode(l.tail)
 		if r.Kind == KindPhysRedo && len(r.Data) > 0 {
@@ -440,24 +435,6 @@ func (l *SystemLog) poisonLocked(cause error) {
 		l.reg.Emit(obs.LogPoisonedEvent{Cause: cause})
 	}
 	l.flushDone.Broadcast()
-	if l.onPoison != nil {
-		// Fan-out hook: one poisoned stream fail-stops the whole log set.
-		// The hook runs with THIS stream's latch held, so it must not take
-		// a sibling's latch synchronously (the LogSet hook flips an atomic
-		// flag and poisons siblings from a fresh goroutine).
-		l.onPoison(cause)
-	}
-}
-
-// Poison fail-stops the log with the given cause, exactly as a failed
-// write/fsync would: the tail is discarded, waiters wake, and every future
-// Append/Flush fails. Used by the LogSet poison fan-out (a sibling stream
-// failed) — once any stream of a set is poisoned, no stream of the set may
-// acknowledge another commit. Poisoning an already poisoned log is a no-op.
-func (l *SystemLog) Poison(cause error) {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	l.poisonLocked(cause)
 }
 
 // Poisoned reports the poison error if the log has fail-stopped, nil
@@ -481,58 +458,6 @@ func (l *SystemLog) StableEnd() LSN {
 	l.latch.Lock()
 	defer l.latch.Unlock()
 	return l.stableEnd
-}
-
-// GSNWatermarks reports the stream's GSN high-water marks: stamped is the
-// highest GSN assigned to a record of this stream, durable the highest
-// GSN known to be on disk. stamped == durable means the stream holds no
-// volatile stamped records; otherwise every volatile record's GSN lies in
-// (durable, stamped]. Reading under the latch is what makes the pair safe
-// for cross-stream commit decisions: a sibling's append holds its latch
-// from stamp to tail insertion, so a stamp that predates our own commit
-// record is always visible here.
-func (l *SystemLog) GSNWatermarks() (stamped, durable uint64) {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	return l.stampedGSN, l.durableGSN
-}
-
-// ForceGSNCtx blocks until every record of this stream stamped at or
-// below dep is durable. It is the cross-stream dependency force of the
-// set-level commit: unlike FlushCtx, which waits for the stream's current
-// end, it returns as soon as the durable watermark covers the horizon —
-// an in-flight group commit that captured the dependency records
-// satisfies it without a second force, so concurrent committers on
-// sibling streams mostly piggyback instead of queuing extra fsyncs. Only
-// when the horizon is still volatile and no force is in flight does it
-// start one (for the whole tail, as any flusher does).
-func (l *SystemLog) ForceGSNCtx(ctx context.Context, dep uint64) error {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	var stopWatch chan struct{}
-	for l.durableGSN < dep && l.durableGSN < l.stampedGSN {
-		if l.poisoned != nil {
-			return l.poisoned
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrFlushWaitCanceled, err)
-		}
-		if l.flushing {
-			// The in-flight force may advance the durable watermark past
-			// dep; re-check after it settles instead of queuing another.
-			if ctx.Done() != nil && stopWatch == nil {
-				stopWatch = make(chan struct{})
-				defer close(stopWatch)
-				go l.watchFlushWait(ctx, stopWatch)
-			}
-			l.flushDone.Wait()
-			continue
-		}
-		if err := l.flushToLocked(ctx, l.endLocked()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Flush forces everything appended so far to the stable log and notifies
@@ -594,14 +519,10 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 			// a force that completed between our checks.
 			break
 		}
-		// Become the flusher for the whole current tail. The captured
-		// buffer holds every record appended so far, so on success the
-		// durable-GSN watermark advances to the stamp high-water mark read
-		// here, under the latch, before the force begins. The spare buffers
+		// Become the flusher for the whole current tail. The spare buffers
 		// become the tail; the captured ones are this goroutine's alone
 		// until it recycles them below.
 		buf, recs, nrecs := l.tail, l.tailRecs, l.tailCount
-		capturedGSN := l.stampedGSN
 		l.tail, l.tailRecs, l.tailCount = l.spareTail, l.spareRecs, 0
 		l.spareTail, l.spareRecs = nil, nil
 		l.flushing = true
@@ -624,7 +545,6 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		l.hFsyncNS.ObserveDuration(fsync)
 		l.hFlushBytes.Observe(uint64(len(buf)))
 		l.hGroupCommit.Observe(uint64(nrecs))
-		l.hGroupCommitStream.Observe(uint64(nrecs))
 		if ferr != nil {
 			l.mFlushErrors.Inc()
 		} else {
@@ -660,9 +580,6 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 			return l.poisoned
 		}
 		l.stableEnd += LSN(len(buf))
-		if capturedGSN > l.durableGSN {
-			l.durableGSN = capturedGSN
-		}
 		l.flushes++
 		for _, tr := range recs {
 			first := mem.PageID(uint64(tr.addr) / uint64(l.pageSize))
@@ -772,8 +689,6 @@ func (l *SystemLog) Reset() error {
 	l.baseLSN = 0
 	l.stableEnd = 0
 	l.tail, l.tailRecs, l.tailCount = l.tail[:0], l.tailRecs[:0], 0
-	l.stampedGSN = 0
-	l.durableGSN = 0
 	return nil
 }
 
@@ -806,15 +721,14 @@ func (l *SystemLog) CloseWithoutFlush() error {
 }
 
 // LogBaseFS reports the base LSN of the stable log in dir (the oldest
-// retained record), read through fsys; zero for a missing or empty log.
+// retained record), read through fsys; zero for a missing or empty log. It
+// reads the 16-byte header through the file handle, not the file, and
+// refuses a multi-stream directory.
 func LogBaseFS(fsys iofault.FS, dir string) (LSN, error) {
-	return logBaseFileFS(fsys, dir, LogFileName)
-}
-
-// logBaseFileFS is LogBaseFS for one named stream file. It reads the
-// 16-byte header through the file handle, not the file.
-func logBaseFileFS(fsys iofault.FS, dir, name string) (LSN, error) {
-	f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_RDONLY, 0)
+	if err := refuseStreams(fsys, dir); err != nil {
+		return 0, err
+	}
+	f, err := fsys.OpenFile(filepath.Join(dir, LogFileName), os.O_RDONLY, 0)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}

@@ -12,7 +12,7 @@ import (
 
 func openLog(t *testing.T, dir string) *SystemLog {
 	t.Helper()
-	l, err := OpenSystemLogFS(iofault.OS, dir, 4096)
+	l, err := OpenSystemLogFS(iofault.OS, dir, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

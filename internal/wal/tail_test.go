@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +17,7 @@ import (
 // a 100-byte physical redo record — frame encoded in place, footprint
 // noted for the dirty-page table — touches the heap zero times.
 func TestAppendAllocatesNothing(t *testing.T) {
-	l, err := OpenSystemLogFS(iofault.OS, t.TempDir(), 4096)
+	l, err := OpenSystemLogFS(iofault.OS, t.TempDir(), 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestAppendAllocatesNothing(t *testing.T) {
 // TestRecycledTailRetentionCap: a flushed buffer over the cap is dropped,
 // not kept as the spare, so one bulk load does not pin its high-water mark.
 func TestRecycledTailRetentionCap(t *testing.T) {
-	l, err := OpenSystemLogFS(iofault.OS, t.TempDir(), 4096)
+	l, err := OpenSystemLogFS(iofault.OS, t.TempDir(), 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestFlushOwnsSwappedOutTail(t *testing.T) {
 		}
 	}
 	var err error
-	if l, err = OpenSystemLogFS(fsys, dir, 4096); err != nil {
+	if l, err = OpenSystemLogFS(fsys, dir, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
 	fsys.armed.Store(true)
@@ -225,100 +224,4 @@ func TestFlushOwnsSwappedOutTail(t *testing.T) {
 		t.Fatalf("append after poison = %v", err)
 	}
 	l.Close()
-}
-
-// TestLogSetGSNInsideChecksum: on a three-stream set every record carries
-// its GSN as the frame's trailing field, inside the length-prefixed,
-// CRC'd payload — so the in-place encoder's back-filled header covers it.
-// Each frame on disk re-encodes byte for byte from its decoded record,
-// damage to the frame's last byte (a GSN byte) fails the checksum, and the
-// merged scan returns every record, of every kind, in GSN order.
-func TestLogSetGSNInsideChecksum(t *testing.T) {
-	dir := t.TempDir()
-	ls, err := OpenLogSet(dir, 4096, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Record
-	for i := 0; i < 4; i++ { // transactions 1..12 spread over the three streams
-		for _, g := range goldenFrames {
-			r := g.rec
-			r.GSN = 0
-			if r.Kind == KindGSNEpoch {
-				continue // the set writes its own
-			}
-			if r.Txn != 0 {
-				r.Txn = TxnID(3*i + int(r.Kind)%3 + 1)
-			}
-			if err := ls.Append(&r); err != nil {
-				t.Fatal(err)
-			}
-			if r.GSN == 0 {
-				t.Fatalf("%s: not stamped on a 3-stream set", g.name)
-			}
-			want = append(want, r)
-		}
-	}
-	if err := ls.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	frames := 0
-	for s := 0; s < 3; s++ {
-		data, err := os.ReadFile(filepath.Join(dir, StreamFileName(s)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := logHeaderSize; pos < len(data); {
-			r, n, err := decodeFrame(data[pos:])
-			if err != nil {
-				t.Fatalf("stream %d offset %d: %v", s, pos, err)
-			}
-			frame := data[pos : pos+n]
-			if r.GSN == 0 {
-				t.Fatalf("stream %d offset %d: %v record has no GSN", s, pos, r.Kind)
-			}
-			if re := r.Encode(nil); !bytes.Equal(re, frame) {
-				t.Fatalf("stream %d offset %d: frame does not re-encode\n disk %x\n  enc %x", s, pos, frame, re)
-			}
-			// The GSN varint is the payload's last field: flipping the
-			// frame's final byte must trip the CRC.
-			bad := append([]byte(nil), frame...)
-			bad[len(bad)-1] ^= 0x01
-			if _, _, err := decodeFrame(bad); !errors.Is(err, ErrTornRecord) {
-				t.Fatalf("stream %d offset %d: damaged GSN byte accepted (%v)", s, pos, err)
-			}
-			pos += n
-			frames++
-		}
-	}
-	if frames != len(want)+1 { // + the session's epoch record
-		t.Fatalf("%d frames on disk, want %d", frames, len(want)+1)
-	}
-
-	merged, gaps, err := mergedScan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gaps) != 0 {
-		t.Fatalf("GSN gaps in a clean set: %+v", gaps)
-	}
-	merged = merged[1:] // the epoch record
-	for i, sr := range merged {
-		w := want[i]
-		w.LSN = sr.R.LSN
-		norm := func(r *Record) {
-			if len(r.Data) == 0 {
-				r.Data = nil
-			}
-			if len(r.Undo.Args) == 0 {
-				r.Undo.Args = nil
-			}
-		}
-		norm(&w)
-		norm(sr.R)
-		if a, b := w.Encode(nil), sr.R.Encode(nil); !bytes.Equal(a, b) || w.LSN != sr.R.LSN {
-			t.Fatalf("merged record %d: got %+v, want %+v", i, sr.R, &w)
-		}
-	}
 }

@@ -90,13 +90,15 @@ func NewServer(router *shard.Router, cfg ServerConfig) *Server {
 }
 
 // Serve accepts connections on ln until Shutdown (returns nil) or a
-// listener failure (returns the error).
+// listener failure (returns the error). A Serve that starts after Shutdown
+// closes ln and returns nil too: callers run Serve on its own goroutine,
+// and a Shutdown that wins the race to the lock is still a shutdown.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		ln.Close()
-		return errors.New("wire: server already shut down")
+		return nil
 	}
 	s.ln = ln
 	s.mu.Unlock()

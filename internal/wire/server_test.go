@@ -301,6 +301,31 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServeAfterShutdown: a Shutdown that reaches the server before the
+// goroutine running Serve does is a clean shutdown, not a Serve failure —
+// Serve returns nil and closes the listener it was handed.
+func TestServeAfterShutdown(t *testing.T) {
+	router, _, err := shard.Open(shard.Config{Dir: t.TempDir(), Shards: 1, ArenaSize: 1 << 18, ValueSize: 64, Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	srv := NewServer(router, ServerConfig{})
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); err != nil {
+		t.Fatalf("Serve after Shutdown = %v, want nil", err)
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("Serve after Shutdown left its listener open")
+	}
+}
+
 // TestServerSmoke is the make server-smoke entry point: a K=4 server
 // takes a short mixed load from several clients, drains cleanly, and
 // every shard passes a full audit and clean close.

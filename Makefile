@@ -47,15 +47,15 @@ torture-smoke:
 	$(GO) test -race -short ./internal/iofault/...
 
 # Error-correction smoke: a small targeted-damage campaign (every
-# ECC-bearing scheme x damage shape) whose gates require each repairable
-# fault to heal in place byte-identically with zero delete-transaction
-# recoveries, and double-word damage to escalate to a clean recovery.
-# The JSON outcome table is the artifact CI uploads.
+# ECC-bearing scheme x damage shape) whose gates require no wrong heal,
+# no undetected damage, every escalation to recover clean, Read
+# Prechecking to heal single-word damage in place, and the other schemes
+# to escalate. The JSON outcome table is the artifact CI uploads.
 heal-smoke:
 	$(GO) run ./cmd/faultstudy -heal -campaigns 8 -txns 3 -json heal.smoke.json
 
-# The full healing campaign behind the PR's acceptance numbers
-# (>= 99% of single-word wild writes silently repaired in place).
+# The full healing campaign (>= 99% of single-word wild writes repaired
+# in place under Read Prechecking, nothing healed wrong).
 heal:
 	$(GO) run ./cmd/faultstudy -heal -campaigns 100
 

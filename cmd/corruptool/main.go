@@ -13,11 +13,11 @@
 // recovers from the older ping-pong image plus retained log.
 //
 // With -heal it demonstrates the error-correction tier instead: it
-// injects one fault of each shape (single-word smash, stale parity
-// plane, double-word smash), prints the consistency checker's CW06x
-// report before healing, heals, prints the report after — repairable
-// damage gone, unrepairable damage escalated through crash and
-// delete-transaction recovery.
+// injects one fault of each shape (single-word smash, damaged S1
+// syndrome word, double-word smash), prints the consistency checker's
+// CW06x report before healing, heals, prints the report after —
+// repairable damage gone, unrepairable damage escalated through crash and
+// restart recovery.
 //
 // Usage:
 //
@@ -358,7 +358,7 @@ func runHeal(seed int64, dir string) error {
 		return fmt.Errorf("clean-run audit: %w", err)
 	}
 	tab := db.Scheme().(interface{ Table() *region.Table }).Table()
-	fmt.Printf("   ran 500 clean operations; %d regions x %d locator planes each\n",
+	fmt.Printf("   ran 500 clean operations; %d regions, each with its codeword and %d S1 word\n",
 		tab.NumRegions(), tab.NumPlanes())
 
 	// One fault per damage shape, each in its own region.
@@ -371,10 +371,10 @@ func runHeal(seed int64, dir string) error {
 	}
 	fmt.Printf("== fault 1: single-word smash at %d (repairable)\n", a1)
 	r2 := tab.RegionOf(account.RecordAddr(29))
-	if err := inj.ParityHit(tab, r2, 1, 0xF00D); err != nil {
+	if err := inj.ParityHit(tab, r2, 0, 0xF00D); err != nil {
 		return err
 	}
-	fmt.Printf("== fault 2: stale locator plane on region %d (data intact)\n", r2)
+	fmt.Printf("== fault 2: damaged S1 on region %d (data intact; never rebuilt from the data, escalates)\n", r2)
 	a3 := account.RecordAddr(47) + 8
 	if _, err := inj.DoubleWordSmash(a3, a3+8, 0xAB, 0xCD); err != nil {
 		return err
@@ -388,12 +388,12 @@ func runHeal(seed int64, dir string) error {
 	fmt.Println("== after: consistency check again")
 	remaining := printProblems(db, check.Options{})
 	for _, p := range remaining {
-		if p.Code == check.CodeECCRepairable || p.Code == check.CodeECCParityStale {
+		if p.Code == check.CodeECCRepairable {
 			return fmt.Errorf("repairable damage survived healing: %v", p)
 		}
 	}
 
-	fmt.Println("== escalation: the unrepairable region goes through crash + delete-transaction recovery")
+	fmt.Println("== escalation: the unrepairable regions go through crash + restart recovery")
 	if err := db.Crash(); err != nil {
 		return err
 	}

@@ -10,11 +10,12 @@
 // lines carry stable CW0xx codes for machine consumption.
 //
 // With -heal the ECC sweep repairs what it can in place: located
-// single-word damage is reconstructed (CW061, warning) and stale locator
-// planes rebuilt (CW063, warning); damage past the correction radius
-// still reports CW062 as an error. Without -heal, repairable damage
-// reports CW060 as an error so an operator is never surprised by a
-// silently modified image.
+// single-word damage is reconstructed (CW061, warning); damage past the
+// correction radius — damage to the S1 syndrome word included — still
+// reports CW062 as an error (CW063, stale locator planes, is retired:
+// nothing is rebuilt from the data as it stands). Without -heal,
+// repairable damage reports CW060 as an error so an operator is never
+// surprised by a silently modified image.
 //
 // Usage:
 //
@@ -36,7 +37,7 @@ func main() {
 	dir := flag.String("dir", "", "database directory (required)")
 	arena := flag.Int("arena", 0, "arena size in bytes (required; must match the database)")
 	schemeName := flag.String("scheme", "datacw", "protection scheme the database runs")
-	heal := flag.Bool("heal", false, "repair repairable ECC findings in place (CW061/CW063 warnings instead of CW060 errors)")
+	heal := flag.Bool("heal", false, "repair repairable ECC findings in place (CW061 warnings instead of CW060 errors)")
 	flag.Parse()
 	if *dir == "" || *arena == 0 {
 		fmt.Fprintln(os.Stderr, "dbcheck: -dir and -arena are required")

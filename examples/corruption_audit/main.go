@@ -1,10 +1,12 @@
 // Corruption audit walkthrough: compares how each protection scheme
-// responds to the same wild write — Baseline misses it, the codeword
-// schemes locate the damaged word through their locator planes and heal
-// it in place at audit, Read Prechecking additionally verifies on the
-// read path, and Hardware protection traps the write itself. (With
-// protect.Config.DisableHeal the codeword schemes report the corruption
-// instead of repairing it — the paper's original detection-only story.)
+// responds to the same wild write — Baseline misses it, Data Codeword
+// detects it at audit (a reader may already have seen it, so it is left
+// for delete-transaction recovery), Read Prechecking locates the damaged
+// word through its S1 syndrome and heals it in place at audit (no read
+// ever sees unverified bytes there), and Hardware protection traps the
+// write itself. (With protect.Config.DisableHeal Read Prechecking reports
+// the corruption instead of repairing it — the paper's original
+// detection-only story.)
 //
 //	go run ./examples/corruption_audit
 package main

@@ -20,13 +20,12 @@
 // its own paths exports a fact, so wrappers like cwScheme.drainQueue
 // count at their call sites.
 //
-// The pass also enforces the ECC tier's plane-pairing rule: a function
-// that stores into a codeword table (an assignment through a `cws`
-// field) must maintain the locator planes in the same function —
-// xorPlanesLocked, a planesLocked copy, or a rebuild — because a
-// codeword updated without its planes leaves syndromes that misclassify
-// repairable damage as unrepairable (or worse, locate the wrong word).
-// Deliberate raw stores (checkpoint load) carry a //dbvet:allow.
+// The pass also enforces the ECC tier's pairing rule: a function that
+// stores into a codeword table (an assignment through a `cws` field) must
+// maintain the S1 syndrome word in the same function (touch the `s1`
+// field), because a codeword updated without S1 leaves syndromes that
+// turn every later repair of the region into an escalation — or worse,
+// locate the wrong word. Deliberate raw stores carry a //dbvet:allow.
 package cwpair
 
 import (
@@ -54,16 +53,6 @@ var foldNames = map[string]bool{
 	"XorDelta":     true,
 	"Fold":         true,
 	"FoldDelta":    true,
-}
-
-// planeNames are the locator-plane maintenance entry points; one of
-// these (or any expression touching a `planes` field) must accompany a
-// raw codeword store.
-var planeNames = map[string]bool{
-	"xorPlanesLocked": true,
-	"planesLocked":    true,
-	"rebuildPlanes":   true,
-	"computeECC":      true,
 }
 
 // captureNames are the undo-image capture primitives that arm the pass.
@@ -112,7 +101,7 @@ func run(pass *anz.Pass) error {
 				}
 			}
 
-			checkPlanePairing(pass, fd)
+			checkS1Pairing(pass, fd)
 
 			if !c.triggered(fd) {
 				continue
@@ -128,11 +117,11 @@ func run(pass *anz.Pass) error {
 	return nil
 }
 
-// checkPlanePairing reports codeword-table stores (assignments through a
-// `cws` field) in functions that nowhere maintain the locator planes.
-func checkPlanePairing(pass *anz.Pass, fd *ast.FuncDecl) {
+// checkS1Pairing reports codeword-table stores (assignments through a
+// `cws` field) in functions that nowhere touch the `s1` field.
+func checkS1Pairing(pass *anz.Pass, fd *ast.FuncDecl) {
 	var stores []*ast.AssignStmt
-	touchesPlanes := false
+	touchesS1 := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -143,22 +132,18 @@ func checkPlanePairing(pass *anz.Pass, fd *ast.FuncDecl) {
 					}
 				}
 			}
-		case *ast.CallExpr:
-			if planeNames[calleeName(n)] {
-				touchesPlanes = true
-			}
 		case *ast.SelectorExpr:
-			if n.Sel.Name == "planes" {
-				touchesPlanes = true
+			if n.Sel.Name == "s1" {
+				touchesS1 = true
 			}
 		}
 		return true
 	})
-	if touchesPlanes {
+	if touchesS1 {
 		return
 	}
 	for _, s := range stores {
-		pass.Reportf(s.Pos(), "stores a region codeword without maintaining the locator planes (pair the store with xorPlanesLocked or a planesLocked rebuild, or it leaves syndromes that misdiagnose damage)")
+		pass.Reportf(s.Pos(), "stores a region codeword without maintaining S1 (store or fold the s1 word in the same function, or the syndromes misdiagnose damage)")
 	}
 }
 

@@ -79,40 +79,40 @@ func (s *scheme) viaWrapper(addr int, before []byte) error {
 	return nil
 }
 
-// ---- plane pairing (the ECC tier's rule) ----
+// ---- S1 pairing (the ECC tier's rule) ----
 
 type ecctable struct {
-	cws    []uint64
-	planes []uint64
+	cws []uint64
+	s1  []uint64
 }
 
-func (t *ecctable) xorPlanesLocked(r int, pd []uint64) {}
-
-// Storing a codeword without touching the planes anywhere in the
-// function leaves the (codeword, planes) pair inconsistent.
+// Storing a codeword without touching S1 anywhere in the function leaves
+// the (S0, S1) pair inconsistent.
 func (t *ecctable) badStore(r int, cw uint64) {
-	t.cws[r] = cw // want "stores a region codeword without maintaining the locator planes"
+	t.cws[r] = cw // want "stores a region codeword without maintaining S1"
 }
 
 // An op-assign store is a store too.
 func (t *ecctable) badXorStore(r int, delta uint64) {
-	t.cws[r] ^= delta // want "stores a region codeword without maintaining the locator planes"
+	t.cws[r] ^= delta // want "stores a region codeword without maintaining S1"
 }
 
-// Pairing the store with the plane fold is clean.
-func (t *ecctable) goodStore(r int, cw uint64, pd []uint64) {
-	t.cws[r] = cw
-	t.xorPlanesLocked(r, pd)
+// Folding S1 beside the codeword is clean.
+func (t *ecctable) goodStore(r int, delta, s1 uint64) {
+	t.cws[r] ^= delta
+	if t.s1 != nil {
+		t.s1[r] ^= s1
+	}
 }
 
-// Touching the planes field directly also counts as maintenance.
-func (t *ecctable) goodDirect(r int, cw uint64, fresh []uint64) {
+// Any touch of the s1 field counts as maintenance.
+func (t *ecctable) goodCopy(r int, cw uint64, fresh []uint64) {
 	t.cws[r] = cw
-	copy(t.planes, fresh)
+	copy(t.s1, fresh)
 }
 
 // A deliberate raw store carries an allow.
 func (t *ecctable) allowedRaw(r int, cw uint64) {
-	//dbvet:allow cwpair fixture: raw install, planes rebuilt by a later recompute
+	//dbvet:allow cwpair fixture: raw install, S1 rederived by a later recompute
 	t.cws[r] = cw
 }

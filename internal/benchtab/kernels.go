@@ -32,8 +32,8 @@ type KernelRow struct {
 	// RegionBytes is the protection region size the row was measured at.
 	RegionBytes int `json:"region_bytes"`
 	// Op is the operation: fold | compute | apply | apply-ecc | audit |
-	// recompute (apply-ecc is the apply path with locator-plane
-	// maintenance fused into the kernel).
+	// recompute (apply-ecc is the apply path with S1 maintenance fused
+	// into the kernel).
 	Op string `json:"op"`
 	// Workers is the scan pool width (1 = serial path; 0 for the per-byte
 	// kernel rows, which are single-threaded by nature).
@@ -171,9 +171,9 @@ func RunKernels(params KernelParams) (*KernelReport, error) {
 		rep.Rows = append(rep.Rows, KernelRow{Scheme: "kernel", RegionBytes: size, Op: "apply", MBPerSec: mbps})
 
 		// The same maintenance path with the ECC tier on: the fused kernel
-		// derives the locator-plane deltas from the per-word old^new delta
-		// it already computes, so apply-ecc vs apply is the whole marginal
-		// cost of correction over detection.
+		// derives the S1 delta from the per-word old^new delta it already
+		// computes, so apply-ecc vs apply is the whole marginal cost of
+		// correction over detection.
 		etab, err := region.NewTable(params.ArenaBytes, size)
 		if err != nil {
 			return nil, err
@@ -284,8 +284,8 @@ func FormatKernels(rep *KernelReport) string {
 
 // --- PR 10 ECC overhead report ----------------------------------------------
 
-// ECCRow compares codeword maintenance with and without the fused
-// locator-plane folds at one region size.
+// ECCRow compares codeword maintenance with and without the fused S1
+// fold at one region size. NumPlanes is the ECC words kept per region.
 type ECCRow struct {
 	RegionBytes  int     `json:"region_bytes"`
 	NumPlanes    int     `json:"num_planes"`
@@ -371,7 +371,7 @@ func FormatECC(rep *ECCReport) string {
 		})
 	}
 	var b strings.Builder
-	b.WriteString("ECC tier overhead: codeword maintenance with fused locator-plane folds\n\n")
-	b.WriteString(Format([]string{"region B", "planes", "apply MiB/s", "apply+ecc MiB/s", "overhead"}, out))
+	b.WriteString("ECC tier overhead: codeword maintenance with the fused S1 fold\n\n")
+	b.WriteString(Format([]string{"region B", "ECC words", "apply MiB/s", "apply+ecc MiB/s", "overhead"}, out))
 	return b.String()
 }

@@ -42,7 +42,8 @@ func (s Severity) String() string {
 // human-readable Desc text may be reworded freely. Codes are grouped by
 // area (CW00x att, CW01x codeword, CW02x heap, CW03x index, CW04x
 // checkpoint, CW05x log, CW06x ecc) and are never renumbered or reused
-// (CW050, a multi-stream log check, is retired).
+// (CW050, a multi-stream log check, and CW063, stale locator planes, are
+// retired).
 //
 // The CW05x codes are runtime counterparts of dbvet's log contracts:
 // CW051 checks what the lockfield pass guards (the stable end moves only
@@ -64,8 +65,7 @@ const (
 	CodeLogPoisoned      = "CW052" // log fail-stopped (poisoned)
 	CodeECCRepairable    = "CW060" // single-word damage located; repairable in place (run with heal)
 	CodeECCRepaired      = "CW061" // damage was repaired in place during this check
-	CodeECCUnrepairable  = "CW062" // damage past the correction radius; escalate to recovery
-	CodeECCParityStale   = "CW063" // locator planes stale over intact data (rebuilt when healing)
+	CodeECCUnrepairable  = "CW062" // damage past the correction radius (or to S1 itself); escalate to recovery
 )
 
 // Problem is one consistency finding.
@@ -105,12 +105,6 @@ func sweepECC(db *core.DB, opts Options, add func(code string, sev Severity, are
 			add(CodeECCRepairable, SevError, "ecc", "%v (repairable in place: re-run with heal)", res)
 		case region.VerdictRepaired:
 			add(CodeECCRepaired, SevWarning, "ecc", "%v (repaired in place)", res)
-		case region.VerdictParityStale:
-			if opts.Heal {
-				add(CodeECCParityStale, SevWarning, "ecc", "%v (planes rebuilt from intact data)", res)
-			} else {
-				add(CodeECCParityStale, SevWarning, "ecc", "%v (data intact; planes rebuilt when healing)", res)
-			}
 		case region.VerdictUnrepairable:
 			add(CodeECCUnrepairable, SevError, "ecc", "%v (past the correction radius: escalate to delete-transaction recovery)", res)
 		case region.VerdictClean:
@@ -122,9 +116,9 @@ func sweepECC(db *core.DB, opts Options, add func(code string, sev Severity, are
 // Options parameterizes a check run.
 type Options struct {
 	// Heal repairs what the ECC sweep finds repairable: located
-	// single-word damage is reconstructed in place and stale locator
-	// planes are rebuilt, each reported as a warning (CW061/CW063)
-	// instead of an error. Unrepairable damage still reports CW062.
+	// single-word damage is reconstructed in place and reported as a
+	// warning (CW061) instead of an error. Unrepairable damage still
+	// reports CW062.
 	Heal bool
 }
 
@@ -147,8 +141,9 @@ func RunOpts(db *core.DB, opts Options) ([]Problem, error) {
 
 	// ECC diagnosis sweep, ahead of the codeword audit so that with
 	// opts.Heal a repaired region audits clean below (leaving only its
-	// CW061 trace). Plane-only damage is invisible to the codeword audit
-	// — this sweep is the only checker that finds it.
+	// CW061 trace). Damage the codeword cancels — S1 damage, or an even
+	// number of words hit with one delta — is invisible to the codeword
+	// audit; this sweep is the only checker that finds it (CW062).
 	sweepECC(db, opts, add)
 
 	// Codewords.

@@ -257,37 +257,37 @@ func TestECCSweepEscalatesUnrepairable(t *testing.T) {
 	}
 }
 
-// TestECCSweepFindsParityDamage: stale locator planes are invisible to
-// the codeword audit; only the ECC sweep reports them (CW063, warning),
-// and with Heal the planes are rebuilt so the next run is clean.
+// TestECCSweepFindsParityDamage: damage to the stored S1 is invisible to
+// the codeword audit; only the ECC sweep reports it, as CW062 (an error)
+// with or without Heal — nothing is rebuilt from the data as it stands.
+// A recompute from the (intact) image, restart recovery's step, clears
+// it.
 func TestECCSweepFindsParityDamage(t *testing.T) {
 	db, tb, _ := setup(t)
 	type tabler interface{ Table() *region.Table }
 	tab := db.Scheme().(tabler).Table()
 	r := tab.RegionOf(tb.RecordAddr(5))
-	if err := tab.CorruptPlane(r, 1, 0xF0F0); err != nil {
+	if err := tab.CorruptPlane(r, 0, 0xF0F0); err != nil {
 		t.Fatal(err)
 	}
-	problems, err := Run(db)
-	if err != nil {
+	for _, opts := range []Options{{}, {Heal: true}} {
+		problems, err := RunOpts(db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := problemCodes(problems)
+		if codes[CodeECCUnrepairable] != 1 || codes[CodeCodewordMismatch] != 0 || codes[CodeECCRepaired] != 0 {
+			t.Fatalf("heal=%v: want one %s and no %s: %v", opts.Heal, CodeECCUnrepairable, CodeCodewordMismatch, problems)
+		}
+	}
+	if err := db.Scheme().Recompute(); err != nil {
 		t.Fatal(err)
-	}
-	codes := problemCodes(problems)
-	if codes[CodeECCParityStale] != 1 || codes[CodeCodewordMismatch] != 0 {
-		t.Fatalf("want one %s and no %s: %v", CodeECCParityStale, CodeCodewordMismatch, problems)
-	}
-	healed, err := RunOpts(db, Options{Heal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if problemCodes(healed)[CodeECCParityStale] != 1 {
-		t.Fatalf("healing run should report the rebuild: %v", healed)
 	}
 	again, err := Run(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(again) != 0 {
-		t.Fatalf("after rebuild the check should be clean: %v", again)
+		t.Fatalf("after recompute the check should be clean: %v", again)
 	}
 }

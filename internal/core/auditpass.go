@@ -96,11 +96,13 @@ func (p *AuditPass) Step(maxBytes int) (done bool, err error) {
 	return int(p.next) >= db.arena.Size(), nil
 }
 
-// tryHeal offers a mismatch to the scheme's ECC tier. A repaired word
-// (or a region a concurrent pass already fixed) drops out of the pass's
-// mismatches: the damage never reaches CorruptionError, delete-
-// transaction recovery, or the audit-end record's corrupt set. Damage
-// past the correction radius stays a mismatch and is counted as an
+// tryHeal offers a mismatch to the scheme's ECC tier, under Read
+// Prechecking only (db.healAudits): there no read has seen the damaged
+// bytes, so repairing them loses no trace of indirect corruption. A
+// repaired word (or a region a concurrent pass already fixed) drops out of
+// the pass's mismatches: the damage never reaches CorruptionError,
+// delete-transaction recovery, or the audit-end record's corrupt set.
+// Damage past the correction radius stays a mismatch and is counted as an
 // escalation.
 func (p *AuditPass) tryHeal(m region.Mismatch) bool {
 	db := p.db
@@ -109,7 +111,7 @@ func (p *AuditPass) tryHeal(m region.Mismatch) bool {
 	}
 	res := db.scheme.Heal(m.Region)
 	switch res.Verdict {
-	case region.VerdictRepaired, region.VerdictClean, region.VerdictParityStale:
+	case region.VerdictRepaired, region.VerdictClean:
 		return true
 	case region.VerdictUnrepairable:
 		db.mHealEscalate.Inc()
@@ -123,7 +125,11 @@ func (p *AuditPass) tryHeal(m region.Mismatch) bool {
 // Finish logs the audit-end record and, if the pass was clean, advances
 // Audit_SN to the pass's begin record. A dirty pass returns
 // *CorruptionError with the accumulated mismatches (which are also in the
-// end record for recovery to find).
+// end record for recovery to find). A pass that healed anything was not
+// clean from its begin record onward — the invariant Audit_SN certifies —
+// so it logs AuditClean false (with no corrupt ranges) and advances
+// neither the in-memory Audit_SN nor, at the next restart, recovery's;
+// the next fully clean pass will.
 func (p *AuditPass) Finish() error {
 	if p.finished {
 		return fmt.Errorf("core: audit pass already finished")
@@ -138,7 +144,7 @@ func (p *AuditPass) Finish() error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	end := &wal.Record{Kind: wal.KindAuditEnd, AuditSN: p.sn, AuditClean: len(p.mismatches) == 0}
+	end := &wal.Record{Kind: wal.KindAuditEnd, AuditSN: p.sn, AuditClean: len(p.mismatches) == 0 && p.healed == 0}
 	for _, m := range p.mismatches {
 		end.CorruptAddrs = append(end.CorruptAddrs, m.Start)
 		end.CorruptLens = append(end.CorruptLens, uint32(m.Len))
@@ -150,19 +156,13 @@ func (p *AuditPass) Finish() error {
 	if len(p.mismatches) > 0 {
 		return &CorruptionError{Mismatches: p.mismatches}
 	}
-	// A pass that healed damage ends clean but was not clean from its
-	// begin record onward — the invariant Audit_SN certifies — so it must
-	// not advance Audit_SN; the next fully clean pass will.
 	// Monotonic: a slow pass finishing after a later-begun clean pass
 	// must not regress Audit_SN.
-	if p.healed == 0 && p.beginLSN > db.lastCleanAudit {
+	if end.AuditClean && p.beginLSN > db.lastCleanAudit {
 		db.lastCleanAudit = p.beginLSN
 	}
 	return nil
 }
-
-// Healed reports how many mismatches the pass repaired in place.
-func (p *AuditPass) Healed() int { return p.healed }
 
 // note records the finished pass's duration and verdict in the metrics
 // registry and emits an obs.AuditPassEvent (plus an obs.CorruptionEvent if
@@ -196,6 +196,3 @@ func (p *AuditPass) note() {
 func (p *AuditPass) Abort() {
 	p.finished = true
 }
-
-// Progress reports how many bytes of the image the pass has covered.
-func (p *AuditPass) Progress() int { return int(p.next) }

@@ -187,7 +187,10 @@ type DB struct {
 
 	// healAudits arms the audit-path heal ladder: mismatches found by an
 	// audit pass are first offered to the scheme's ECC tier, and only
-	// damage past the correction radius escalates to CorruptionError.
+	// damage past the correction radius escalates to CorruptionError. Only
+	// under Read Prechecking (protect.Kind.VerifiesReads): elsewhere a
+	// transaction may already have read the damage, and a heal would hide
+	// the indirect corruption delete-transaction recovery must trace.
 	healAudits bool
 	// healGen counts image mutations by the ECC tier. The checkpointer
 	// compares it across its snapshot-write-audit window: a heal in that
@@ -214,7 +217,6 @@ type DB struct {
 	mCorruptions   *obs.Counter
 	mCkpts         *obs.Counter
 	mHeals         *obs.Counter
-	mHealRebuilds  *obs.Counter
 	mHealEscalate  *obs.Counter
 	hHealNS        *obs.Histogram
 	hAuditNS       *obs.Histogram
@@ -276,8 +278,8 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 			db.noteHeal(res, d)
 		}
 	}
-	// Every scheme derives its protection state — codewords and locator
-	// planes, or page protection — from the arena as it finds it, so a
+	// Every scheme derives its protection state — codewords and S1 words,
+	// or page protection — from the arena as it finds it, so a
 	// recovered image is covered from here on without a second pass.
 	start := time.Now()
 	scheme, err := protect.New(arena, pcfg)
@@ -337,7 +339,6 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		mCorruptions:   reg.Counter(obs.NameCorruptions),
 		mCkpts:         reg.Counter(obs.NameCheckpoints),
 		mHeals:         reg.Counter(obs.NameHeals),
-		mHealRebuilds:  reg.Counter(obs.NameHealRebuilds),
 		mHealEscalate:  reg.Counter(obs.NameHealEscalations),
 		hHealNS:        reg.Histogram(obs.NameHealNS),
 		hAuditNS:       reg.Histogram(obs.NameAuditPassNS),
@@ -349,7 +350,7 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		hCkptCompactNS: reg.Histogram(obs.NameCkptCompactNS),
 		hCkptTotalNS:   reg.Histogram(obs.NameCkptTotalNS),
 	}
-	db.healAudits = pcfg.Kind.HasCodewords() && !pcfg.DisableECC && !pcfg.DisableHeal
+	db.healAudits = pcfg.Kind.VerifiesReads() && !pcfg.DisableECC && !pcfg.DisableHeal
 	if loaded != nil {
 		db.att = wal.NewATT(loaded.NextTxnID)
 		if loaded.Meta != nil {
@@ -590,26 +591,18 @@ func (db *DB) Audit() error {
 }
 
 // noteHeal is the scheme's OnHeal callback: it accounts for an ECC
-// repair that mutated state outside the logged update path. A repaired
-// word changed arena bytes, so its pages are marked dirty (the next
-// checkpoint snapshot must capture the healed contents — the wild write
-// it undid was never logged) and the heal generation is bumped so an
-// in-flight checkpoint re-takes its image. A plane rebuild touches only
-// codeword-table metadata, which checkpoints never persist (codewords
-// are re-derived at recovery), so it needs neither.
+// repair, which changed arena bytes outside the logged update path. The
+// word's pages are marked dirty (the next checkpoint snapshot must capture
+// the healed contents — the wild write it undid was never logged) and the
+// heal generation is bumped so an in-flight checkpoint re-takes its image.
 func (db *DB) noteHeal(res region.RepairResult, d time.Duration) {
-	switch res.Verdict {
-	case region.VerdictRepaired:
-		db.mHeals.Inc()
-		db.hHealNS.Observe(uint64(d.Nanoseconds()))
-		ps := db.cfg.PageSize
-		for p := int(res.Addr) / ps; p <= (int(res.Addr)+7)/ps; p++ {
-			db.ckpts.NoteDirty(mem.PageID(p))
-		}
-		db.healGen.Add(1)
-	case region.VerdictParityStale:
-		db.mHealRebuilds.Inc()
+	db.mHeals.Inc()
+	db.hHealNS.Observe(uint64(d.Nanoseconds()))
+	ps := db.cfg.PageSize
+	for p := int(res.Addr) / ps; p <= (int(res.Addr)+7)/ps; p++ {
+		db.ckpts.NoteDirty(mem.PageID(p))
 	}
+	db.healGen.Add(1)
 	if db.reg.HasSinks() {
 		db.reg.Emit(obs.HealEvent{
 			Region: uint64(res.Region), Verdict: res.Verdict.String(),

@@ -16,12 +16,12 @@ import (
 	"repro/internal/wal"
 )
 
-// TestAuditHealsWildWrite: with the ECC tier on (the default for
-// codeword schemes), an audit that finds a single-word wild write
-// repairs it in place and finishes clean — no CorruptionError, no
-// crash, no delete-transaction recovery.
+// TestAuditHealsWildWrite: under Read Prechecking with the ECC tier on
+// (the default), an audit that finds a single-word wild write repairs it
+// in place and finishes without CorruptionError — no crash, no
+// delete-transaction recovery.
 func TestAuditHealsWildWrite(t *testing.T) {
-	db := testDB(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
+	db := testDB(t, protect.Config{Kind: protect.KindPrecheck, RegionSize: 64})
 	txn, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +57,11 @@ func TestAuditHealsWildWrite(t *testing.T) {
 
 // TestHealedPassDoesNotAdvanceAuditSN: a pass that healed was not clean
 // from its begin record onward, so Audit_SN must stay put until a fully
-// clean pass runs.
+// clean pass runs — in memory, and in the log, where the healed pass's
+// end record says not clean (with no corrupt ranges) so a restart's
+// prescan does not advance past it either.
 func TestHealedPassDoesNotAdvanceAuditSN(t *testing.T) {
-	db := testDB(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
+	db := testDB(t, protect.Config{Kind: protect.KindPrecheck, RegionSize: 64})
 	if err := db.Audit(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +70,7 @@ func TestHealedPassDoesNotAdvanceAuditSN(t *testing.T) {
 	if err := db.Audit(); err != nil {
 		t.Fatalf("healing audit: %v", err)
 	}
+	healedSN := db.AuditSerial()
 	if got := db.LastCleanAuditLSN(); got != sn {
 		t.Fatalf("healed pass advanced Audit_SN %d -> %d", sn, got)
 	}
@@ -77,6 +80,44 @@ func TestHealedPassDoesNotAdvanceAuditSN(t *testing.T) {
 	if got := db.LastCleanAuditLSN(); got <= sn {
 		t.Fatalf("clean pass did not advance Audit_SN (still %d)", got)
 	}
+	db.Close()
+	clean := map[uint64]bool{}
+	scanLog(t, db.Config().Dir, func(r *wal.Record) {
+		if r.Kind == wal.KindAuditEnd {
+			clean[r.AuditSN] = r.AuditClean
+			if len(r.CorruptAddrs) != 0 {
+				t.Errorf("pass %d logged corrupt ranges %v", r.AuditSN, r.CorruptAddrs)
+			}
+		}
+	})
+	if len(clean) != 3 || !clean[healedSN-1] || clean[healedSN] || !clean[healedSN+1] {
+		t.Fatalf("audit-end AuditClean by pass: %v (healed pass %d)", clean, healedSN)
+	}
+}
+
+// TestAuditDoesNotHealWhereReadsAreUnverified: outside Read Prechecking a
+// transaction may already have read a damaged word, so the audit must not
+// hide it by healing. Under every other codeword kind, with the ECC tier
+// on, a single-word smash found by audit raises CorruptionError and is
+// left in place for delete-transaction recovery.
+func TestAuditDoesNotHealWhereReadsAreUnverified(t *testing.T) {
+	for _, kind := range []protect.Kind{protect.KindDataCW, protect.KindDeferredCW, protect.KindReadLog, protect.KindCWReadLog} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := testDB(t, protect.Config{Kind: kind, RegionSize: 64})
+			db.Internals().Arena.Bytes()[500] ^= 0xFF
+			damaged := append([]byte(nil), db.Internals().Arena.Bytes()...)
+			var ce *CorruptionError
+			if err := db.Audit(); !errors.As(err, &ce) || len(ce.Mismatches) != 1 || ce.Mismatches[0].Region != 500/64 {
+				t.Fatalf("audit of a single-word smash: %v", err)
+			}
+			if !bytes.Equal(db.Internals().Arena.Bytes(), damaged) {
+				t.Fatal("audit modified the image")
+			}
+			if m := db.Metrics(); m.Counters[obs.NameHeals] != 0 || db.HealGeneration() != 0 {
+				t.Fatalf("heals = %d", m.Counters[obs.NameHeals])
+			}
+		})
+	}
 }
 
 // TestAuditEscalatesBeyondRadius: two words of one region smashed with
@@ -84,7 +125,7 @@ func TestHealedPassDoesNotAdvanceAuditSN(t *testing.T) {
 // CorruptionError exactly as before the ECC tier existed, with the
 // escalation counted.
 func TestAuditEscalatesBeyondRadius(t *testing.T) {
-	db := testDB(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
+	db := testDB(t, protect.Config{Kind: protect.KindPrecheck, RegionSize: 64})
 	a := db.Internals().Arena.Bytes()
 	a[128] ^= 0x01
 	a[140] ^= 0x02
@@ -152,7 +193,7 @@ func TestPrecheckReadHealNotesDirtyPage(t *testing.T) {
 // marked the page dirty) and certify a clean image, observable as two
 // "write" phases in one Checkpoint call.
 func TestCheckpointRetakesImageAfterMidWindowHeal(t *testing.T) {
-	db := testDB(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
+	db := testDB(t, protect.Config{Kind: protect.KindPrecheck, RegionSize: 64})
 	txn, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +233,7 @@ func TestCheckpointRetakesImageAfterMidWindowHeal(t *testing.T) {
 // vet). Every injected single-word smash must be healed — the auditor
 // never reports corruption — while transactions keep committing.
 func TestConcurrentHealUnderLoad(t *testing.T) {
-	db := testDB(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
+	db := testDB(t, protect.Config{Kind: protect.KindPrecheck, RegionSize: 64})
 	a := NewAuditor(db, time.Millisecond)
 	var escalated atomic.Int32
 	a.OnCorruption = func(*CorruptionError) { escalated.Add(1) }

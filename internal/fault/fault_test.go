@@ -87,6 +87,33 @@ func TestBitFlip(t *testing.T) {
 	}
 }
 
+// TestSameDeltaWords: every addressed word, aligned down, takes the same
+// delta (equal ones to DoubleWordSmash are allowed too), and the words are
+// distinct enough that an even count cancels in the XOR of them all.
+func TestSameDeltaWords(t *testing.T) {
+	a := newArena(t)
+	in := New(a, mem.NopProtector{}, 1)
+	if _, err := in.SameDeltaWords([]mem.Addr{64, 75, 200, 264}, 0xAB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.DoubleWordSmash(512, 520, 0xCD, 0xCD); err != nil {
+		t.Fatal(err)
+	}
+	var x byte
+	for i, b := range a.Bytes() {
+		if want := i == 64 || i == 72 || i == 200 || i == 264 || i == 512 || i == 520; (b != 0) != want {
+			t.Fatalf("byte %d = %#x", i, b)
+		}
+		x ^= b
+	}
+	if x != 0 {
+		t.Fatalf("six equal deltas do not cancel: %#x", x)
+	}
+	if ev := in.Events(); len(ev) != 6 || ev[0].Kind != "same-delta" || ev[4].Kind != "double-word" {
+		t.Fatalf("events: %+v", ev)
+	}
+}
+
 func TestCopyOverrun(t *testing.T) {
 	a := newArena(t)
 	copy(a.Bytes()[96:100], []byte{7, 8, 9, 10})

@@ -1,7 +1,9 @@
 // Targeted damage shapes for the heal/escalate campaign: each shape
 // lands on a known rung of the ECC tier's correction ladder, so the
 // campaign can exercise every rung deterministically instead of hoping
-// random wild writes happen to produce them.
+// random wild writes happen to produce them. Besides one-word damage they
+// model what the paper's fault class — a copy or memset through a bad
+// pointer — actually writes: several words changed by the same delta.
 package fault
 
 import (
@@ -48,10 +50,9 @@ func (in *Injector) WordSmash(addr mem.Addr, delta uint64) (trapped bool, err er
 	return in.smashWord("word-smash", addr, delta)
 }
 
-// DoubleWordSmash damages two distinct words of the same region with
-// distinct deltas — provably past the correction radius (any locator
-// plane separating the two word indexes carries a syndrome matching
-// neither 0 nor the combined codeword syndrome), so the ECC tier must
+// DoubleWordSmash damages two distinct words of the same region, with
+// any two nonzero deltas — equal ones included, which cancel in the
+// codeword. Past the correction radius either way; the ECC tier must
 // escalate rather than misrepair. addr2's word must differ from addr1's.
 func (in *Injector) DoubleWordSmash(addr1, addr2 mem.Addr, d1, d2 uint64) (trapped bool, err error) {
 	if wordAddr(addr1) == wordAddr(addr2) {
@@ -60,8 +61,8 @@ func (in *Injector) DoubleWordSmash(addr1, addr2 mem.Addr, d1, d2 uint64) (trapp
 	if d1 == 0 {
 		d1 = 1
 	}
-	if d2 == 0 || d2 == d1 {
-		d2 = d1 ^ 0x8000000000000001
+	if d2 == 0 {
+		d2 = 1
 	}
 	t1, err := in.smashWord("double-word", addr1, d1)
 	if err != nil {
@@ -71,10 +72,28 @@ func (in *Injector) DoubleWordSmash(addr1, addr2 mem.Addr, d1, d2 uint64) (trapp
 	return t1 || t2, err
 }
 
-// ParityHit XORs delta into stored locator plane j of region r — damage
-// to the ECC tier's own metadata rather than the data. Alone it
-// diagnoses parity-stale (data intact, planes rebuilt); combined with a
-// data smash it is unrepairable.
+// SameDeltaWords XORs one nonzero delta into the aligned word containing
+// each of addrs: a memset run (contiguous words), an overrun of repeated
+// records (a stride of the record's words), or any other index set. An
+// even count cancels in the codeword, so only the ECC tier's S1 sees it.
+func (in *Injector) SameDeltaWords(addrs []mem.Addr, delta uint64) (trapped bool, err error) {
+	if delta == 0 {
+		delta = 1
+	}
+	for _, a := range addrs {
+		t, err := in.smashWord("same-delta", a, delta)
+		trapped = trapped || t
+		if err != nil {
+			return trapped, err
+		}
+	}
+	return trapped, nil
+}
+
+// ParityHit XORs delta into region r's stored S1 (plane must be 0) —
+// damage to the ECC tier's own metadata rather than the data. Alone it
+// diagnoses unrepairable: the codeword audit sees nothing, the ECC sweep
+// escalates, and nothing is rebuilt from the data.
 func (in *Injector) ParityHit(tab *region.Table, r, plane int, delta uint64) error {
 	if delta == 0 {
 		delta = 1

@@ -4,15 +4,28 @@
 // claims to, and escalate what it must?" — each targeted damage shape
 // lands on a known rung of the ladder:
 //
-//	single-bit    → repairable (smallest syndrome)
-//	single-word   → repairable (the canonical wild write)
-//	double-word   → unrepairable, escalates to delete-transaction recovery
-//	parity-column → parity-stale, planes rebuilt from intact data
+//	single-bit       → repairable (smallest syndrome)
+//	single-word      → repairable (the canonical wild write)
+//	double-word      → unrepairable, escalates to delete-transaction recovery
+//	equal-delta-pair → unrepairable; cancels in the codeword, so only
+//	                   Diagnose sees it
+//	memset-run       → unrepairable (3–6 contiguous words, one delta)
+//	record-overrun   → one delta at a record's stride: unrepairable where
+//	                   two or more hits share a region, repaired where each
+//	                   region holds one
+//	parity-column    → S1 damage, data intact: unrepairable, escalates
 //
-// The acceptance bar (ISSUE 10): >= 99% of single-word wild writes
-// repaired in place with zero delete-transaction recoveries, and
-// multi-word damage demonstrably escalating to the existing recovery
-// path.
+// Healing in place happens only under Read Prechecking (its read path and
+// its audits); under Data CW and Deferred CW every cell escalates. Each
+// injection ends in exactly one of four outcomes: healed byte-exact,
+// healed wrong, escalated (crash + restart recovery, checked byte-exact
+// after), or undetected (the audit and Diagnose both clean after damage).
+// A cell passes (HealOutcome.Pass) when nothing healed wrong, every
+// escalation recovered clean, nothing went undetected at 64 B and 512 B
+// regions — for W ≤ 64 no damage pattern here can hide from S1 — and:
+// under Precheck at least 99% of single-bit and single-word injections
+// healed with no deleted transactions; elsewhere every injection
+// escalated.
 package faultstudy
 
 import (
@@ -26,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/heap"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/recovery"
@@ -35,22 +49,26 @@ import (
 // HealShape names one targeted damage shape of the campaign.
 type HealShape string
 
-// The campaign's damage shapes, one per rung of the heal/escalate ladder.
+// The campaign's damage shapes.
 const (
 	ShapeSingleBit  HealShape = "single-bit"
 	ShapeSingleWord HealShape = "single-word"
 	ShapeDoubleWord HealShape = "double-word"
+	ShapeEqualPair  HealShape = "equal-delta-pair"
+	ShapeMemsetRun  HealShape = "memset-run"
+	ShapeRecordOver HealShape = "record-overrun"
 	ShapeParity     HealShape = "parity-column"
 )
 
-// HealShapes lists the campaign's shapes in report order.
-func HealShapes() []HealShape {
-	return []HealShape{ShapeSingleBit, ShapeSingleWord, ShapeDoubleWord, ShapeParity}
+// healShapes lists the campaign's shapes in report order.
+func healShapes() []HealShape {
+	return []HealShape{ShapeSingleBit, ShapeSingleWord, ShapeDoubleWord,
+		ShapeEqualPair, ShapeMemsetRun, ShapeRecordOver, ShapeParity}
 }
 
-// HealSchemes returns the ECC-bearing scheme configurations the heal
+// healSchemes returns the ECC-bearing scheme configurations the heal
 // campaign runs against (healing on — the default).
-func HealSchemes() []protect.Config {
+func healSchemes() []protect.Config {
 	return []protect.Config{
 		{Kind: protect.KindDataCW, RegionSize: 512},
 		{Kind: protect.KindPrecheck, RegionSize: 64},
@@ -60,9 +78,7 @@ func HealSchemes() []protect.Config {
 
 // HealConfig parameterizes a heal campaign.
 type HealConfig struct {
-	// Injections per scheme x shape (default 50; the escalating
-	// double-word shape runs min(Injections, 6) since each injection
-	// costs a crash and a restart recovery).
+	// Injections per scheme x shape (default 50).
 	Injections int
 	// Carriers is the number of carrier transactions run between each
 	// injection and the audit (default 4).
@@ -91,13 +107,23 @@ type HealOutcome struct {
 	Scheme     string    `json:"scheme"`
 	Shape      HealShape `json:"shape"`
 	Injections int       `json:"injections"`
-	// Healed: repaired in place (word reconstructed or planes rebuilt)
-	// and the region verified byte-identical to its pre-damage contents.
+	// Healed: repaired in place and the damaged words verified
+	// byte-identical to their pre-damage contents.
 	Healed int `json:"healed"`
-	// Escalated: the ECC tier declared the damage unrepairable and the
-	// database went through crash + delete-transaction recovery.
+	// HealedWrong: a repair fired and the audit and Diagnose then came
+	// back clean, but the damaged words differ from their pre-damage
+	// contents — corruption laundered.
+	HealedWrong int `json:"healed_wrong"`
+	// Undetected: no repair fired, and after the damage both the audit
+	// and Diagnose of the damaged regions came back clean.
+	Undetected int `json:"undetected"`
+	// Escalated: the audit or Diagnose reported damage the ECC tier did
+	// not repair, and the database went through crash + delete-transaction
+	// recovery.
 	Escalated int `json:"escalated"`
-	// RecoveredClean: escalations whose post-recovery audit was clean.
+	// RecoveredClean: escalations after which the audit and Diagnose were
+	// clean and the damaged words byte-identical to their pre-damage
+	// contents.
 	RecoveredClean int `json:"recovered_clean"`
 	// DeletedTxns: transactions deleted by escalation recoveries.
 	DeletedTxns int `json:"deleted_txns"`
@@ -106,10 +132,12 @@ type HealOutcome struct {
 	// Repair latency of the in-place heals, from core.heal_ns.
 	HealP50Ns uint64 `json:"heal_p50_ns"`
 	HealP99Ns uint64 `json:"heal_p99_ns"`
+	// Pass: the cell met its bar (see the package comment of heal.go).
+	Pass bool `json:"pass"`
 }
 
-// tabler is implemented by every ECC-bearing scheme; the parity shape
-// needs the table to corrupt locator planes.
+// tabler is implemented by every ECC-bearing scheme; the shapes need the
+// table to place words in regions and to corrupt S1.
 type tabler interface {
 	Table() *region.Table
 }
@@ -118,8 +146,8 @@ type tabler interface {
 func RunHeal(cfg HealConfig) ([]HealOutcome, error) {
 	cfg = cfg.withDefaults()
 	var out []HealOutcome
-	for _, pc := range HealSchemes() {
-		for _, shape := range HealShapes() {
+	for _, pc := range healSchemes() {
+		for _, shape := range healShapes() {
 			o, err := healCell(cfg, pc, shape)
 			if err != nil {
 				return nil, fmt.Errorf("faultstudy: heal %v/%s: %w", pc.Kind, shape, err)
@@ -130,16 +158,60 @@ func RunHeal(cfg HealConfig) ([]HealOutcome, error) {
 	return out, nil
 }
 
-// healCell runs one scheme x shape cell. Repairable shapes reuse one
-// database across injections (inject, carry, audit-heal, byte-verify);
-// the escalating double-word shape crashes and recovers per injection.
+// damage is one injection's footprint: the words hit (with their
+// pre-damage contents) and the regions that hold them.
+type damage struct {
+	words   []mem.Addr
+	pre     [][]byte
+	regions []int
+}
+
+// intact reports whether every damaged word holds its pre-damage bytes.
+func (d *damage) intact(a *mem.Arena) bool {
+	for i, w := range d.words {
+		if !bytes.Equal(a.Slice(w, 8), d.pre[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// shapeWords picks the words a shape hits. Every word sits inside a
+// record body at offset 8 or beyond, which no carrier writes: carriers
+// update only the first bytes of other records. Except for the record
+// overrun, the words stay inside the victim's record and region.
+func shapeWords(shape HealShape, rng *rand.Rand, tb *heap.Table, victim uint32, recBytes int) []mem.Addr {
+	rec := tb.RecordAddr(victim)
+	w := rec + mem.Addr(8*(2+rng.Intn(recBytes/8-3))) // words 2..recBytes/8-2
+	switch shape {
+	case ShapeDoubleWord, ShapeEqualPair:
+		return []mem.Addr{w, w + 8}
+	case ShapeMemsetRun:
+		n := 3 + rng.Intn(recBytes/8-4) // 3..recBytes/8-2 words from word 1
+		run := make([]mem.Addr, n)
+		for i := range run {
+			run[i] = rec + mem.Addr(8*(1+i))
+		}
+		return run
+	case ShapeRecordOver:
+		hits := make([]mem.Addr, 2+rng.Intn(3)) // the victim and 1..3 records after it
+		for i := range hits {
+			hits[i] = w + mem.Addr(i*recBytes)
+		}
+		return hits
+	case ShapeParity:
+		return nil
+	}
+	return []mem.Addr{w}
+}
+
+// healCell runs one scheme x shape cell on one database: inject, run
+// carriers, detect with the audit and then Diagnose (which sees what the
+// codeword cancels), and either verify a heal or escalate through crash +
+// restart recovery.
 func healCell(cfg HealConfig, pc protect.Config, shape HealShape) (o HealOutcome, err error) {
 	o.Shape = shape
-	injections := cfg.Injections
-	if shape == ShapeDoubleWord && injections > 6 {
-		injections = 6 // each injection costs a crash + restart recovery
-	}
-	o.Injections = injections
+	o.Injections = cfg.Injections
 
 	dir, err := os.MkdirTemp(cfg.WorkDir, "healstudy-*")
 	if err != nil {
@@ -162,48 +234,37 @@ func healCell(cfg HealConfig, pc protect.Config, shape HealShape) (o HealOutcome
 	}()
 	o.Scheme = db.Scheme().Name()
 
-	for i := 0; i < injections; i++ {
+	for i := 0; i < o.Injections; i++ {
 		inj := fault.New(db.Internals().Arena, db.Scheme().Protector(), cfg.Seed+int64(i))
 		inj.SetRegistry(db.Observability())
-		victim := uint32(rng.Intn(slots))
-		addr := tb.RecordAddr(victim) + 16 // inside the record body
+		victim := uint32(rng.Intn(slots - 4)) // room for an overrun after it
 		tab := db.Scheme().(tabler).Table()
-		r := tab.RegionOf(addr)
-		// The differential check covers only the victim's smashed words:
-		// carrier transactions legitimately update neighbouring records in
-		// the same region, so a whole-region shadow would be stale. The
-		// smashed words sit inside the victim's record, which no carrier
-		// touches.
-		w1 := addr &^ 7
-		w2 := w1 + 8
-		if tab.RegionOf(w2) != r {
-			w2 = w1 - 8 // keep both words inside the victim's region
-		}
 		a := db.Internals().Arena
-		pre1 := append([]byte(nil), a.Slice(w1, 8)...)
-		pre2 := append([]byte(nil), a.Slice(w2, 8)...)
+		var dmg damage
+		dmg.words = shapeWords(shape, rng, tb, victim, recBytes)
+		for _, w := range dmg.words {
+			dmg.pre = append(dmg.pre, append([]byte(nil), a.Slice(w, 8)...))
+			if r := tab.RegionOf(w); len(dmg.regions) == 0 || dmg.regions[len(dmg.regions)-1] != r {
+				dmg.regions = append(dmg.regions, r)
+			}
+		}
 
 		switch shape {
 		case ShapeSingleBit:
-			if _, err := inj.SingleBitFlip(addr, uint(rng.Intn(8))); err != nil {
-				return o, err
-			}
+			_, err = inj.SingleBitFlip(dmg.words[0], uint(rng.Intn(8)))
 		case ShapeSingleWord:
-			if _, err := inj.WordSmash(addr, rng.Uint64()); err != nil {
-				return o, err
-			}
+			_, err = inj.WordSmash(dmg.words[0], rng.Uint64())
 		case ShapeDoubleWord:
-			if _, err := inj.DoubleWordSmash(w1, w2, rng.Uint64(), rng.Uint64()); err != nil {
-				return o, err
-			}
+			_, err = inj.DoubleWordSmash(dmg.words[0], dmg.words[1], rng.Uint64(), rng.Uint64())
 		case ShapeParity:
-			if tab.NumPlanes() == 0 {
-				o.Healed++ // 8-byte regions have no planes to hit
-				continue
-			}
-			if err := inj.ParityHit(tab, r, rng.Intn(tab.NumPlanes()), rng.Uint64()); err != nil {
-				return o, err
-			}
+			r := tab.RegionOf(tb.RecordAddr(victim))
+			dmg.regions = []int{r}
+			err = inj.ParityHit(tab, r, 0, rng.Uint64())
+		default:
+			_, err = inj.SameDeltaWords(dmg.words, rng.Uint64())
+		}
+		if err != nil {
+			return o, err
 		}
 
 		heals0 := healCount(db)
@@ -214,38 +275,44 @@ func healCell(cfg HealConfig, pc protect.Config, shape HealShape) (o HealOutcome
 				return o, err
 			}
 		}
-		switch shape {
-		case ShapeParity:
-			// Plane damage is invisible to the codeword audit (the data
-			// still matches its codeword); the Diagnose sweep — what
-			// dbcheck -heal drives — finds and repairs it.
-			if res := db.Scheme().Heal(r); res.Verdict != region.VerdictParityStale {
-				return o, fmt.Errorf("injection %d: parity hit healed as %v", i, res.Verdict)
+		// Detection: the audit compares codewords (and heals under
+		// Precheck); Diagnose — the sweep dbcheck runs — also reads S1,
+		// so it sees what the codeword cancels.
+		var extra []recovery.Range
+		escalate := false
+		if err := db.Audit(); err != nil {
+			var ce *core.CorruptionError
+			if !errors.As(err, &ce) {
+				return o, err
 			}
+			escalate = true // the failed audit's ranges are in the log
+		} else {
+			for _, r := range dmg.regions {
+				if db.Scheme().Diagnose(r).Verdict != region.VerdictClean {
+					extra = append(extra, recovery.Range{Start: tab.RegionStart(r), Len: tab.RegionSize()})
+				}
+			}
+			escalate = len(extra) > 0
+		}
+		healed := healCount(db) > heals0
+		switch {
+		case escalate:
+			// The paper's reaction: crash, then restart recovery deletes
+			// the transactions that touched the corrupt regions.
+			o.Escalated++
+			db, tb, err = healEscalate(db, dbcfg, &o, extra, &dmg)
+			if err != nil {
+				return o, err
+			}
+		case !dmg.intact(a) && healed:
+			o.HealedWrong++
+		case !dmg.intact(a):
+			o.Undetected++
+		case healed:
+			o.Healed++
 		default:
-			if err := db.Audit(); err != nil {
-				var ce *core.CorruptionError
-				if !errors.As(err, &ce) {
-					return o, err
-				}
-				// Escalation: the paper's reaction — crash, then restart
-				// recovery deletes the transactions that touched the
-				// corrupt region.
-				o.Escalated++
-				db, tb, err = healEscalate(db, dbcfg, &o)
-				if err != nil {
-					return o, err
-				}
-				continue
-			}
+			return o, fmt.Errorf("injection %d: damage vanished with nothing healed", i)
 		}
-		if healCount(db) == heals0 {
-			return o, fmt.Errorf("injection %d: audit clean but nothing healed", i)
-		}
-		if !bytes.Equal(a.Slice(w1, 8), pre1) || !bytes.Equal(a.Slice(w2, 8), pre2) {
-			return o, fmt.Errorf("injection %d: healed words not byte-identical", i)
-		}
-		o.Healed++
 	}
 
 	m := db.Metrics()
@@ -254,6 +321,14 @@ func healCell(cfg HealConfig, pc protect.Config, shape HealShape) (o HealOutcome
 		o.HealP99Ns = h.Quantile(0.99)
 	}
 	o.HealRate = float64(o.Healed) / float64(o.Injections)
+	o.Pass = o.HealedWrong == 0 && o.RecoveredClean == o.Escalated &&
+		(o.Undetected == 0 || pc.RegionSize > 512)
+	switch {
+	case !pc.Kind.VerifiesReads():
+		o.Pass = o.Pass && o.Escalated == o.Injections
+	case shape == ShapeSingleBit || shape == ShapeSingleWord:
+		o.Pass = o.Pass && o.HealRate >= 0.99 && o.DeletedTxns == 0
+	}
 	return o, nil
 }
 
@@ -328,18 +403,24 @@ func healCarrier(db *core.DB, tb *heap.Table, rng *rand.Rand, slots int, victim 
 }
 
 // healEscalate crashes the corrupt database, runs restart recovery
-// (which deletes the transactions that touched the corrupt regions), and
-// reopens a fresh handle for the rest of the cell.
-func healEscalate(db *core.DB, dbcfg core.Config, o *HealOutcome) (*core.DB, *heap.Table, error) {
+// (which deletes the transactions that touched the corrupt regions — the
+// failed audit's, or extra when only Diagnose saw the damage), checks the
+// damage is gone byte-exact, and reopens a fresh handle for the rest of
+// the cell.
+func healEscalate(db *core.DB, dbcfg core.Config, o *HealOutcome, extra []recovery.Range, dmg *damage) (*core.DB, *heap.Table, error) {
 	if err := db.Crash(); err != nil {
 		return nil, nil, err
 	}
-	db2, rep, err := recovery.Open(dbcfg, recovery.Options{})
+	db2, rep, err := recovery.Open(dbcfg, recovery.Options{ExtraCorrupt: extra})
 	if err != nil {
 		return nil, nil, err
 	}
 	o.DeletedTxns += len(rep.Deleted)
-	if db2.Audit() == nil {
+	clean := db2.Audit() == nil && dmg.intact(db2.Internals().Arena)
+	for _, r := range dmg.regions {
+		clean = clean && db2.Scheme().Diagnose(r).Verdict == region.VerdictClean
+	}
+	if clean {
 		o.RecoveredClean++
 	}
 	cat, err := heap.Open(db2)
@@ -355,11 +436,9 @@ func healEscalate(db *core.DB, dbcfg core.Config, o *HealOutcome) (*core.DB, *he
 	return db2, tb, nil
 }
 
-// healCount reads the database's in-place repair total (words
-// reconstructed plus planes rebuilt).
+// healCount reads the database's in-place repair total.
 func healCount(db *core.DB) uint64 {
-	m := db.Metrics()
-	return m.Counters[obs.NameHeals] + m.Counters[obs.NameHealRebuilds]
+	return db.Metrics().Counters[obs.NameHeals]
 }
 
 // FormatHealOutcomes renders the heal campaign as a table.
@@ -372,15 +451,18 @@ func FormatHealOutcomes(outcomes []HealOutcome) string {
 			fmt.Sprint(o.Injections),
 			fmt.Sprint(o.Healed),
 			fmt.Sprintf("%.1f%%", o.HealRate*100),
+			fmt.Sprint(o.HealedWrong),
+			fmt.Sprint(o.Undetected),
 			fmt.Sprint(o.Escalated),
 			fmt.Sprint(o.RecoveredClean),
 			fmt.Sprint(o.DeletedTxns),
 			fmt.Sprint(o.HealP50Ns),
 			fmt.Sprint(o.HealP99Ns),
+			map[bool]string{true: "ok", false: "FAIL"}[o.Pass],
 		})
 	}
 	return benchtab.Format([]string{
-		"Scheme", "Shape", "Injections", "Healed", "Heal-rate",
-		"Escalated", "Recovered-clean", "Deleted-txns", "p50-ns", "p99-ns",
+		"Scheme", "Shape", "Injections", "Healed", "Heal-rate", "Healed-wrong", "Undetected",
+		"Escalated", "Recovered-clean", "Deleted-txns", "p50-ns", "p99-ns", "Bar",
 	}, rows)
 }

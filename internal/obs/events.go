@@ -72,9 +72,9 @@ type PrecheckFailEvent struct {
 func (PrecheckFailEvent) EventName() string { return "protect.precheck_fail" }
 
 // HealEvent is emitted when the error-correction tier acts on a region:
-// a damaged word repaired in place, stale locator planes rebuilt, or
-// damage past the correction radius escalated to recovery. Verdict is
-// region.Verdict's String() ("repaired", "parity-stale", "unrepairable").
+// a damaged word repaired in place, or damage past the correction radius
+// escalated to recovery. Verdict is region.Verdict's String() ("repaired",
+// "unrepairable").
 type HealEvent struct {
 	Region   uint64        // protection region number
 	Verdict  string        // outcome of the repair attempt

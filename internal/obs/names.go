@@ -25,7 +25,6 @@ const (
 	// internal/core — ECC heal ladder (PR 10): in-place repairs by the
 	// error-correction tier and escalations past its correction radius.
 	NameHeals           = "core.heals"            // regions repaired in place (word reconstructed)
-	NameHealRebuilds    = "core.heal_rebuilds"    // stale locator planes rebuilt (data intact)
 	NameHealEscalations = "core.heal_escalations" // unrepairable damage escalated to recovery
 	NameHealNS          = "core.heal_ns"          // histogram: per-region repair latency
 
@@ -144,7 +143,7 @@ const (
 
 	// internal/fault — memory fault injector (wild writes).
 	NameFaultWildWrites = "fault.wild_writes"
-	NameFaultParityHits = "fault.parity_hits" // locator-plane (ECC metadata) corruptions injected
+	NameFaultParityHits = "fault.parity_hits" // S1 (ECC metadata) corruptions injected
 
 	// internal/benchtab — Table 1/2 measurement sweeps.
 	NameBenchPairNS = "bench.pair_ns" // histogram: one protect/unprotect pair, nanoseconds

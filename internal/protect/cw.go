@@ -300,13 +300,13 @@ func (s *cwScheme) Heal(r int) region.RepairResult {
 }
 
 // repair runs the table's Repair on region r, whose protection latch the
-// caller holds exclusive, and reports mutating outcomes (a repaired word,
-// rebuilt planes) with the time they took through OnHeal, so the database
-// can account for the image change (metrics, checkpoint dirty tracking).
+// caller holds exclusive, and reports a repaired word with the time it
+// took through OnHeal, so the database can account for the image change
+// (metrics, checkpoint dirty tracking).
 func (s *cwScheme) repair(r int) region.RepairResult {
 	start := time.Now()
 	res := s.tab.Repair(s.arena, r)
-	if s.onHeal != nil && (res.Verdict == region.VerdictRepaired || res.Verdict == region.VerdictParityStale) {
+	if s.onHeal != nil && res.Verdict == region.VerdictRepaired {
 		s.onHeal(res, time.Since(start))
 	}
 	return res

@@ -12,7 +12,7 @@ import (
 )
 
 // tabler is implemented by the codeword-bearing schemes; the heal tests
-// need the table to address regions and (for white-box checks) planes.
+// need the table to address regions and (for white-box checks) S1.
 type tabler interface {
 	Table() *region.Table
 }
@@ -149,9 +149,11 @@ func TestPrecheckHealsOnRead(t *testing.T) {
 	}
 }
 
-// TestHealParityStale: damage to a locator plane alone (data intact)
-// diagnoses parity-stale and Heal rebuilds the plane without touching
-// the data.
+// TestHealParityStale: damage to the stored S1 alone (data intact)
+// diagnoses unrepairable and Heal escalates without touching anything:
+// S1 is never rebuilt from the data as it stands, so the same syndrome
+// from even-count equal-delta data damage cannot be laundered either.
+// Recompute, restart recovery's step, clears it.
 func TestHealParityStale(t *testing.T) {
 	a := newTestArena(t, 1<<16)
 	rand.New(rand.NewSource(9)).Read(a.Bytes())
@@ -162,24 +164,30 @@ func TestHealParityStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := s.(tabler).Table()
-	if err := tab.CorruptPlane(7, 2, 0xFFFF); err != nil {
+	if err := tab.CorruptPlane(7, 0, 0xFFFF); err != nil {
 		t.Fatal(err)
 	}
-	if diag := s.Diagnose(7); diag.Verdict != region.VerdictParityStale || diag.StalePlanes != 1 {
-		t.Fatalf("Diagnose = %v, want parity-stale with 1 plane", diag)
+	if diag := s.Diagnose(7); diag.Verdict != region.VerdictUnrepairable {
+		t.Fatalf("Diagnose = %v, want unrepairable", diag)
 	}
 	shadow := append([]byte(nil), a.Bytes()...)
-	if res := s.Heal(7); res.Verdict != region.VerdictParityStale {
+	if res := s.Heal(7); res.Verdict != region.VerdictUnrepairable {
 		t.Fatalf("Heal = %v", res)
 	}
 	if !bytes.Equal(a.Bytes(), shadow) {
-		t.Fatal("plane rebuild mutated data")
+		t.Fatal("Heal mutated data")
+	}
+	if diag := s.Diagnose(7); diag.Verdict != region.VerdictUnrepairable {
+		t.Fatalf("Diagnose after Heal = %v: S1 was rebuilt", diag)
+	}
+	if len(healed) != 0 {
+		t.Fatalf("OnHeal fired %d times, want 0", len(healed))
+	}
+	if err := s.Recompute(); err != nil {
+		t.Fatal(err)
 	}
 	if diag := s.Diagnose(7); diag.Verdict != region.VerdictClean {
-		t.Fatalf("Diagnose after rebuild = %v, want clean", diag)
-	}
-	if len(healed) != 1 {
-		t.Fatalf("OnHeal fired %d times, want 1", len(healed))
+		t.Fatalf("Diagnose after Recompute = %v, want clean", diag)
 	}
 }
 

@@ -134,6 +134,17 @@ func (k Kind) HasCodewords() bool {
 	return p.regionSize != 0
 }
 
+// VerifiesReads reports whether every read verifies its regions before it
+// proceeds (Read Prechecking). It is the only kind under which no
+// transaction can have read unverified bytes, so the only one whose audits
+// may heal damage in place: under the others a reader may already have
+// carried the damage into its own writes (§4), which only
+// delete-transaction recovery can trace.
+func (k Kind) VerifiesReads() bool {
+	p, _ := k.policy()
+	return p.read == readVerify
+}
+
 // LogsCodewords reports whether the kind stores codewords in its read and
 // write log records, which lets corruption recovery run its
 // view-consistent variant without a failed audit to start from (§4.3).
@@ -173,18 +184,18 @@ type Config struct {
 	// update.
 	HWDeferReprotect bool
 	// DisableECC turns off the error-correction tier for codeword schemes:
-	// no locator planes are maintained, and Diagnose/Heal report
+	// no S1 syndrome word is maintained, and Diagnose/Heal report
 	// VerdictUnsupported. The detection tier is unaffected.
 	DisableECC bool
-	// DisableHeal keeps the ECC tier's planes maintained but stops the
-	// scheme from repairing in place on its own initiative (today: the
-	// precheck read path). Explicit Heal calls still repair.
+	// DisableHeal keeps the ECC tier's S1 maintained but stops the scheme
+	// from repairing in place on its own initiative (the precheck read
+	// path, and core's Precheck audits). Explicit Heal calls still repair.
 	DisableHeal bool
 	// OnHeal, when non-nil, is invoked after every Heal attempt that
-	// mutated state — a repaired word or rebuilt locator planes — with the
-	// result and the time the repair took. core.Open wires the database's
-	// heal bookkeeping (metrics, checkpoint dirty tracking) in here. Called
-	// while the region's protection latch is still held exclusively.
+	// repaired a word, with the result and the time the repair took.
+	// core.Open wires the database's heal bookkeeping (metrics, checkpoint
+	// dirty tracking) in here. Called while the region's protection latch
+	// is still held exclusively.
 	OnHeal func(region.RepairResult, time.Duration)
 	// Obs, when non-nil, receives the scheme's metrics and events
 	// (precheck hits/misses, fold counters, protection-latch waits, page
@@ -284,15 +295,14 @@ type Scheme interface {
 	// AuditRange audits only regions intersecting [addr, addr+n).
 	AuditRange(addr mem.Addr, n int) []region.Mismatch
 
-	// Diagnose classifies region r's ECC syndrome under the scheme's audit
-	// latching without mutating anything: clean, repairable (with the
-	// located word), parity-stale, or unrepairable. Schemes without an ECC
-	// tier report VerdictUnsupported.
+	// Diagnose classifies region r's ECC syndromes under the scheme's
+	// audit latching without mutating anything: clean, repairable (with
+	// the located word), or unrepairable. Schemes without an ECC tier
+	// report VerdictUnsupported.
 	Diagnose(r int) region.RepairResult
 	// Heal attempts in-place correction of region r under the scheme's
 	// audit latching: a located single-word damage is reconstructed from
-	// codeword and locator planes, stale planes are rebuilt from intact
-	// data. Damage beyond the correction radius returns
+	// the S0 and S1 syndromes. Damage beyond the correction radius returns
 	// VerdictUnrepairable and the caller escalates to delete-transaction
 	// recovery. Schemes without an ECC tier report VerdictUnsupported.
 	Heal(r int) region.RepairResult

@@ -100,6 +100,9 @@ func TestSchemeConformance(t *testing.T) {
 			if kind.LogsCodewords() != (kind == KindCWReadLog) {
 				t.Errorf("LogsCodewords() = %v", kind.LogsCodewords())
 			}
+			if kind.VerifiesReads() != (kind == KindPrecheck) {
+				t.Errorf("VerifiesReads() = %v", kind.VerifiesReads())
+			}
 		})
 
 		// The update bracket excludes a shared holder of the region's

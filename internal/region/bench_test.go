@@ -102,7 +102,7 @@ func applyUpdateGeneric(t *Table, scratch []byte, addr mem.Addr, oldData, newDat
 		if end > len(scratch) {
 			end = len(scratch)
 		}
-		t.xorInto(r, foldGeneric(0, scratch[i:end], int(a&7)), nil)
+		t.xorInto(r, foldGeneric(0, scratch[i:end], int(a&7)), 0)
 		i = end
 	}
 }

@@ -64,13 +64,12 @@ type Table struct {
 	regionSize int
 	shift      uint
 	cws        []Codeword
-	// ECC tier (EnableECC): numPlanes locator planes per region, stored
-	// flat as planes[r*numPlanes : (r+1)*numPlanes] and guarded by the
-	// same codeword-latch stripe as cws[r]. See ecc.go.
-	ecc       bool
-	numPlanes int
-	planes    []uint64
-	cwLatch   *latch.Striped //dbvet:latch codeword — the paper's "codeword latch"
+	// ECC tier (EnableECC): s1[r] is region r's syndrome word, guarded by
+	// the same codeword-latch stripe as cws[r]; nil unless hasS1. See
+	// ecc.go.
+	ecc     bool
+	s1      []uint64
+	cwLatch *latch.Striped //dbvet:latch codeword — the paper's "codeword latch"
 	// pool runs the table's whole-arena scans (RecomputeAll, AuditRange)
 	// across workers. A nil pool runs them on the calling goroutine.
 	pool *Pool
@@ -171,9 +170,9 @@ func (t *Table) RegionStart(r int) mem.Addr {
 }
 
 // latchFor returns region r's stripe of the codeword latch. Every access
-// to t.cws[r] — Codeword, Set, xorInto — must go through this one helper
-// so that readers and writers of the same region can never end up on
-// different stripes (which would make a torn 64-bit read observable).
+// to t.cws[r] and t.s1[r] must go through this one helper so that readers
+// and writers of the same region can never end up on different stripes
+// (which would make a torn 64-bit read observable).
 func (t *Table) latchFor(r int) *latch.Latch {
 	return t.cwLatch.For(uint64(r))
 }
@@ -188,60 +187,48 @@ func (t *Table) Codeword(r int) Codeword {
 	return cw
 }
 
-// xorInto folds a codeword delta and the matching locator-plane deltas
-// into region r under one acquisition of the codeword latch, keeping the
-// (codeword, planes) pair mutually consistent. pd is nil with ECC off.
-func (t *Table) xorInto(r int, delta Codeword, pd []uint64) {
-	if delta == 0 && !anyNonzero(pd) {
+// xorInto folds a codeword delta and the matching S1 delta into region r
+// under one acquisition of the codeword latch, keeping the (S0, S1) pair
+// mutually consistent. s1 is always 0 when the table keeps no S1.
+func (t *Table) xorInto(r int, delta Codeword, s1 uint64) {
+	if delta == 0 && s1 == 0 {
 		return
 	}
 	l := t.latchFor(r)
 	l.Lock()
 	t.cws[r] ^= delta
-	t.xorPlanesLocked(r, pd)
-	l.Unlock()
-}
-
-// anyNonzero reports whether any plane delta is nonzero (a delta of two
-// equal word changes cancels in the codeword but not in every plane).
-func anyNonzero(pd []uint64) bool {
-	for _, d := range pd {
-		if d != 0 {
-			return true
-		}
+	if s1 != 0 {
+		t.s1[r] ^= s1
 	}
-	return false
+	l.Unlock()
 }
 
 // regionDelta computes the codeword delta of the part of an update at
 // addr that falls inside one region: the bytes of oldData/newData from
 // offset i up to the region's end (returned as end, the offset at which
-// the next region's part starts). With ECC enabled planes is the caller's
-// scratch and receives the matching plane deltas from the same fused
-// kernel pass; with ECC off planes is nil. It is the shared step of
-// ApplyUpdate and UpdateDeltas, which own the loop so that the scratch
-// never passes through a function value and stays on their stacks.
-func (t *Table) regionDelta(planes []uint64, addr mem.Addr, i int, oldData, newData []byte) (r, end int, delta Codeword, err error) {
+// the next region's part starts). With S1 kept the same kernel pass
+// returns its delta too; otherwise s1 is 0. It is the shared step of
+// ApplyUpdate and UpdateDeltas.
+func (t *Table) regionDelta(addr mem.Addr, i int, oldData, newData []byte) (r, end int, delta Codeword, s1 uint64, err error) {
 	a := addr + mem.Addr(i)
 	r = t.RegionOf(a)
 	if r >= len(t.cws) {
-		return 0, 0, 0, fmt.Errorf("region: address %d beyond codeword table", a)
+		return 0, 0, 0, 0, fmt.Errorf("region: address %d beyond codeword table", a)
 	}
 	// Bytes of this update falling inside region r.
 	end = int(t.RegionStart(r+1) - addr)
 	if end > len(oldData) {
 		end = len(oldData)
 	}
-	if planes != nil {
-		clear(planes)
+	if t.hasS1() {
 		rel := int(a-t.RegionStart(r)) >> 3
-		delta = foldDeltaPlanes(planes, rel, oldData[i:end], newData[i:end], int(a&7))
+		delta, s1 = foldDeltaECC(rel, oldData[i:end], newData[i:end], int(a&7))
 	} else {
 		delta = foldDeltaKernel(0, oldData[i:end], newData[i:end], int(a&7))
 	}
 	t.mFolds.Inc()
 	t.mFoldBytes.Add(uint64(end - i))
-	return r, end, delta, nil
+	return r, end, delta, s1, nil
 }
 
 // ApplyUpdate folds the effect of replacing old with new at addr into the
@@ -252,14 +239,12 @@ func (t *Table) ApplyUpdate(addr mem.Addr, oldData, newData []byte) error {
 	if len(oldData) != len(newData) {
 		return fmt.Errorf("region: undo image %d bytes but new image %d bytes", len(oldData), len(newData))
 	}
-	var scratch planeScratch
-	planes := t.planeBuf(&scratch)
 	for i := 0; i < len(oldData); {
-		r, end, delta, err := t.regionDelta(planes, addr, i, oldData, newData)
+		r, end, delta, s1, err := t.regionDelta(addr, i, oldData, newData)
 		if err != nil {
 			return err
 		}
-		t.xorInto(r, delta, planes)
+		t.xorInto(r, delta, s1)
 		i = end
 	}
 	return nil
@@ -268,11 +253,11 @@ func (t *Table) ApplyUpdate(addr mem.Addr, oldData, newData []byte) error {
 // Delta is a pending codeword change for one region, used by the
 // deferred-maintenance scheme: the XOR that ApplyUpdate would have folded
 // into the region's codeword immediately, plus (with ECC enabled) the
-// matching locator-plane deltas.
+// matching S1 delta.
 type Delta struct {
 	Region int
 	Delta  Codeword
-	Planes []uint64
+	S1     uint64
 }
 
 // UpdateDeltas computes the per-region codeword deltas of replacing old
@@ -283,72 +268,50 @@ func (t *Table) UpdateDeltas(buf []Delta, addr mem.Addr, oldData, newData []byte
 	if len(oldData) != len(newData) {
 		return buf, fmt.Errorf("region: undo image %d bytes but new image %d bytes", len(oldData), len(newData))
 	}
-	var scratch planeScratch
-	planes := t.planeBuf(&scratch)
 	for i := 0; i < len(oldData); {
-		r, end, delta, err := t.regionDelta(planes, addr, i, oldData, newData)
+		r, end, delta, s1, err := t.regionDelta(addr, i, oldData, newData)
 		if err != nil {
 			return buf, err
 		}
-		if delta != 0 || anyNonzero(planes) {
-			buf = append(buf, Delta{Region: r, Delta: delta, Planes: append([]uint64(nil), planes...)})
+		if delta != 0 || s1 != 0 {
+			buf = append(buf, Delta{Region: r, Delta: delta, S1: s1})
 		}
 		i = end
 	}
 	return buf, nil
 }
 
-// XorInto folds a previously computed codeword delta into region r under
-// the codeword latch. Plane-carrying deltas go through XorDelta; XorInto
-// exists for callers outside the ECC tier.
-func (t *Table) XorInto(r int, delta Codeword) {
-	t.xorInto(r, delta, nil)
-}
-
-// XorDelta applies one queued Delta — codeword and locator planes — under
-// a single codeword-latch acquisition.
+// XorDelta applies one queued Delta — codeword and S1 — under a single
+// codeword-latch acquisition.
 func (t *Table) XorDelta(d Delta) {
-	t.xorInto(d.Region, d.Delta, d.Planes)
+	t.xorInto(d.Region, d.Delta, d.S1)
 }
 
-// Set stores a codeword directly (used when loading a checkpointed table
-// or initializing from a fresh image). With ECC enabled the stored
-// planes are left untouched and therefore go stale; callers that install
-// raw codewords must follow with RecomputeAll (which rebuilds planes) or
-// accept VerdictParityStale diagnoses until Repair rebuilds them. Stale
-// planes are safe: they can never cause a miscorrection, only degrade a
-// repairable region to an escalation.
-func (t *Table) Set(r int, cw Codeword) {
-	l := t.latchFor(r)
-	l.Lock()
-	//dbvet:allow cwpair Set installs a raw codeword by design; planes rebuild via RecomputeAll or Repair
-	t.cws[r] = cw
-	l.Unlock()
-}
-
-// recomputeRegion re-derives region r's codeword and locator planes from
-// the arena contents in one pass, storing both under the codeword latch.
+// recomputeRegion re-derives region r's codeword (and S1) from the arena
+// contents in one pass, storing both under the codeword latch.
 func (t *Table) recomputeRegion(a *mem.Arena, r int) {
 	data := a.Slice(t.RegionStart(r), t.regionSize)
-	if !t.ecc {
-		t.Set(r, Compute(data))
-		return
+	var cw Codeword
+	var s1 uint64
+	if t.hasS1() {
+		cw, s1 = computeECC(data)
+	} else {
+		cw = Compute(data)
 	}
-	var scratch planeScratch
-	fresh := t.planeBuf(&scratch)
-	cw := computeECC(data, fresh)
 	l := t.latchFor(r)
 	l.Lock()
 	t.cws[r] = cw
-	copy(t.planesLocked(r), fresh)
+	if t.hasS1() {
+		t.s1[r] = s1
+	}
 	l.Unlock()
 }
 
-// RecomputeAll recomputes every codeword (and, with ECC, every locator
-// plane) from the arena contents. Used at startup and after recovery,
-// when the image is known to be good. When a pool has been attached with
-// SetPool the region range is chunked across its workers; the per-region
-// store still goes through the codeword latch.
+// RecomputeAll recomputes every codeword (and, with ECC, every S1) from
+// the arena contents. Used at startup and after recovery, when the image
+// is known to be good. When a pool has been attached with SetPool the
+// region range is chunked across its workers; the per-region store still
+// goes through the codeword latch.
 func (t *Table) RecomputeAll(a *mem.Arena) {
 	t.pool.Run(len(t.cws), poolMinGrainBytes/t.regionSize, func(lo, hi int) {
 		done := t.noteThroughput(t.mRecomputeBPS, (hi-lo)*t.regionSize)

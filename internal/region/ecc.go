@@ -1,41 +1,39 @@
-// Error-correcting tier over the detection codewords: locator planes.
+// Error-correcting tier over the detection codewords: one syndrome word.
 //
-// With ECC enabled a region of W = regionSize/8 words keeps, besides its
-// codeword (the XOR of all words), ceil(log2 W) locator planes: plane j
-// is the XOR of the words whose region-relative index has bit j set —
-// the classic Hamming construction at word granularity. After a wild
-// write damages a single word at index i with XOR delta d, the codeword
-// syndrome S0 = stored⊕actual equals d, and plane syndrome Sj equals d
-// exactly when bit j of i is set and 0 otherwise: the plane syndromes
-// spell out i in binary, and XORing S0 back into word i reconstructs it
-// in place — no restart, no transaction rollback.
+// With ECC enabled a region of W = regionSize/8 words d₀…d_{W−1} keeps,
+// besides its codeword S0 = ⊕ dᵢ, one more word S1 = ⊕ xⁱ·dᵢ over
+// GF(2⁶⁴) (kernel.go has the arithmetic). Comparing both with values
+// recomputed from the arena gives the syndromes; a wild write that damages
+// the single word i with XOR delta e leaves S0 = e and S1 = xⁱ·e. Since p
+// is primitive, xᵐ differs for every m < W, so S1 = xᵐ·S0 names exactly
+// one word, and XORing S0 back into it reconstructs it in place — no
+// restart, no transaction rollback. The classification:
 //
-// Correction radius (documented in DESIGN.md "Error correction tier"):
+//   - S0 = S1 = 0: clean;
+//   - S1 = xᵐ·S0 for some m < W: word m is repairable, and a repair is
+//     accepted only if both syndromes then verify;
+//   - anything else — S0 = 0 with S1 ≠ 0 included — is unrepairable and
+//     escalates to delete-transaction recovery. Nothing is ever rebuilt
+//     from the data as it stands: S1 changes only with a maintained update
+//     or a recompute from an image known to be good.
 //
-//   - exactly one damaged word (any subset of its bits): located and
-//     repaired, always;
-//   - damage confined to the planes themselves (S0 == 0, some Sj != 0):
-//     the data is intact; the planes are rebuilt from it;
-//   - anything wider — multiple damaged words, or a word plus a plane —
-//     generally yields some Sj ∉ {0, S0} and is declared unrepairable,
-//     escalating to delete-transaction recovery. Multi-word damage can
-//     alias into a single-word syndrome (e.g. equal deltas in two words
-//     cancel everywhere); the post-repair verification re-computes the
-//     region so an aliased repair that does not restore consistency is
-//     still caught, but a consistent-looking miscorrection is possible
-//     in principle, exactly as parity-neutral damage already defeats the
-//     detection tier (probability 2^-64 per extra damaged word).
+// DESIGN.md "Error correction tier" states the radius: which damage is
+// corrected, which only detected, and which neither. For W ≤ 64 no
+// equal-delta damage of two or more words is ever repaired or diagnosed
+// clean, because no nonzero polynomial of degree < 64 is divisible by p.
 //
-// Latching: stored codeword and planes for region r live under the same
+// Single-word regions store no S1: it would equal S0, and the damaged word
+// needs no locating.
+//
+// Latching: stored S0 and S1 for region r live under the same
 // codeword-latch stripe (latchFor), so they are mutually consistent;
-// arena stability during Diagnose/Repair is the caller's protection
-// latch, exactly as for VerifyRegion.
+// arena stability during Diagnose/Repair is the caller's protection latch,
+// exactly as for VerifyRegion. Audits and VerifyRegion compare S0 only.
 package region
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -44,17 +42,13 @@ import (
 type Verdict int
 
 const (
-	// VerdictClean: contents match codeword and planes.
+	// VerdictClean: contents match both stored words.
 	VerdictClean Verdict = iota
 	// VerdictRepairable: a single word is damaged; its index was located.
 	VerdictRepairable
 	// VerdictRepaired: the damaged word was reconstructed in place and the
 	// region re-verified clean.
 	VerdictRepaired
-	// VerdictParityStale: the data matches its codeword but some locator
-	// planes do not match the data (plane damage, or codewords installed
-	// without plane history). The data needs no repair; the planes do.
-	VerdictParityStale
 	// VerdictUnrepairable: damage beyond the correction radius; escalate
 	// to delete-transaction recovery.
 	VerdictUnrepairable
@@ -70,8 +64,6 @@ func (v Verdict) String() string {
 		return "repairable"
 	case VerdictRepaired:
 		return "repaired"
-	case VerdictParityStale:
-		return "parity-stale"
 	case VerdictUnrepairable:
 		return "unrepairable"
 	case VerdictUnsupported:
@@ -92,9 +84,6 @@ type RepairResult struct {
 	// Delta is the codeword syndrome S0 — the XOR that was (or would be)
 	// applied to the damaged word.
 	Delta Codeword
-	// StalePlanes counts planes rebuilt (or needing rebuild) for
-	// VerdictParityStale.
-	StalePlanes int
 }
 
 func (r RepairResult) String() string {
@@ -102,230 +91,144 @@ func (r RepairResult) String() string {
 	case VerdictRepairable, VerdictRepaired:
 		return fmt.Sprintf("region %d %v: word %d @%d delta %016x",
 			r.Region, r.Verdict, r.WordIndex, r.Addr, uint64(r.Delta))
-	case VerdictParityStale:
-		return fmt.Sprintf("region %d %v: %d plane(s)", r.Region, r.Verdict, r.StalePlanes)
 	default:
 		return fmt.Sprintf("region %d %v", r.Region, r.Verdict)
 	}
 }
 
-// numPlanesFor reports the locator planes needed for a region of
-// regionSize bytes: ceil(log2 of the word count).
-func numPlanesFor(regionSize int) int {
-	return bits.Len(uint(regionSize/8) - 1)
+// NumPlanesFor reports the ECC words the tier stores per region of
+// regionSize bytes beside the codeword: 1 (S1), or 0 for single-word
+// regions.
+func NumPlanesFor(regionSize int) int {
+	if regionSize > MinRegionSize {
+		return 1
+	}
+	return 0
 }
 
-// NumPlanesFor reports the locator planes the ECC tier maintains for a
-// region of regionSize bytes (0 for single-word regions): the per-region
-// plane memory is 8·NumPlanesFor(size) bytes.
-func NumPlanesFor(regionSize int) int { return numPlanesFor(regionSize) }
-
-// EnableECC allocates the locator planes and derives them from the
-// current codeword state being all-zero data (callers enable ECC before
-// the table is populated, or follow with RecomputeAll). Must be called
-// before concurrent use. Plane memory cost is 8·ceil(log2 W) bytes per
-// region — e.g. 6 words per 512-byte region, under 10% of the image.
+// EnableECC allocates the S1 words and derives them from the current
+// codeword state being all-zero data (callers enable ECC before the table
+// is populated, or follow with RecomputeAll). Must be called before
+// concurrent use. The cost is 8 bytes per region.
 func (t *Table) EnableECC() {
 	if t.ecc {
 		return
 	}
 	t.ecc = true
-	t.numPlanes = numPlanesFor(t.regionSize)
-	t.planes = make([]uint64, len(t.cws)*t.numPlanes)
+	if t.hasS1() {
+		//dbvet:allow lockfield EnableECC runs before the table is shared, like NewTable
+		t.s1 = make([]uint64, len(t.cws))
+	}
 }
 
-// ECCEnabled reports whether the table maintains locator planes.
+// hasS1 reports whether the table stores S1: ECC on and regions of more
+// than one word.
+func (t *Table) hasS1() bool { return t.ecc && NumPlanesFor(t.regionSize) > 0 }
+
+// ECCEnabled reports whether the table maintains the ECC tier.
 func (t *Table) ECCEnabled() bool { return t.ecc }
 
-// NumPlanes reports the locator planes per region (0 when ECC is off or
-// regions hold a single word, whose index needs no locating).
-func (t *Table) NumPlanes() int { return t.numPlanes }
-
-// planeScratch is stack room for one region's locator planes. Sixteen
-// planes cover regions of up to 2^16 words (512 KiB) — far past any size a
-// scheme configures — so the per-region paths (update fold, recompute,
-// syndrome) never reach the heap for their plane buffer.
-type planeScratch [16]uint64
-
-// planeBuf returns a zeroed slice of one region's worth of planes backed
-// by scratch (by the heap only for a region too large for it), or nil when
-// the table keeps no planes.
-func (t *Table) planeBuf(scratch *planeScratch) []uint64 {
-	if !t.ecc || t.numPlanes == 0 {
-		return nil
+// NumPlanes reports the ECC words stored per region beside the codeword:
+// 1, or 0 when ECC is off or regions hold a single word.
+func (t *Table) NumPlanes() int {
+	if t.hasS1() {
+		return 1
 	}
-	if t.numPlanes > len(scratch) {
-		return make([]uint64, t.numPlanes)
-	}
-	return scratch[:t.numPlanes]
+	return 0
 }
 
-// planesLocked returns region r's plane slice; the caller holds r's
-// codeword-latch stripe. Empty when ECC is off.
-func (t *Table) planesLocked(r int) []uint64 {
-	if !t.ecc || t.numPlanes == 0 {
-		return nil
-	}
-	return t.planes[r*t.numPlanes : (r+1)*t.numPlanes]
-}
-
-// xorPlanesLocked folds per-plane deltas into region r's stored planes;
-// the caller holds r's codeword-latch stripe. pd may be nil (ECC off).
-func (t *Table) xorPlanesLocked(r int, pd []uint64) {
-	if !t.ecc || len(pd) == 0 {
-		return
-	}
-	p := t.planesLocked(r)
-	for j := range pd {
-		p[j] ^= pd[j]
-	}
-}
-
-// Planes returns a copy of region r's stored locator planes, read under
-// the codeword latch. Nil when ECC is off.
-func (t *Table) Planes(r int) []uint64 {
-	if !t.ecc {
-		return nil
-	}
-	l := t.latchFor(r)
-	l.Lock()
-	out := append([]uint64(nil), t.planesLocked(r)...)
-	l.Unlock()
-	return out
-}
-
-// CorruptPlane XORs delta into stored plane j of region r, bypassing
-// maintenance — the fault injector's hook for exercising the
-// plane-damage rung of the heal/escalate ladder. Plane damage is the
-// metadata analogue of a wild write: the data stays intact, so the
-// region diagnoses VerdictParityStale (plane-only damage) or
-// VerdictUnrepairable (plane plus data).
+// CorruptPlane XORs delta into region r's stored S1 (j must be 0),
+// bypassing maintenance — the fault injector's hook for damage to the ECC
+// tier's own metadata. The data stays intact, so the region diagnoses
+// VerdictUnrepairable: a syndrome word that disagrees with its data is
+// never trusted to rewrite either.
 func (t *Table) CorruptPlane(r, j int, delta uint64) error {
-	if !t.ecc || j < 0 || j >= t.numPlanes {
-		return fmt.Errorf("region: no plane %d on region %d (ECC %v, %d planes)", j, r, t.ecc, t.numPlanes)
+	if !t.hasS1() || j != 0 {
+		return fmt.Errorf("region: no ECC word %d on region %d (ECC %v, %d words)", j, r, t.ecc, t.NumPlanes())
 	}
 	l := t.latchFor(r)
 	l.Lock()
-	t.planesLocked(r)[j] ^= delta
+	t.s1[r] ^= delta
 	l.Unlock()
 	return nil
 }
 
-// syndrome computes region r's codeword and plane syndromes against the
-// arena. The caller must hold the protection latch that makes the
-// (contents, codeword, planes) triple stable; stored values are read
-// under the codeword latch. sj is the caller's zeroed plane buffer
-// (planeBuf) and comes back holding the plane syndromes.
-func (t *Table) syndrome(a *mem.Arena, r int, sj []uint64) (s0 Codeword) {
-	data := a.Slice(t.RegionStart(r), t.regionSize)
-	actualCW := computeECC(data, sj)
+// syndrome computes region r's S0 and S1 syndromes against the arena. The
+// caller must hold the protection latch that makes the contents stable;
+// stored values are read under the codeword latch.
+func (t *Table) syndrome(a *mem.Arena, r int) (s0 Codeword, s1 uint64) {
+	cw, s1 := computeECC(a.Slice(t.RegionStart(r), t.regionSize))
 	l := t.latchFor(r)
 	l.Lock()
-	s0 = t.cws[r] ^ actualCW
-	// Fold the stored planes in to turn the computed values into syndromes.
-	for j, p := range t.planesLocked(r) {
-		sj[j] ^= p
+	s0 = t.cws[r] ^ cw
+	if t.hasS1() {
+		s1 ^= t.s1[r]
+	} else {
+		s1 = uint64(s0) // a single word: S1 is S0
 	}
 	l.Unlock()
-	return s0
+	return s0, s1
 }
 
-// classify turns syndromes into a verdict. With S0 != 0 and every plane
-// syndrome equal to 0 or S0, the planes matching S0 spell the damaged
-// word's index in binary; any other plane value puts the damage outside
-// the correction radius.
-func classify(s0 Codeword, sj []uint64) (verdict Verdict, wordIndex int) {
+// classify turns syndromes into a verdict, searching m < words for
+// S1 = xᵐ·S0.
+func classify(s0 Codeword, s1 uint64, words int) (verdict Verdict, wordIndex int) {
 	if s0 == 0 {
-		for _, s := range sj {
-			if s != 0 {
-				return VerdictParityStale, 0
-			}
+		if s1 == 0 {
+			return VerdictClean, 0
 		}
-		return VerdictClean, 0
+		return VerdictUnrepairable, 0
 	}
-	idx := 0
-	for j, s := range sj {
-		switch s {
-		case uint64(s0):
-			idx |= 1 << j
-		case 0:
-		default:
-			return VerdictUnrepairable, 0
+	for m, v := 0, uint64(s0); m < words; m, v = m+1, mulX(v) {
+		if v == s1 {
+			return VerdictRepairable, m
 		}
 	}
-	return VerdictRepairable, idx
+	return VerdictUnrepairable, 0
 }
 
 // Diagnose classifies region r without mutating anything: clean,
-// repairable (with the located word), parity-stale, or unrepairable.
-// The caller must hold the scheme's protection latch for r in exclusive
-// mode, exactly as for an audit of r.
+// repairable (with the located word), or unrepairable. The caller must
+// hold the scheme's protection latch for r in exclusive mode, exactly as
+// for an audit of r.
 func (t *Table) Diagnose(a *mem.Arena, r int) RepairResult {
 	if !t.ecc {
 		return RepairResult{Region: r, Verdict: VerdictUnsupported}
 	}
-	var scratch planeScratch
-	sj := t.planeBuf(&scratch)
-	s0 := t.syndrome(a, r, sj)
-	verdict, idx := classify(s0, sj)
+	s0, s1 := t.syndrome(a, r)
+	verdict, idx := classify(s0, s1, t.regionSize/8)
 	res := RepairResult{Region: r, Verdict: verdict, Delta: s0}
-	switch verdict {
-	case VerdictRepairable:
+	if verdict == VerdictRepairable {
 		res.WordIndex = idx
 		res.Addr = t.RegionStart(r) + mem.Addr(idx*8)
-	case VerdictParityStale:
-		for _, s := range sj {
-			if s != 0 {
-				res.StalePlanes++
-			}
-		}
 	}
 	return res
 }
 
 // Repair attempts in-place correction of region r: a located single-word
 // damage is reconstructed by XORing the codeword syndrome back into the
-// damaged arena word; stale planes are rebuilt from the (intact) data.
-// The repaired region is re-verified before VerdictRepaired is returned;
-// a repair that does not restore consistency (aliased multi-word damage)
-// is reported VerdictUnrepairable with the arena word restored to what
-// it held before the attempt. The caller must hold the scheme's
-// protection latch for r in exclusive mode.
+// damaged arena word. The repaired region is re-verified against both
+// stored words before VerdictRepaired is returned; a repair that does not
+// restore consistency is reported VerdictUnrepairable with the arena word
+// restored to what it held before the attempt. The caller must hold the
+// scheme's protection latch for r in exclusive mode.
 func (t *Table) Repair(a *mem.Arena, r int) RepairResult {
 	res := t.Diagnose(a, r)
-	switch res.Verdict {
-	case VerdictRepairable:
-		data := a.Slice(res.Addr, 8)
-		var repaired [8]byte
+	if res.Verdict != VerdictRepairable {
+		return res
+	}
+	data := a.Slice(res.Addr, 8)
+	var repaired [8]byte
+	binary.LittleEndian.PutUint64(repaired[:], binary.LittleEndian.Uint64(data)^uint64(res.Delta))
+	//dbvet:allow guardedwrite ECC repair reconstructs the damaged word in place from its syndromes
+	copy(data, repaired[:])
+	if check := t.Diagnose(a, r); check.Verdict != VerdictClean {
 		binary.LittleEndian.PutUint64(repaired[:], binary.LittleEndian.Uint64(data)^uint64(res.Delta))
-		//dbvet:allow guardedwrite ECC repair reconstructs the damaged word in place from codeword+planes
+		//dbvet:allow guardedwrite rolls back a miscorrection detected by post-repair verification
 		copy(data, repaired[:])
-		if check := t.Diagnose(a, r); check.Verdict != VerdictClean {
-			// Aliased damage: undo the miscorrection and escalate.
-			binary.LittleEndian.PutUint64(repaired[:], binary.LittleEndian.Uint64(data)^uint64(res.Delta))
-			//dbvet:allow guardedwrite rolls back a miscorrection detected by post-repair verification
-			copy(data, repaired[:])
-			res.Verdict = VerdictUnrepairable
-			return res
-		}
-		res.Verdict = VerdictRepaired
-	case VerdictParityStale:
-		t.rebuildPlanes(a, r)
+		res.Verdict = VerdictUnrepairable
+		return res
 	}
+	res.Verdict = VerdictRepaired
 	return res
-}
-
-// rebuildPlanes recomputes region r's locator planes from the arena
-// contents (used when the data is known intact but the planes are not).
-func (t *Table) rebuildPlanes(a *mem.Arena, r int) {
-	if !t.ecc || t.numPlanes == 0 {
-		return
-	}
-	var scratch planeScratch
-	fresh := t.planeBuf(&scratch)
-	computeECC(a.Slice(t.RegionStart(r), t.regionSize), fresh)
-	l := t.latchFor(r)
-	l.Lock()
-	copy(t.planesLocked(r), fresh)
-	l.Unlock()
 }

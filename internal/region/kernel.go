@@ -119,143 +119,93 @@ func FoldDelta(cw Codeword, old, new []byte, phase int) Codeword {
 	return foldDeltaKernel(cw, old, new, phase)
 }
 
-// --- ECC locator-plane kernels ----------------------------------------------
+// --- ECC syndrome kernels -----------------------------------------------------
 //
-// The ECC tier adds locator planes to each region: plane j is the XOR of
-// the region's words whose region-relative word index has bit j set. A
-// word's delta therefore folds into exactly the planes selected by the
-// bits of its index, and comparing stored against recomputed planes
-// yields a per-plane syndrome that spells out the index of a single
-// damaged word in binary (see ecc.go).
+// The ECC tier keeps one word per region beside the codeword S0 = ⊕ dᵢ:
+// S1 = ⊕ xⁱ·dᵢ over GF(2⁶⁴), the Reed–Solomon syndrome at word scale. A
+// word is a polynomial over GF(2) — bit k is the coefficient of xᵏ — and
+// products are reduced modulo the primitive p = x⁶⁴+x⁴+x³+x+1, so
+// x⁶⁴ ≡ x⁴+x³+x+1 (eccPoly) and xᵐ is distinct for every m < 2⁶⁴−1.
+// Multiplying by x is a shift and a masked XOR, so S1 costs Horner's rule
+// in the same pass as S0 (see ecc.go for what the syndromes locate).
 
-// xorPlanes folds a word delta d of the word at region-relative index w
-// into the planes selected by the bits of w.
-func xorPlanes(planes []uint64, w int, d uint64) {
-	for j := 0; j < len(planes); j++ {
-		if w&(1<<j) != 0 {
-			planes[j] ^= d
-		}
-	}
+// eccPoly is p without its x⁶⁴ term: the value x⁶⁴ reduces to.
+const eccPoly = 0x1B
+
+// mulX returns v·x mod p.
+func mulX(v uint64) uint64 {
+	return v<<1 ^ uint64(int64(v)>>63)&eccPoly
 }
 
-// foldDeltaPlanesRef is the byte-at-a-time reference for the fused
-// cw+plane delta fold: the byte at data offset j sits at region-relative
-// byte offset rel*8+phase+j, i.e. in word (rel*8+phase+j)/8 at lane
-// (rel*8+phase+j) mod 8. Retained as the specification the differential
-// tests check foldDeltaPlanes against.
-func foldDeltaPlanesRef(planes []uint64, rel int, old, new []byte, phase int) Codeword {
-	var cw uint64
-	for j := range old {
-		off := rel*8 + (phase & 7) + j
-		d := uint64(old[j]^new[j]) << (uint(off&7) * 8)
-		cw ^= d
-		xorPlanes(planes, off>>3, d)
-	}
-	return Codeword(cw)
+// reduce returns lo ⊕ hi·x⁶⁴ mod p. hi·(x⁴+x³+x+1) spills at most four
+// bits past bit 63, and those fold back once more without spilling.
+func reduce(hi, lo uint64) uint64 {
+	t := hi ^ hi<<1 ^ hi<<3 ^ hi<<4
+	o := hi>>63 ^ hi>>61 ^ hi>>60
+	return lo ^ t ^ o ^ o<<1 ^ o<<3 ^ o<<4
 }
 
-// foldDeltaPlanes is the fused ECC delta kernel: one pass over old/new
-// accumulates both the codeword delta and the per-plane deltas. rel is
-// the region-relative index of the word containing old[0] and phase its
-// byte lane (0..7). Because each word's delta is assembled lane-aligned
-// before it is folded, the codeword delta needs no final rotation — the
-// plane folds are the only cost the ECC tier adds over foldDeltaKernel.
-// len(old) must equal len(new).
-func foldDeltaPlanes(planes []uint64, rel int, old, new []byte, phase int) Codeword {
-	var cw uint64
-	i := 0
-	// Head: bytes of a partial first word, lanes phase..7.
-	if phase &= 7; phase != 0 {
-		var d uint64
-		for lane := uint(phase) * 8; i < len(old) && lane < 64; i, lane = i+1, lane+8 {
-			d |= uint64(old[i]^new[i]) << lane
-		}
-		cw ^= d
-		xorPlanes(planes, rel, d)
-		rel++
+// mulXPow returns v·xⁿ mod p: one x⁶⁴ step per whole 64 of n, then a
+// shift whose spill reduce folds back (for n = 0 the spill v>>64 is 0).
+func mulXPow(v uint64, n int) uint64 {
+	for ; n >= 64; n -= 64 {
+		v = reduce(v, 0)
 	}
-	// Aligned full words, singly until rel reaches an 8-word boundary.
-	for ; i+8 <= len(old) && rel&7 != 0; i, rel = i+8, rel+1 {
-		d := binary.LittleEndian.Uint64(old[i:]) ^ binary.LittleEndian.Uint64(new[i:])
-		cw ^= d
-		xorPlanes(planes, rel, d)
-	}
-	// Groups of 8 aligned words sharing their upper index bits: the three
-	// low planes fold with fixed intra-group masks and the upper planes
-	// take one XOR of the group total, so plane maintenance costs O(1)
-	// amortized per word instead of O(planes). Regions of >= 8 words have
-	// >= 3 planes; smaller plane sets (tiny regions, or the reference
-	// tests) fall through to the scalar loop below.
-	for ; len(planes) >= 3 && i+64 <= len(old); i, rel = i+64, rel+8 {
-		d0 := binary.LittleEndian.Uint64(old[i:]) ^ binary.LittleEndian.Uint64(new[i:])
-		d1 := binary.LittleEndian.Uint64(old[i+8:]) ^ binary.LittleEndian.Uint64(new[i+8:])
-		d2 := binary.LittleEndian.Uint64(old[i+16:]) ^ binary.LittleEndian.Uint64(new[i+16:])
-		d3 := binary.LittleEndian.Uint64(old[i+24:]) ^ binary.LittleEndian.Uint64(new[i+24:])
-		d4 := binary.LittleEndian.Uint64(old[i+32:]) ^ binary.LittleEndian.Uint64(new[i+32:])
-		d5 := binary.LittleEndian.Uint64(old[i+40:]) ^ binary.LittleEndian.Uint64(new[i+40:])
-		d6 := binary.LittleEndian.Uint64(old[i+48:]) ^ binary.LittleEndian.Uint64(new[i+48:])
-		d7 := binary.LittleEndian.Uint64(old[i+56:]) ^ binary.LittleEndian.Uint64(new[i+56:])
-		g := d0 ^ d1 ^ d2 ^ d3 ^ d4 ^ d5 ^ d6 ^ d7
-		cw ^= g
-		planes[0] ^= d1 ^ d3 ^ d5 ^ d7
-		planes[1] ^= d2 ^ d3 ^ d6 ^ d7
-		planes[2] ^= d4 ^ d5 ^ d6 ^ d7
-		for j, u := 3, rel>>3; j < len(planes); j, u = j+1, u>>1 {
-			if u&1 != 0 {
-				planes[j] ^= g
-			}
-		}
-	}
-	// Remaining aligned words of a partial last group.
-	for ; i+8 <= len(old); i, rel = i+8, rel+1 {
-		d := binary.LittleEndian.Uint64(old[i:]) ^ binary.LittleEndian.Uint64(new[i:])
-		cw ^= d
-		xorPlanes(planes, rel, d)
-	}
-	// Tail: a partial last word starting at lane 0.
-	if i < len(old) {
-		var d uint64
-		for lane := uint(0); i < len(old); i, lane = i+1, lane+8 {
-			d |= uint64(old[i]^new[i]) << lane
-		}
-		cw ^= d
-		xorPlanes(planes, rel, d)
-	}
-	return Codeword(cw)
+	return reduce(v>>uint(64-n), v<<uint(n))
 }
 
-// computeECC computes both the codeword and the locator planes of a full
-// region image in one pass. planes must be zeroed by the caller. Uses the
-// same 8-word grouping as foldDeltaPlanes (region data starts at word
-// index 0, so the grouping is always aligned; regions of >= 8 words have
-// >= 3 planes, and smaller plane sets use the scalar loop).
-func computeECC(data []byte, planes []uint64) Codeword {
-	var cw uint64
-	i, w := 0, 0
-	for ; len(planes) >= 3 && i+64 <= len(data); i, w = i+64, w+8 {
-		d0 := binary.LittleEndian.Uint64(data[i:])
-		d1 := binary.LittleEndian.Uint64(data[i+8:])
-		d2 := binary.LittleEndian.Uint64(data[i+16:])
-		d3 := binary.LittleEndian.Uint64(data[i+24:])
-		d4 := binary.LittleEndian.Uint64(data[i+32:])
-		d5 := binary.LittleEndian.Uint64(data[i+40:])
-		d6 := binary.LittleEndian.Uint64(data[i+48:])
-		d7 := binary.LittleEndian.Uint64(data[i+56:])
-		g := d0 ^ d1 ^ d2 ^ d3 ^ d4 ^ d5 ^ d6 ^ d7
-		cw ^= g
-		planes[0] ^= d1 ^ d3 ^ d5 ^ d7
-		planes[1] ^= d2 ^ d3 ^ d6 ^ d7
-		planes[2] ^= d4 ^ d5 ^ d6 ^ d7
-		for j, u := 3, w>>3; j < len(planes); j, u = j+1, u>>1 {
-			if u&1 != 0 {
-				planes[j] ^= g
-			}
-		}
-	}
-	for ; i+8 <= len(data); i, w = i+8, w+1 {
+// computeECC returns a full region image's codeword S0 and syndrome word
+// S1 in one pass. Horner's rule runs from the last word down, so word i
+// ends up multiplied by xⁱ. The step is mulX written out with d folded in
+// beside the shift, so the chain from one S1 to the next is three
+// instructions (sign spread, mask, XOR).
+func computeECC(data []byte) (Codeword, uint64) {
+	var cw, s1 uint64
+	for i := len(data) - 8; i >= 0; i -= 8 {
 		d := binary.LittleEndian.Uint64(data[i:])
 		cw ^= d
-		xorPlanes(planes, w, d)
+		s1 = s1<<1 ^ d ^ uint64(int64(s1)>>63)&eccPoly
 	}
-	return Codeword(cw)
+	return Codeword(cw), s1
+}
+
+// foldDeltaECC returns the S0 and S1 deltas of an in-place update of old
+// to new whose first byte sits at byte lane phase (0..7) of
+// region-relative word rel. Each touched word's delta is assembled
+// lane-aligned, so S0 needs no rotation; Horner's rule runs over the
+// touched words from the last down and a single multiplication by x^rel
+// places them. len(old) must equal len(new).
+func foldDeltaECC(rel int, old, new []byte, phase int) (Codeword, uint64) {
+	phase &= 7
+	head := 0 // bytes of a partial first word, lanes phase..7
+	if phase != 0 {
+		head = min(8-phase, len(old))
+	}
+	tail := head + (len(old)-head)&^7 // a partial last word starts here, at lane 0
+	var cw, s1 uint64
+	if tail < len(old) {
+		cw = laneDelta(old[tail:], new[tail:])
+		s1 = cw
+	}
+	for i := tail - 8; i >= head; i -= 8 {
+		d := binary.LittleEndian.Uint64(old[i:]) ^ binary.LittleEndian.Uint64(new[i:])
+		cw ^= d
+		s1 = mulX(s1) ^ d
+	}
+	if head > 0 {
+		d := laneDelta(old[:head], new[:head]) << (uint(phase) * 8)
+		cw ^= d
+		s1 = mulX(s1) ^ d
+	}
+	return Codeword(cw), mulXPow(s1, rel)
+}
+
+// laneDelta packs the old⊕new delta of at most 8 bytes into a word, byte
+// j at lane j.
+func laneDelta(old, new []byte) uint64 {
+	var d uint64
+	for j := len(old) - 1; j >= 0; j-- {
+		d = d<<8 | uint64(old[j]^new[j])
+	}
+	return d
 }

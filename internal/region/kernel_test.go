@@ -130,7 +130,7 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 			}
 		}
 		for _, d := range queued {
-			deferred.XorInto(d.Region, d.Delta)
+			deferred.XorDelta(d)
 		}
 
 		for r := 0; r < immediate.NumRegions(); r++ {

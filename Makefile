@@ -15,12 +15,12 @@ build:
 # lock manager's pooled states, the concurrent TPC-B driver, the log
 # buffers restart recovery aliases between its passes, the schemes' shared
 # audit loop), and a one-iteration smoke of the codeword
-# kernel benchmarks. dbvet is the repo's own eleven-pass suite (latch
-# order, guarded writes, codeword pairing, metric names, I/O path,
-# error flow, 2PC protocol, context propagation, field-level locksets,
-# latch-cycle detection, replay determinism); the passes share one load
-# and run in parallel, so the eleven-pass suite costs roughly the same
-# wall time as the original four. The -stats invocation reuses that
+# kernel benchmarks. dbvet is the repo's own nine-pass suite (latch
+# order with latch-cycle detection and field-level locksets, guarded
+# writes, codeword pairing, metric names, I/O path, error flow, 2PC
+# protocol, context propagation, replay determinism); the passes share
+# one load and run in parallel, so the nine-pass suite costs roughly the
+# same wall time as the original four. The -stats invocation reuses that
 # load to gate suppression debt: the count of //dbvet:allow sites per
 # pass must not grow past the checked-in dbvet.debt.json baseline.
 # See DESIGN.md "Machine-checked invariants".

@@ -2,7 +2,7 @@
 // and runs the full consistency check suite: codeword audit, heap
 // structure, index structure, checkpoint/log agreement, and the log
 // audit (CW051 stable end beyond the log's end, CW052 poisoned log — the
-// runtime counterparts of dbvet's lockfield and errflow contracts). Exit
+// runtime counterparts of dbvet's latchorder and errflow contracts). Exit
 // status 0 means
 // consistent (warning-severity findings are printed but do not fail the
 // check); 1 means error-severity problems were found, including any of

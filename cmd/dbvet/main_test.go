@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,9 +17,10 @@ import (
 )
 
 // TestBuggySchemeDifferential runs the full multichecker over the
-// synthetic buggy scheme, which commits exactly one violation per pass.
-// Each pass must fire exactly once, at the expected position — no
-// misses, no bleed between passes.
+// synthetic buggy scheme, which commits one violation per check: once
+// per pass, and once per latchorder check (order, field, cycle). Each
+// must fire at the expected position — no misses, no bleed between
+// passes.
 func TestBuggySchemeDifferential(t *testing.T) {
 	diags := anztest.Diagnostics(t, ".", "../../internal/analysis/testdata/buggyscheme", analyzers...)
 
@@ -26,7 +28,11 @@ func TestBuggySchemeDifferential(t *testing.T) {
 	// generation 2 in buggy2.go, generation 4 (lockset/lock-graph/
 	// determinism rules) in buggy4.go; update alongside the fixtures.
 	wantLines := map[string][]string{
-		"latchorder":   {"buggy.go:30"},  // s.prot.Lock() under the syslog latch
+		"latchorder": {
+			"buggy.go:30",  // s.prot.Lock() under the syslog latch
+			"buggy4.go:34", // durable watermark read outside its latch
+			"buggy4.go:55", // idx/dat mutexes nested in opposite orders
+		},
 		"guardedwrite": {"buggy.go:37"},  // direct store through arena.Slice
 		"cwpair":       {"buggy.go:44"},  // return nil without a fold
 		"obsnames":     {"buggy.go:50"},  // undeclared metric name
@@ -34,8 +40,6 @@ func TestBuggySchemeDifferential(t *testing.T) {
 		"errflow":      {"buggy2.go:24"}, // discarded SystemLog.Append error
 		"twophase":     {"buggy2.go:37"}, // CommitPrepared before the decision
 		"ctxflow":      {"buggy2.go:42"}, // context.Background() inside RunCtx
-		"lockfield":    {"buggy4.go:34"}, // durable watermark read outside its latch
-		"latchcycle":   {"buggy4.go:55"}, // idx/dat mutexes nested in opposite orders
 		"determinism":  {"buggy4.go:63"}, // in-doubt gids collected in map order
 	}
 	got := make(map[string][]string)
@@ -62,8 +66,9 @@ func TestBuggySchemeDifferential(t *testing.T) {
 }
 
 // TestAllowDirectives checks the escape hatch: a well-formed
-// //dbvet:allow suppresses each pass, and a directive naming an unknown
-// pass is itself reported without suppressing anything.
+// //dbvet:allow suppresses each pass, and a directive naming a pass not
+// in analyzers (a retired one) is itself reported without suppressing
+// anything.
 func TestAllowDirectives(t *testing.T) {
 	anztest.Run(t, ".", "../../internal/analysis/testdata/allow", analyzers...)
 }
@@ -103,18 +108,27 @@ func TestDebtGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading allow fixture: %v", err)
 	}
-	counts := anz.CountAllows(prog)
+	counts := anz.CountAllows(prog, analyzers)
 
-	// Every canonical pass has exactly one well-formed allow site in the
-	// fixture; the malformed directives (unknown pass, no reason) in the
-	// same tree must not be counted as debt.
-	for _, a := range analyzers {
-		if counts[a.Name] != 1 {
-			t.Errorf("allow fixture: pass %s has %d counted sites, want 1", a.Name, counts[a.Name])
-		}
+	// The fixture's well-formed allow sites, one per check; the
+	// malformed directive (a retired pass) in the same tree must not be
+	// counted as debt.
+	want := map[string]int{
+		"latchorder":   3,
+		"guardedwrite": 1,
+		"cwpair":       1,
+		"obsnames":     1,
+		"iopath":       1,
+		"errflow":      1,
+		"twophase":     1,
+		"ctxflow":      1,
+		"determinism":  1,
 	}
-	if st := newDebtStats(counts); st.Total != len(analyzers) {
-		t.Errorf("allow fixture: total debt %d, want %d", st.Total, len(analyzers))
+	if !maps.Equal(counts, want) {
+		t.Errorf("allow fixture: counted %v, want %v", counts, want)
+	}
+	if st := newDebtStats(counts); st.Total != 11 {
+		t.Errorf("allow fixture: total debt %d, want 11", st.Total)
 	}
 
 	// At baseline: no growth, no shrinkage.
@@ -157,7 +171,7 @@ func TestDebtBaselineCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading tree: %v", err)
 	}
-	counts := anz.CountAllows(prog)
+	counts := anz.CountAllows(prog, analyzers)
 	raw, err := os.ReadFile("../../dbvet.debt.json")
 	if err != nil {
 		t.Fatalf("reading baseline: %v", err)

@@ -121,7 +121,7 @@ func Run(prog *load.Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		targets[pkg] = true
 	}
 
-	allows, diags := collectDirectives(prog)
+	allows, diags := collectDirectives(prog, analyzers)
 
 	perAnalyzer := make([][]Diagnostic, len(analyzers))
 	errs := make([]error, len(analyzers))

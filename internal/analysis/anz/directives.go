@@ -9,23 +9,6 @@ import (
 	"repro/internal/analysis/load"
 )
 
-// The canonical dbvet passes. The allow directive validates its pass
-// operand against this set so a typo ("latchorderr") cannot silently
-// suppress nothing.
-var knownPasses = map[string]bool{
-	"latchorder":   true,
-	"guardedwrite": true,
-	"cwpair":       true,
-	"obsnames":     true,
-	"iopath":       true,
-	"errflow":      true,
-	"twophase":     true,
-	"ctxflow":      true,
-	"lockfield":    true,
-	"latchcycle":   true,
-	"determinism":  true,
-}
-
 // Latch classes of the documented partial order, in acquisition order:
 // a latch may only be acquired while no latch of an equal or later class
 // is held. See DESIGN.md "Machine-checked invariants".
@@ -62,12 +45,24 @@ func (ai allowIndex) allowed(pass string, pos token.Position) bool {
 	return lines[pos.Line][pass] || lines[pos.Line-1][pass]
 }
 
+// passNames is the set of analyzer names an allow directive may name, so
+// a typo ("latchorderr") or a retired pass cannot silently suppress
+// nothing.
+func passNames(analyzers []*Analyzer) map[string]bool {
+	names := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		names[a.Name] = true
+	}
+	return names
+}
+
 // collectDirectives scans the comments of prog's target packages for
 // //dbvet:allow directives, returning the suppression index and a
-// diagnostic (pass "dbvet") for every malformed directive: unknown pass
-// name or missing reason. Only target packages are scanned — dependency
-// packages are analyzed for facts, not reported on.
-func collectDirectives(prog *load.Program) (allowIndex, []Diagnostic) {
+// diagnostic (pass "dbvet") for every malformed directive: a pass name
+// not among analyzers, or a missing reason. Only target packages are
+// scanned — dependency packages are analyzed for facts, not reported on.
+func collectDirectives(prog *load.Program, analyzers []*Analyzer) (allowIndex, []Diagnostic) {
+	known := passNames(analyzers)
 	ai := make(allowIndex)
 	var diags []Diagnostic
 	bad := func(pos token.Pos, msg string) {
@@ -87,7 +82,7 @@ func collectDirectives(prog *load.Program) (allowIndex, []Diagnostic) {
 						continue
 					}
 					pass := fields[0]
-					if !knownPasses[pass] {
+					if !known[pass] {
 						bad(c.Pos(), "//dbvet:allow names unknown pass "+pass)
 						continue
 					}
@@ -119,9 +114,10 @@ func collectDirectives(prog *load.Program) (allowIndex, []Diagnostic) {
 // measure behind `dbvet -stats`: every allow site is a hand-argued
 // exception to a machine-checked invariant, and the debt gate holds the
 // count to a checked-in baseline so exceptions cannot accrete silently.
-// Malformed directives (unknown pass, missing reason) are not counted —
-// they are diagnostics, not debt.
-func CountAllows(prog *load.Program) map[string]int {
+// Malformed directives (a pass not among analyzers, missing reason) are
+// not counted — they are diagnostics, not debt.
+func CountAllows(prog *load.Program, analyzers []*Analyzer) map[string]int {
+	known := passNames(analyzers)
 	counts := make(map[string]int)
 	for _, pkg := range prog.Targets {
 		for _, f := range pkg.Syntax {
@@ -132,7 +128,7 @@ func CountAllows(prog *load.Program) map[string]int {
 						continue
 					}
 					fields := strings.Fields(rest)
-					if len(fields) < 2 || !knownPasses[fields[0]] {
+					if len(fields) < 2 || !known[fields[0]] {
 						continue
 					}
 					counts[fields[0]]++

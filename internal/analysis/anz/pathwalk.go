@@ -7,11 +7,13 @@ import (
 )
 
 // This file is the framework's reusable branch-path walker: the
-// "does X happen on every path after Y" skeleton that latchorder
-// (unlock-on-all-paths) and cwpair (fold-on-all-success-paths) each grew
-// privately, extracted and generalized so protocol passes (twophase's
-// prepare-must-resolve post-dominance, errflow's poison-on-failure) share
-// one engine instead of a fourth hand-rolled statement walk.
+// "does X happen on every path after Y" skeleton that cwpair
+// (fold-on-all-success-paths) grew privately, extracted and generalized
+// so protocol passes (twophase's prepare-must-resolve post-dominance,
+// errflow's poison-on-failure) share one engine. latchorder keeps its own
+// held-latch walk, the one walk behind its order, cycle and field
+// checks: they read the held set inside each branch arm and drop the
+// arm's acquisitions where the arms meet, so there is nothing to merge.
 //
 // The walker drives a PathState through a function body in execution
 // order. At a branch the state is cloned per arm; where arms meet again

@@ -7,6 +7,15 @@ import (
 	"repro/internal/analysis/latchorder"
 )
 
+// TestFixture runs the pass over one fixture per check.
 func TestFixture(t *testing.T) {
-	anztest.Run(t, ".", "../testdata/latchorder", latchorder.Analyzer)
+	for _, tc := range []struct{ name, dir string }{
+		{"order", "../testdata/latchorder"},
+		{"cycle", "../testdata/latchcycle"},
+		{"field", "../testdata/lockfield"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			anztest.Run(t, ".", tc.dir, latchorder.Analyzer)
+		})
+	}
 }

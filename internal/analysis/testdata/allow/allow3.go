@@ -1,11 +1,11 @@
 // allow3.go extends the escape-hatch fixture to the third-generation
-// passes: one suppressed violation each for lockfield, latchcycle and
-// determinism.
+// checks: one suppressed violation each for latchorder's field and cycle
+// checks and for determinism.
 package allowfix
 
 import "sync"
 
-// lockfield suppressed on the bare read of a guarded field.
+// The field check suppressed on the bare read of a guarded field.
 type gauge struct {
 	mu sync.Mutex
 	v  uint64
@@ -24,10 +24,10 @@ func (g *gauge) get() uint64 {
 }
 
 func (g *gauge) peek() uint64 {
-	return g.v //dbvet:allow lockfield fixture exercises the escape hatch
+	return g.v //dbvet:allow latchorder fixture exercises the escape hatch
 }
 
-// latchcycle suppressed on the acquisition that closes the cycle.
+// The cycle check suppressed on the acquisition that closes the cycle.
 type duo struct {
 	left  sync.Mutex
 	right sync.Mutex
@@ -43,7 +43,7 @@ func (d *duo) leftRight() {
 func (d *duo) rightLeft() {
 	d.right.Lock()
 	defer d.right.Unlock()
-	d.left.Lock() //dbvet:allow latchcycle fixture exercises the escape hatch
+	d.left.Lock() //dbvet:allow latchorder fixture exercises the escape hatch
 	defer d.left.Unlock()
 }
 

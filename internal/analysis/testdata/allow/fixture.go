@@ -42,9 +42,9 @@ func metrics(reg *obs.Registry) {
 	reg.Counter("allowfix.total") //dbvet:allow obsnames fixture exercises the escape hatch
 }
 
-// A directive naming an unknown pass must itself be reported.
+// A directive naming a pass that is not run (here a retired one, folded
+// into latchorder) must itself be reported.
 func bad(a *mem.Arena) {
-	//dbvet:allow guardedwrit typo in the pass name // want "names unknown pass guardedwrit"
+	//dbvet:allow latchcycle retired pass name // want "names unknown pass latchcycle"
 	a.Bytes()[0] = 1 // want "store into mem.Arena-backed memory"
 }
-

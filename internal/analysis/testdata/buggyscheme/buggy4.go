@@ -1,5 +1,5 @@
 // buggy4.go carries the fourth generation of differential violations —
-// the lockset, lock-graph, and replay-determinism rules, one per pass,
+// the lockset, lock-graph, and replay-determinism rules, one per check,
 // each firing exactly once. Kept in a separate file so the earlier
 // generations' pinned line numbers in buggy.go and buggy2.go never
 // shift.
@@ -11,7 +11,7 @@ import (
 	"repro/internal/latch"
 )
 
-// Violation 11 (lockfield): the durable watermark is latched at two
+// Violation 11 (latchorder fields): the watermark is latched at two
 // sites and read bare at a third.
 type tailState struct {
 	mu      latch.Latch
@@ -34,7 +34,7 @@ func (t *tailState) peekDurable() uint64 {
 	return t.durable
 }
 
-// Violation 12 (latchcycle): two unclassified mutexes taken in opposite
+// Violation 12 (latchorder cycles): two mutexes taken in opposite
 // orders on two paths — invisible to the rank list, a deadlock in the
 // inferred graph.
 type metaStore struct {

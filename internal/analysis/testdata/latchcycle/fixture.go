@@ -1,4 +1,4 @@
-// Package latchcycle is the golden fixture for the latchcycle pass:
+// Package latchcycle is the golden fixture for latchorder's cycle check:
 // three cycle shapes — a direct two-latch inversion, an inversion
 // hidden behind a callee's acquisition summary, and a three-node cycle
 // threaded through package-level mutexes — plus consistently ordered
@@ -39,9 +39,10 @@ type store struct {
 	index sync.Mutex
 }
 
-// lockIndex acquires s.index; the summary travels to callers.
+// lockIndex acquires s.index; the summary travels to callers. Returning
+// with it held is also a balance violation.
 func (s *store) lockIndex() {
-	s.index.Lock()
+	s.index.Lock() // want "s.index.Lock() is not released on every return path"
 }
 
 func (s *store) rebuild() {

@@ -1,4 +1,5 @@
-// Package latchfix is the golden fixture for the latchorder pass. It
+// Package latchfix is the golden fixture for latchorder's order and
+// balance checks. It
 // lives under testdata/ so ./... wildcards never build it; the test
 // loads it by explicit path. Want comments mark the expected
 // diagnostics.
@@ -60,7 +61,30 @@ func (s *server) leakyGuard(exclusive bool) {
 	g.Release()
 }
 
+// Shape 5: an inline closure inherits the held set at its definition,
+// so an inversion inside one called under the syslog latch is reported.
+func (s *server) closureInverted() {
+	s.slog.Lock()
+	defer s.slog.Unlock()
+	visit := func() {
+		s.prot.Lock() // want "acquires the protection latch while the syslog latch is held"
+		s.prot.Unlock()
+	}
+	visit()
+}
+
 // ---- clean code: none of the following may be reported ----
+
+// A goroutine starts with an empty held set: it does not run under the
+// spawner's syslog latch.
+func (s *server) spawn() {
+	s.slog.Lock()
+	defer s.slog.Unlock()
+	go func() {
+		s.prot.Lock()
+		defer s.prot.Unlock()
+	}()
+}
 
 // Acquisitions in the documented order, each released by defer.
 func (s *server) ordered() {

@@ -1,4 +1,4 @@
-// Package lockfield is the golden fixture for the lockfield pass:
+// Package lockfield is the golden fixture for latchorder's field check:
 // three violation shapes — a bare read of a mutex-guarded counter, a
 // wrong-mutex access, and a bare write of a stripe-guarded table — plus
 // the sanctioned shapes (Locked-suffix methods, constructors, atomics)

@@ -46,7 +46,7 @@ func (s Severity) String() string {
 // retired).
 //
 // The CW05x codes are runtime counterparts of dbvet's log contracts:
-// CW051 checks what the lockfield pass guards (the stable end moves only
+// CW051 checks what the latchorder field check guards (the stable end moves only
 // under the log latch, never past the end), CW052 the poison transition
 // the errflow pass forces failed syncs through.
 const (

@@ -116,7 +116,7 @@ func (t *Table) EnableECC() {
 	}
 	t.ecc = true
 	if t.hasS1() {
-		//dbvet:allow lockfield EnableECC runs before the table is shared, like NewTable
+		//dbvet:allow latchorder EnableECC runs before the table is shared, like NewTable
 		t.s1 = make([]uint64, len(t.cws))
 	}
 }

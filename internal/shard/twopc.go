@@ -107,8 +107,8 @@ func (r *Router) resolveInDoubt(report *OpenReport) error {
 	// checkpointed table (the log may have been compacted since the
 	// decision was written). The tables are decMu-guarded like every
 	// other access — resolution runs while client traffic is still
-	// fenced, but the guard is what the invariant (and the lockfield
-	// pass) holds us to.
+	// fenced, but the guard is what the invariant (and the latchorder
+	// field check) holds us to.
 	r.decMu.Lock()
 	for i, u := range r.units {
 		rep := report.PerShard[i]

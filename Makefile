@@ -12,7 +12,8 @@ build:
 # Static checks plus a race-detector pass over the subsystems with the
 # most cross-goroutine state (metrics registry, WAL group commit and its
 # recycled tail buffers, the transaction slabs a checkpoint snapshots, the
-# lock manager's pooled states, the concurrent TPC-B driver, the log
+# lock manager's pooled states, the latches and their striped range
+# guards, the concurrent TPC-B driver, the log
 # buffers restart recovery aliases between its passes, the schemes' shared
 # audit loop), and a one-iteration smoke of the codeword
 # kernel benchmarks. dbvet is the repo's own nine-pass suite (latch
@@ -28,7 +29,7 @@ vet: bench-smoke torture-smoke server-smoke heal-smoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/dbvet ./...
 	$(GO) run ./cmd/dbvet -stats -debt-baseline dbvet.debt.json ./...
-	$(GO) test -race ./internal/core ./internal/wal ./internal/lockmgr ./internal/heap ./internal/obs ./internal/tpcb ./internal/recovery ./internal/protect
+	$(GO) test -race ./internal/core ./internal/wal ./internal/lockmgr ./internal/latch ./internal/heap ./internal/obs ./internal/tpcb ./internal/recovery ./internal/protect
 
 # End-to-end smoke of the TCP front end: a K=4 sharded server takes a
 # concurrent mixed load over the wire protocol, drains gracefully, and

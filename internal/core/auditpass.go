@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/region"
 	"repro/internal/wal"
 )
@@ -115,9 +114,6 @@ func (p *AuditPass) tryHeal(m region.Mismatch) bool {
 		return true
 	case region.VerdictUnrepairable:
 		db.mHealEscalate.Inc()
-		if db.reg.HasSinks() {
-			db.reg.Emit(obs.HealEvent{Region: uint64(m.Region), Verdict: res.Verdict.String()})
-		}
 	}
 	return false
 }
@@ -152,8 +148,10 @@ func (p *AuditPass) Finish() error {
 	if err := db.log.AppendAndFlush(end); err != nil {
 		return err
 	}
-	p.note()
+	db.hAuditNS.Since(p.started)
 	if len(p.mismatches) > 0 {
+		db.mAuditMismatch.Add(uint64(len(p.mismatches)))
+		db.mCorruptions.Inc()
 		return &CorruptionError{Mismatches: p.mismatches}
 	}
 	// Monotonic: a slow pass finishing after a later-begun clean pass
@@ -162,33 +160,6 @@ func (p *AuditPass) Finish() error {
 		db.lastCleanAudit = p.beginLSN
 	}
 	return nil
-}
-
-// note records the finished pass's duration and verdict in the metrics
-// registry and emits an obs.AuditPassEvent (plus an obs.CorruptionEvent if
-// the pass was dirty). Called with db.auditMu held.
-func (p *AuditPass) note() {
-	db := p.db
-	dur := time.Since(p.started)
-	db.hAuditNS.Observe(uint64(dur.Nanoseconds()))
-	regions := 0
-	if rs := db.scheme.RegionSize(); rs > 0 {
-		regions = int(p.next) / rs
-	}
-	clean := len(p.mismatches) == 0
-	if !clean {
-		db.mAuditMismatch.Add(uint64(len(p.mismatches)))
-		db.mCorruptions.Inc()
-	}
-	if db.reg.HasSinks() {
-		db.reg.Emit(obs.AuditPassEvent{
-			SN: p.sn, Duration: dur, Regions: regions,
-			Mismatches: len(p.mismatches), Healed: p.healed, Clean: clean,
-		})
-		if !clean {
-			db.reg.Emit(obs.CorruptionEvent{Source: "audit", Mismatches: len(p.mismatches)})
-		}
-	}
 }
 
 // Abort abandons the pass without logging an end record (used when the

@@ -452,9 +452,9 @@ func (db *DB) Metrics() obs.Snapshot {
 	return s
 }
 
-// Observability exposes the database's metric registry, primarily for
-// registering event sinks (obs.Sink) and for tests. Metric values should
-// be read through Metrics.
+// Observability exposes the database's metric registry, so tools and tests
+// can resolve a named instrument or wire a subsystem they own into the
+// same registry. Metric values should be read through Metrics.
 func (db *DB) Observability() *obs.Registry { return db.reg }
 
 // --- metadata and page allocation -----------------------------------------
@@ -603,12 +603,6 @@ func (db *DB) noteHeal(res region.RepairResult, d time.Duration) {
 		db.ckpts.NoteDirty(mem.PageID(p))
 	}
 	db.healGen.Add(1)
-	if db.reg.HasSinks() {
-		db.reg.Emit(obs.HealEvent{
-			Region: uint64(res.Region), Verdict: res.Verdict.String(),
-			WordAddr: uint64(res.Addr), Duration: d,
-		})
-	}
 }
 
 // HealGeneration reports the number of in-place ECC repairs performed
@@ -666,7 +660,7 @@ func (db *DB) Checkpoint() error {
 			db.barrier.Unlock()
 			return err
 		}
-		db.notePhase("flush", db.hCkptFlushNS, phase)
+		db.hCkptFlushNS.Since(phase)
 		phase = time.Now()
 		// The stable end, captured under the exclusive barrier with the log
 		// just forced, is CK_end: the log position the checkpoint image is
@@ -676,18 +670,18 @@ func (db *DB) Checkpoint() error {
 		metaBytes := db.encodeMeta()
 		snap = db.ckpts.Begin(db.arena, attBytes, metaBytes, ckEnd)
 		db.barrier.Unlock()
-		db.notePhase("snapshot", db.hCkptSnapNS, phase)
+		db.hCkptSnapNS.Since(phase)
 
 		phase = time.Now()
 		if err := db.ckpts.Write(snap, db.arena.Size()); err != nil {
 			return err
 		}
-		db.notePhase("write", db.hCkptWriteNS, phase)
+		db.hCkptWriteNS.Since(phase)
 		phase = time.Now()
 		if err := db.Audit(); err != nil {
 			return err // CorruptionError: checkpoint not certified
 		}
-		db.notePhase("audit", db.hCkptAuditNS, phase)
+		db.hCkptAuditNS.Since(phase)
 		if db.healGen.Load() == healGen {
 			break
 		}
@@ -699,7 +693,7 @@ func (db *DB) Checkpoint() error {
 	if err := db.ckpts.Certify(snap, db.LastCleanAuditLSN()); err != nil {
 		return err
 	}
-	db.notePhase("certify", db.hCkptCertifyNS, phase)
+	db.hCkptCertifyNS.Since(phase)
 	db.mCkpts.Inc()
 	// Records below the certified CK_end are no longer needed by any
 	// recovery path (restart and corruption recovery scan from the current
@@ -709,32 +703,10 @@ func (db *DB) Checkpoint() error {
 		if err := db.log.Compact(snap.CKEnd); err != nil {
 			return fmt.Errorf("core: log compaction: %w", err)
 		}
-		db.notePhase("compact", db.hCkptCompactNS, phase)
+		db.hCkptCompactNS.Since(phase)
 	}
 	db.hCkptTotalNS.Since(total)
-	if db.reg.HasSinks() {
-		var seq uint64
-		if a, ok := db.ckpts.Anchor(); ok {
-			seq = a.SeqNo
-		}
-		db.reg.Emit(obs.CheckpointEvent{SeqNo: seq, Certified: true, Duration: time.Since(total)})
-	}
 	return nil
-}
-
-// notePhase records one checkpoint phase's duration in its histogram and,
-// when a sink is registered, emits an obs.CheckpointPhaseEvent. The event
-// carries the anchor's current sequence number (the phase may precede the
-// certify that increments it).
-func (db *DB) notePhase(name string, h *obs.Histogram, start time.Time) {
-	h.Since(start)
-	if db.reg.HasSinks() {
-		var seq uint64
-		if a, ok := db.ckpts.Anchor(); ok {
-			seq = a.SeqNo
-		}
-		db.reg.Emit(obs.CheckpointPhaseEvent{SeqNo: seq, Phase: name, Duration: time.Since(start)})
-	}
 }
 
 // schemeOpEnd forwards operation-end to schemes that defer work to it

@@ -191,7 +191,7 @@ func TestPrecheckReadHealNotesDirtyPage(t *testing.T) {
 // and without the heal-generation retry it would certify the corrupt
 // image it no longer sees. The retry must re-take the snapshot (the heal
 // marked the page dirty) and certify a clean image, observable as two
-// "write" phases in one Checkpoint call.
+// samples of the checkpoint write-phase histogram in one Checkpoint call.
 func TestCheckpointRetakesImageAfterMidWindowHeal(t *testing.T) {
 	db := testDB(t, protect.Config{Kind: protect.KindPrecheck, RegionSize: 64})
 	txn, err := db.Begin()
@@ -202,12 +202,8 @@ func TestCheckpointRetakesImageAfterMidWindowHeal(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	var writePhases atomic.Int64
-	db.Observability().AddSink(obs.SinkFunc(func(e obs.Event) {
-		if pe, ok := e.(obs.CheckpointPhaseEvent); ok && pe.Phase == "write" {
-			writePhases.Add(1)
-		}
-	}))
+	writePhases := func() uint64 { return db.Metrics().Histogram(obs.NameCkptWriteNS).Count }
+	before := writePhases()
 	db.Internals().Arena.Bytes()[208] ^= 0xAA // wild write on the dirty page
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint with mid-window heal: %v", err)
@@ -215,15 +211,15 @@ func TestCheckpointRetakesImageAfterMidWindowHeal(t *testing.T) {
 	if db.Metrics().Counters[obs.NameHeals] != 1 {
 		t.Fatal("certification audit did not heal")
 	}
-	if got := writePhases.Load(); got != 2 {
+	if got := writePhases() - before; got != 2 {
 		t.Fatalf("checkpoint wrote the image %d time(s), want 2 (retry after heal)", got)
 	}
 	// A second checkpoint sees a stable heal generation: one write.
-	writePhases.Store(0)
+	before = writePhases()
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := writePhases.Load(); got != 1 {
+	if got := writePhases() - before; got != 1 {
 		t.Fatalf("quiescent checkpoint wrote %d time(s), want 1", got)
 	}
 }

@@ -103,7 +103,6 @@ type FaultFS struct {
 	mInjected *obs.Counter
 	mCrashes  *obs.Counter
 	mOps      *obs.Counter
-	reg       *obs.Registry
 }
 
 // NewFaultFS wraps the directory root. Files already present under root
@@ -130,11 +129,10 @@ func NewFaultFS(root string) *FaultFS {
 }
 
 // SetRegistry wires the injector's counters (iofault.ops, .injected,
-// .crashes) and fault events into reg. Call before concurrent use.
+// .crashes) into reg. Call before concurrent use.
 func (fs *FaultFS) SetRegistry(reg *obs.Registry) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.reg = reg
 	fs.mOps = reg.Counter(obs.NameIOFaultOps)
 	fs.mInjected = reg.Counter(obs.NameIOFaultInjected)
 	fs.mCrashes = reg.Counter(obs.NameIOFaultCrashes)
@@ -249,21 +247,9 @@ func (fs *FaultFS) enterLocked(op Op, path string) error {
 	if fs.crashAt >= 0 && idx >= uint64(fs.crashAt) {
 		fs.crashed = true
 		fs.mCrashes.Inc()
-		if fs.reg.HasSinks() {
-			fs.reg.Emit(obs.IOFaultEvent{Kind: "crash", Op: op.String(), Path: filepath.Base(path), Point: idx})
-		}
 		return fmt.Errorf("%w at point %d (%s %s)", ErrCrashed, idx, op, filepath.Base(path))
 	}
 	return nil
-}
-
-// inject notes an injected (non-crash) fault in metrics and events.
-// Callers hold fs.mu.
-func (fs *FaultFS) injectLocked(kind string, op Op, path string) {
-	fs.mInjected.Inc()
-	if fs.reg.HasSinks() {
-		fs.reg.Emit(obs.IOFaultEvent{Kind: kind, Op: op.String(), Path: filepath.Base(path), Point: fs.points - 1})
-	}
 }
 
 // --- FS interface -----------------------------------------------------------
@@ -440,22 +426,22 @@ type faultFile struct {
 // writeFault consults the per-write failpoints. It returns the number of
 // bytes to actually apply and the error to report (nil for torn writes,
 // which lie).
-func (fs *FaultFS) writeFaultLocked(op Op, path string, n int) (int, error) {
+func (fs *FaultFS) writeFaultLocked(n int) (int, error) {
 	fs.writes++
 	switch fs.writes {
 	case fs.noSpaceN:
 		if fs.noSpaceN != 0 {
-			fs.injectLocked("enospc", op, path)
+			fs.mInjected.Inc()
 			return 0, ErrNoSpace
 		}
 	case fs.shortWriteN:
 		if fs.shortWriteN != 0 {
-			fs.injectLocked("shortwrite", op, path)
+			fs.mInjected.Inc()
 			return n / 2, fmt.Errorf("%w: short write (%d of %d bytes)", ErrInjected, n/2, n)
 		}
 	case fs.tornWriteN:
 		if fs.tornWriteN != 0 {
-			fs.injectLocked("tornwrite", op, path)
+			fs.mInjected.Inc()
 			return n / 2, nil // lies: persists half, reports success
 		}
 	}
@@ -473,13 +459,13 @@ func (fs *FaultFS) readEnterLocked(name string) (flip int64, err error) {
 	}
 	fs.reads++
 	if fs.failReadN != 0 && fs.reads == fs.failReadN {
-		fs.injectLocked("failread", OpRead, name)
+		fs.mInjected.Inc()
 		return -1, fmt.Errorf("%w: read %s failed", ErrInjected, filepath.Base(name))
 	}
 	if fs.corruptReadOf == "" || fs.corruptReadOf != filepath.Base(name) {
 		return -1, nil
 	}
-	fs.injectLocked("corruptread", OpRead, name)
+	fs.mInjected.Inc()
 	return fs.corruptReadOff, nil
 }
 
@@ -503,7 +489,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		ff.fs.mu.Unlock()
 		return 0, err
 	}
-	apply, ferr := ff.fs.writeFaultLocked(OpWrite, ff.path, len(p))
+	apply, ferr := ff.fs.writeFaultLocked(len(p))
 	ff.fs.mu.Unlock()
 	n, err := ff.f.Write(p[:apply])
 	if err != nil {
@@ -524,7 +510,7 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		ff.fs.mu.Unlock()
 		return 0, err
 	}
-	apply, ferr := ff.fs.writeFaultLocked(OpWriteAt, ff.path, len(p))
+	apply, ferr := ff.fs.writeFaultLocked(len(p))
 	ff.fs.mu.Unlock()
 	n, err := ff.f.WriteAt(p[:apply], off)
 	if err != nil {
@@ -557,7 +543,7 @@ func (ff *faultFile) Sync() error {
 	}
 	ff.fs.syncs++
 	if ff.fs.failSyncN != 0 && ff.fs.syncs == ff.fs.failSyncN {
-		ff.fs.injectLocked("failsync", OpSync, ff.path)
+		ff.fs.mInjected.Inc()
 		ff.fs.mu.Unlock()
 		return fmt.Errorf("%w: fsync failed", ErrInjected)
 	}

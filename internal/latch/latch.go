@@ -13,7 +13,6 @@ package latch
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -22,43 +21,29 @@ import (
 // waitMetrics is the optional wait instrumentation shared by a latch (or
 // by every stripe of a Striped table). When present, contended
 // acquisitions — those whose fast-path try fails — record their wait
-// duration in a histogram, bump a contention counter, and (when a sink
-// is registered) emit an obs.LatchWaitEvent.
+// duration in a histogram and bump a contention counter.
 type waitMetrics struct {
-	reg       *obs.Registry
-	name      string
 	waitHist  *obs.Histogram
 	contended *obs.Counter
 }
 
 func (wm *waitMetrics) note(start time.Time) {
-	d := time.Since(start)
-	wm.waitHist.ObserveDuration(d)
+	wm.waitHist.Since(start)
 	wm.contended.Inc()
-	if wm.reg.HasSinks() {
-		wm.reg.Emit(obs.LatchWaitEvent{Name: wm.name, Wait: d})
-	}
 }
 
-// Latch is a shared/exclusive latch with acquisition counters. The counters
-// are maintained with atomics and are intended for tests and the benchmark
-// harness (e.g. counting protection-latch traffic per scheme); they are not
-// required for correctness.
+// Latch is a shared/exclusive latch, optionally instrumented with a wait
+// histogram and a contention counter from the database's obs.Registry.
 type Latch struct {
 	mu sync.RWMutex
-
-	sharedAcqs    atomic.Uint64
-	exclusiveAcqs atomic.Uint64
-
 	wm *waitMetrics
 }
 
-// Instrument enables wait instrumentation on the latch. name identifies
-// the latch group in events ("wal", "protect", ...). Must be called
+// Instrument enables wait instrumentation on the latch. Must be called
 // before the latch is used concurrently; the uninstrumented fast path is
 // a plain mutex acquisition.
-func (l *Latch) Instrument(reg *obs.Registry, name string, waitHist *obs.Histogram, contended *obs.Counter) {
-	l.wm = &waitMetrics{reg: reg, name: name, waitHist: waitHist, contended: contended}
+func (l *Latch) Instrument(waitHist *obs.Histogram, contended *obs.Counter) {
+	l.wm = &waitMetrics{waitHist: waitHist, contended: contended}
 }
 
 // Lock acquires the latch in exclusive mode.
@@ -72,7 +57,6 @@ func (l *Latch) Lock() {
 	} else {
 		l.mu.Lock()
 	}
-	l.exclusiveAcqs.Add(1)
 }
 
 // Unlock releases an exclusive acquisition.
@@ -89,17 +73,10 @@ func (l *Latch) RLock() {
 	} else {
 		l.mu.RLock()
 	}
-	l.sharedAcqs.Add(1)
 }
 
 // RUnlock releases a shared acquisition.
 func (l *Latch) RUnlock() { l.mu.RUnlock() }
-
-// SharedAcquisitions reports the number of shared acquisitions so far.
-func (l *Latch) SharedAcquisitions() uint64 { return l.sharedAcqs.Load() }
-
-// ExclusiveAcquisitions reports the number of exclusive acquisitions so far.
-func (l *Latch) ExclusiveAcquisitions() uint64 { return l.exclusiveAcqs.Load() }
 
 // Striped is a fixed-size table of latches indexed by an arbitrary integer
 // key (for example a protection-region number). Keys are mapped onto
@@ -130,8 +107,8 @@ func (s *Striped) Len() int { return len(s.stripes) }
 
 // Instrument enables wait instrumentation on every stripe (shared
 // histogram and counter). Must be called before concurrent use.
-func (s *Striped) Instrument(reg *obs.Registry, name string, waitHist *obs.Histogram, contended *obs.Counter) {
-	wm := &waitMetrics{reg: reg, name: name, waitHist: waitHist, contended: contended}
+func (s *Striped) Instrument(waitHist *obs.Histogram, contended *obs.Counter) {
+	wm := &waitMetrics{waitHist: waitHist, contended: contended}
 	for i := range s.stripes {
 		s.stripes[i].wm = wm
 	}
@@ -212,14 +189,3 @@ func (g *MultiGuard) Release() {
 
 // Held reports how many stripes the guard currently holds.
 func (g *MultiGuard) Held() int { return g.n }
-
-// sortInts sorts a small slice of ints in ascending order. The slices seen
-// here are tiny (an update rarely spans more than two stripes), so
-// insertion sort is appropriate and avoids importing sort for a hot path.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}

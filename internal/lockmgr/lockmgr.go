@@ -69,10 +69,6 @@ type Manager struct {
 	freeKeys [][]wal.ObjectKey
 	timeout  time.Duration
 
-	waits    uint64
-	timeouts uint64
-
-	reg       *obs.Registry
 	mAcquires *obs.Counter
 	mWaits    *obs.Counter
 	mTimeouts *obs.Counter
@@ -88,7 +84,6 @@ const maxFree = 4096
 // wait-duration histogram into reg. Must be called before concurrent use
 // (core.Open does this while building the database).
 func (m *Manager) SetRegistry(reg *obs.Registry) {
-	m.reg = reg
 	m.mAcquires = reg.Counter(obs.NameLockAcquires)
 	m.mWaits = reg.Counter(obs.NameLockWaits)
 	m.mTimeouts = reg.Counter(obs.NameLockTimeouts)
@@ -209,23 +204,21 @@ func (m *Manager) LockCtx(ctx context.Context, txn wal.TxnID, key wal.ObjectKey,
 		if err := ctx.Err(); err != nil {
 			m.mCancels.Inc()
 			if waited {
-				m.noteWait(key, time.Since(waitStart), false)
+				m.hWaitNS.Since(waitStart)
 			}
 			return fmt.Errorf("lockmgr: txn %d, key %d (%s): %w", txn, key, mode, err)
 		}
 		if m.timeout == 0 || (waited && time.Now().After(deadline)) {
-			m.timeouts++
 			m.mTimeouts.Inc()
 			var wait time.Duration
 			if waited {
 				wait = time.Since(waitStart)
 			}
-			m.noteWait(key, wait, true)
+			m.hWaitNS.ObserveDuration(wait)
 			return fmt.Errorf("%w: txn %d, key %d (%s)", ErrTimeout, txn, key, mode)
 		}
 		if !waited {
 			waited = true
-			m.waits++
 			m.mWaits.Inc()
 			waitStart = time.Now()
 			deadline = waitStart.Add(m.timeout)
@@ -241,7 +234,7 @@ func (m *Manager) LockCtx(ctx context.Context, txn wal.TxnID, key wal.ObjectKey,
 		s.waiters--
 	}
 	if waited {
-		m.noteWait(key, time.Since(waitStart), false)
+		m.hWaitNS.Since(waitStart)
 	}
 	m.grantLocked(s, txn, key, mode)
 	return nil
@@ -261,16 +254,6 @@ func (m *Manager) watchWait(ctx context.Context, s *lockState, deadline time.Tim
 	m.mu.Lock()
 	s.cond.Broadcast()
 	m.mu.Unlock()
-}
-
-// noteWait records a completed lock wait in the wait histogram and, when
-// a sink is registered, emits an obs.LockWaitEvent. Called with m.mu
-// held; sinks must not re-enter the lock manager.
-func (m *Manager) noteWait(key wal.ObjectKey, wait time.Duration, timedOut bool) {
-	m.hWaitNS.ObserveDuration(wait)
-	if m.reg.HasSinks() {
-		m.reg.Emit(obs.LockWaitEvent{Key: uint64(key), Wait: wait, TimedOut: timedOut})
-	}
 }
 
 // TryLock acquires without waiting; it reports false on conflict.
@@ -380,11 +363,4 @@ func (m *Manager) HeldCount(txn wal.TxnID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.held[txn])
-}
-
-// Stats reports the number of lock waits and timeouts so far.
-func (m *Manager) Stats() (waits, timeouts uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.waits, m.timeouts
 }

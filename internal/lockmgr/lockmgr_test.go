@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -147,6 +148,8 @@ func TestTryLock(t *testing.T) {
 
 func TestDeadlockResolvedByTimeout(t *testing.T) {
 	m := New(100 * time.Millisecond)
+	reg := obs.NewRegistry()
+	m.SetRegistry(reg)
 	if err := m.Lock(1, 1, Exclusive); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +173,7 @@ func TestDeadlockResolvedByTimeout(t *testing.T) {
 	if timedOut == 0 {
 		t.Fatal("no participant timed out of the deadlock")
 	}
-	_, timeouts := m.Stats()
-	if timeouts == 0 {
+	if reg.Counter(obs.NameLockTimeouts).Load() == 0 {
 		t.Fatal("timeout not counted")
 	}
 }
@@ -254,14 +256,15 @@ func TestSharedReadersExcludeWriter(t *testing.T) {
 
 func TestStatsWaits(t *testing.T) {
 	m := New(time.Second)
+	reg := obs.NewRegistry()
+	m.SetRegistry(reg)
 	m.Lock(1, 3, Exclusive)
 	done := make(chan struct{})
 	go func() { m.Lock(2, 3, Exclusive); close(done) }()
 	time.Sleep(20 * time.Millisecond)
 	m.Unlock(1, 3)
 	<-done
-	waits, _ := m.Stats()
-	if waits != 1 {
+	if waits := reg.Counter(obs.NameLockWaits).Load(); waits != 1 {
 		t.Fatalf("waits = %d, want 1", waits)
 	}
 }

@@ -1,15 +1,16 @@
 // Package obs is the zero-dependency observability layer of the storage
 // manager: atomic counters and gauges, lock-free log2-bucketed histograms
-// for latency and size distributions, an event-hook interface (Sink) for
-// typed subsystem events, and a Registry that names the metrics of one
-// database instance and produces consistent point-in-time snapshots.
+// for latency and size distributions, and a Registry that names the
+// metrics of one database instance and produces consistent point-in-time
+// snapshots.
 //
 // The paper's entire evaluation is about measured overheads (Table 2's
 // scheme costs, §5.3's page-touch counts); this package makes those
 // measurements a first-class, stable surface instead of ad-hoc counter
-// fields. Hot paths pay one or two uncontended atomic adds per metric;
-// histograms never take a lock; events are only materialized when at
-// least one sink is registered.
+// fields. The registry is the engine's only instrument set: operators,
+// tools and the benchmark harness all read the same Snapshot. Hot paths
+// pay one or two uncontended atomic adds per metric; histograms never
+// take a lock.
 //
 // Metric naming convention: "<subsystem>.<metric>", with duration
 // histograms suffixed "_ns" (values are nanoseconds). The canonical names
@@ -192,7 +193,7 @@ func (s HistogramSnapshot) Mean() float64 {
 }
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) as the
-// geometric midpoint of the bucket containing it.
+// arithmetic midpoint of the bucket containing it.
 func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
@@ -216,7 +217,7 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	for _, b := range s.Buckets {
 		seen += b.Count
 		if rank <= seen {
-			// Geometric midpoint of [Low, High]; Low may be 0.
+			// Arithmetic midpoint of [Low, High]; Low may be 0.
 			if b.Low == 0 {
 				return b.High / 2
 			}
@@ -242,7 +243,7 @@ func (s HistogramSnapshot) Max() uint64 {
 	return s.Buckets[len(s.Buckets)-1].High
 }
 
-// Registry names the metrics and sinks of one database instance. Metric
+// Registry names the metrics of one database instance. Metric
 // constructors are get-or-create, so independent subsystems may share a
 // metric by name. All methods are safe for concurrent use.
 type Registry struct {
@@ -250,10 +251,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	// sinks is swapped wholesale under mu and read lock-free on hot
-	// paths; HasSinks is a single atomic pointer load.
-	sinks atomic.Pointer[[]Sink]
 }
 
 // NewRegistry returns an empty registry.
@@ -312,48 +309,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// AddSink registers an event sink. Sinks must be fast and must not
-// re-enter the database: events may be emitted while internal latches are
-// held.
-func (r *Registry) AddSink(s Sink) {
-	if r == nil || s == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.sinks.Load()
-	var next []Sink
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, s)
-	r.sinks.Store(&next)
-}
-
-// HasSinks reports whether any sink is registered; hot paths gate event
-// construction on it so the no-sink case costs one atomic load.
-func (r *Registry) HasSinks() bool {
-	if r == nil {
-		return false
-	}
-	p := r.sinks.Load()
-	return p != nil && len(*p) > 0
-}
-
-// Emit delivers ev to every registered sink, in registration order.
-func (r *Registry) Emit(ev Event) {
-	if r == nil {
-		return
-	}
-	p := r.sinks.Load()
-	if p == nil {
-		return
-	}
-	for _, s := range *p {
-		s.OnEvent(ev)
-	}
 }
 
 // Snapshot captures every registered metric. The registry lock is held

@@ -116,10 +116,6 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	}
 	var r *Registry
 	r.Counter("x").Inc() // private throwaway metric
-	r.Emit(LogFlushEvent{})
-	if r.HasSinks() {
-		t.Fatal("nil registry has no sinks")
-	}
 	s := r.Snapshot()
 	if len(s.Counters) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
@@ -192,30 +188,6 @@ func TestSnapshotSub(t *testing.T) {
 	delta := r.Snapshot().Sub(before)
 	if delta.Counter("x") != 7 {
 		t.Fatalf("delta = %d, want 7", delta.Counter("x"))
-	}
-}
-
-func TestSinks(t *testing.T) {
-	r := NewRegistry()
-	if r.HasSinks() {
-		t.Fatal("fresh registry should have no sinks")
-	}
-	var mu sync.Mutex
-	var got []string
-	r.AddSink(SinkFunc(func(ev Event) {
-		mu.Lock()
-		got = append(got, ev.EventName())
-		mu.Unlock()
-	}))
-	if !r.HasSinks() {
-		t.Fatal("HasSinks after AddSink")
-	}
-	r.Emit(LogFlushEvent{Records: 3})
-	r.Emit(CorruptionEvent{Source: "audit", Mismatches: 1})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 || got[0] != "wal.flush" || got[1] != "core.corruption" {
-		t.Fatalf("events = %v", got)
 	}
 }
 

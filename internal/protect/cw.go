@@ -64,7 +64,6 @@ type cwScheme struct {
 	onHeal    func(region.RepairResult, time.Duration)
 
 	// Each metric is registered only under the policy that can move it.
-	reg         *obs.Registry
 	mRegions    *obs.Counter // regions verified before reads (precheck hits)
 	mFailures   *obs.Counter // prechecks that caught corruption
 	mHeals      *obs.Counter // precheck failures repaired in place by ECC
@@ -86,7 +85,6 @@ func newCWScheme(arena *mem.Arena, cfg Config, pol policy) (*cwScheme, error) {
 		prot:      latch.NewStriped(min(latchStripes, tab.NumRegions())),
 		healReads: !cfg.DisableECC && !cfg.DisableHeal,
 		onHeal:    cfg.OnHeal,
-		reg:       cfg.Obs,
 	}
 	switch pol.read {
 	case readVerify:
@@ -107,8 +105,7 @@ func newCWScheme(arena *mem.Arena, cfg Config, pol policy) (*cwScheme, error) {
 	if !cfg.DisableECC {
 		tab.EnableECC()
 	}
-	s.prot.Instrument(cfg.Obs, "protect",
-		cfg.Obs.Histogram(obs.NameProtLatchWaitNS), cfg.Obs.Counter(obs.NameProtLatchContends))
+	s.prot.Instrument(cfg.Obs.Histogram(obs.NameProtLatchWaitNS), cfg.Obs.Counter(obs.NameProtLatchContends))
 	tab.RecomputeAll(arena)
 	return s, nil
 }
@@ -251,10 +248,6 @@ func (s *cwScheme) precheck(addr mem.Addr, n int) error {
 				continue
 			}
 			s.mFailures.Inc()
-			if s.reg.HasSinks() {
-				s.reg.Emit(obs.PrecheckFailEvent{Region: uint64(r), Addr: uint64(addr), Len: n})
-				s.reg.Emit(obs.CorruptionEvent{Source: "precheck", Mismatches: 1})
-			}
 			return fmt.Errorf("%w: region %d [%d,+%d)",
 				ErrPrecheckFailed, r, s.tab.RegionStart(r), s.tab.RegionSize())
 		}

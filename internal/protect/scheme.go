@@ -197,7 +197,7 @@ type Config struct {
 	// dirty tracking) in here. Called while the region's protection latch
 	// is still held exclusively.
 	OnHeal func(region.RepairResult, time.Duration)
-	// Obs, when non-nil, receives the scheme's metrics and events
+	// Obs, when non-nil, receives the scheme's metrics
 	// (precheck hits/misses, fold counters, protection-latch waits, page
 	// exposures). core.Open wires the database's registry in here. Nil
 	// leaves the scheme counting into private, unregistered metrics.

@@ -151,8 +151,6 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		entries = make(map[wal.TxnID]*wal.TxnEntry)
 		ckEnd   wal.LSN
 		auditSN wal.LSN
-		fbFrom  int // images involved in a fallback load, for the event
-		fbTo    int
 	)
 	if anchorExists {
 		loaded, err := ckpt.Load(cfg.FS, cfg.Dir)
@@ -175,8 +173,6 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 			}
 			loaded, err = fb, nil
 			report.UsedFallbackImage = true
-			fbTo = fb.Anchor.Current
-			fbFrom = 1 - fbTo
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("recovery: %w", err)
@@ -203,11 +199,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 	}
 	notePhases(db.Observability(), rep, load)
 	if rep.UsedFallbackImage {
-		reg := db.Observability()
-		reg.Counter(obs.NameCkptFallbacks).Inc()
-		if reg.HasSinks() {
-			reg.Emit(obs.CkptFallbackEvent{From: fbFrom, To: fbTo})
-		}
+		db.Observability().Counter(obs.NameCkptFallbacks).Inc()
 	}
 	return db, rep, nil
 }

@@ -91,7 +91,7 @@ func (t *Table) SetRegistry(reg *obs.Registry) {
 	t.mAudited = reg.Counter(obs.NameRegionAudited)
 	t.mRecomputeBPS = reg.Histogram(obs.NameRegionRecomputeBPS)
 	t.mAuditBPS = reg.Histogram(obs.NameRegionAuditBPS)
-	t.cwLatch.Instrument(reg, "region.cw", reg.Histogram(obs.NameRegionCWWaitNS), reg.Counter(obs.NameRegionCWContends))
+	t.cwLatch.Instrument(reg.Histogram(obs.NameRegionCWWaitNS), reg.Counter(obs.NameRegionCWContends))
 }
 
 // SetPool attaches the worker pool used by whole-arena scans. Must be set

@@ -405,7 +405,7 @@ func (r *Router) Metrics() map[string]obs.Snapshot {
 	return out
 }
 
-// Observability exposes the router's registry (event sinks, tests).
+// Observability exposes the router's registry (tools, tests).
 func (r *Router) Observability() *obs.Registry { return r.reg }
 
 // encodeKV lays out a fixed-size KV record: key, value length, value.

@@ -1,7 +1,6 @@
 package tpcb
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,15 +31,6 @@ func TestConcurrentDriverMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Count flush events through a sink concurrently with the run; the
-	// sink total must agree with the flush counter in the final snapshot.
-	var sinkFlushes atomic.Uint64
-	db.Observability().AddSink(obs.SinkFunc(func(e obs.Event) {
-		if _, ok := e.(obs.LogFlushEvent); ok {
-			sinkFlushes.Add(1)
-		}
-	}))
 
 	base := db.Metrics()
 	stop := make(chan struct{})
@@ -109,7 +99,10 @@ func TestConcurrentDriverMetrics(t *testing.T) {
 	if res.TxnsAborted > 0 && full.Counter(obs.NameLockTimeouts) == 0 {
 		t.Fatal("driver saw aborts but no lock timeouts were counted")
 	}
-	if got := s.Counter(obs.NameWALFlushes); sinkFlushes.Load() != got {
-		t.Fatalf("sink saw %d flush events, counter says %d flushes since the sink was added", sinkFlushes.Load(), got)
+	// Two instruments of one flush path must agree: every successful force
+	// records one group-commit batch (no flush failed in this run).
+	batches := gc.Count - base.Histogram(obs.NameWALGroupCommit).Count
+	if got := full.Counter(obs.NameWALFlushes) - base.Counter(obs.NameWALFlushes); batches != got {
+		t.Fatalf("group-commit histogram saw %d batches, flush counter says %d flushes", batches, got)
 	}
 }

@@ -114,14 +114,10 @@ type SystemLog struct {
 
 	noters []DirtyNoter
 
-	flushes uint64
-	appends uint64
-
-	// Observability. The metric handles are resolved once (at open or
-	// SetRegistry) so hot paths pay only the atomic add, never a map
-	// lookup. reg defaults to nil (private metrics, no sinks) until the
-	// owning database wires its registry in.
-	reg          *obs.Registry
+	// Observability. The metric handles are resolved once, by SetRegistry,
+	// so hot paths pay only the atomic add, never a map lookup. Until the
+	// owning database wires its registry in they are nil, and nil metrics
+	// count nothing.
 	mAppends     *obs.Counter
 	mAppendBytes *obs.Counter
 	mFlushes     *obs.Counter
@@ -133,20 +129,15 @@ type SystemLog struct {
 	hGroupCommit *obs.Histogram
 }
 
-// SetRegistry wires the log's metrics and events into reg: append/flush
-// counters, fsync-duration and flush-size histograms, the group-commit
-// batch-size histogram, and wait instrumentation on the system log latch.
-// Must be called before concurrent use begins (core.Open does this while
-// building the database). A nil registry leaves the log counting into
-// private, unregistered metrics.
+// SetRegistry wires the log's metrics into reg: append/flush counters
+// (wal.appends, wal.flushes — the latter counts successful forces only),
+// fsync-duration and flush-size histograms, the group-commit batch-size
+// histogram, and wait instrumentation on the system log latch. Must be
+// called before concurrent use begins (core.Open does this while building
+// the database). A nil registry leaves the log counting into private,
+// unregistered metrics.
 func (l *SystemLog) SetRegistry(reg *obs.Registry) {
-	l.reg = reg
-	l.initMetrics()
-	l.latch.Instrument(reg, "wal", reg.Histogram(obs.NameWALLatchWaitNS), reg.Counter(obs.NameWALLatchContends))
-}
-
-func (l *SystemLog) initMetrics() {
-	reg := l.reg
+	l.latch.Instrument(reg.Histogram(obs.NameWALLatchWaitNS), reg.Counter(obs.NameWALLatchContends))
 	l.mAppends = reg.Counter(obs.NameWALAppends)
 	l.mAppendBytes = reg.Counter(obs.NameWALAppendBytes)
 	l.mFlushes = reg.Counter(obs.NameWALFlushes)
@@ -409,12 +400,8 @@ func (l *SystemLog) appendLocked(recs []*Record) {
 			l.tailRecs = append(l.tailRecs, tailRec{addr: r.Addr, n: len(r.Data)})
 		}
 		l.tailCount++
-		l.appends++
 		l.mAppends.Inc()
 		l.mAppendBytes.Add(uint64(len(l.tail) - before))
-		if l.reg.HasSinks() {
-			l.reg.Emit(obs.LogAppendEvent{Bytes: len(l.tail) - before})
-		}
 	}
 }
 
@@ -431,9 +418,6 @@ func (l *SystemLog) poisonLocked(cause error) {
 	l.tail, l.tailRecs, l.tailCount = nil, nil, 0
 	l.spareTail, l.spareRecs = nil, nil
 	l.mPoisoned.Inc()
-	if l.reg.HasSinks() {
-		l.reg.Emit(obs.LogPoisonedEvent{Cause: cause})
-	}
 	l.flushDone.Broadcast()
 }
 
@@ -535,23 +519,15 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		if werr == nil {
 			serr = l.f.Sync()
 		}
-		fsync := time.Since(start)
-		ferr := werr
-		if ferr == nil {
-			ferr = serr
-		}
 		// One group-commit batch: record its size in records and bytes
 		// and the time spent in the write+sync. No latch is held here.
-		l.hFsyncNS.ObserveDuration(fsync)
+		l.hFsyncNS.Since(start)
 		l.hFlushBytes.Observe(uint64(len(buf)))
 		l.hGroupCommit.Observe(uint64(nrecs))
-		if ferr != nil {
+		if werr != nil || serr != nil {
 			l.mFlushErrors.Inc()
 		} else {
 			l.mFlushes.Inc()
-		}
-		if l.reg.HasSinks() {
-			l.reg.Emit(obs.LogFlushEvent{Records: nrecs, Bytes: len(buf), Fsync: fsync, Err: ferr})
 		}
 
 		//dbvet:allow latchorder flush reacquires the log latch it dropped for disk I/O; the caller's bracket releases it
@@ -580,7 +556,6 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 			return l.poisoned
 		}
 		l.stableEnd += LSN(len(buf))
-		l.flushes++
 		for _, tr := range recs {
 			first := mem.PageID(uint64(tr.addr) / uint64(l.pageSize))
 			last := mem.PageID((uint64(tr.addr) + uint64(tr.n) - 1) / uint64(l.pageSize))
@@ -638,20 +613,6 @@ func (l *SystemLog) watchFlushWait(ctx context.Context, stop <-chan struct{}) {
 	l.latch.Lock()
 	l.flushDone.Broadcast()
 	l.latch.Unlock()
-}
-
-// Flushes reports the number of flush operations performed.
-func (l *SystemLog) Flushes() uint64 {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	return l.flushes
-}
-
-// Appends reports the number of records appended.
-func (l *SystemLog) Appends() uint64 {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	return l.appends
 }
 
 // Reset discards the entire log (stable and tail) and restarts LSNs from

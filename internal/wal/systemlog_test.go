@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/iofault"
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 func openLog(t *testing.T, dir string) *SystemLog {
@@ -188,17 +189,19 @@ func TestSystemLogDirtyNotification(t *testing.T) {
 func TestSystemLogAppendAndFlush(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir)
+	reg := obs.NewRegistry()
+	l.SetRegistry(reg)
 	if err := l.AppendAndFlush(&Record{Kind: KindTxnCommit, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if l.StableEnd() == 0 {
 		t.Fatal("commit record not stable")
 	}
-	if l.Flushes() != 1 {
-		t.Fatalf("flushes = %d", l.Flushes())
+	if got := reg.Counter(obs.NameWALFlushes).Load(); got != 1 {
+		t.Fatalf("flushes = %d", got)
 	}
-	if l.Appends() != 1 {
-		t.Fatalf("appends = %d", l.Appends())
+	if got := reg.Counter(obs.NameWALAppends).Load(); got != 1 {
+		t.Fatalf("appends = %d", got)
 	}
 	l.Close()
 }
@@ -288,6 +291,8 @@ func TestGroupCommitSharesForces(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir)
 	defer l.Close()
+	reg := obs.NewRegistry()
+	l.SetRegistry(reg)
 
 	const committers = 8
 	const commitsEach = 25
@@ -312,17 +317,18 @@ func TestGroupCommitSharesForces(t *testing.T) {
 	}
 	wg.Wait()
 	total := uint64(committers * commitsEach)
-	if got := l.Appends(); got != total {
+	if got := reg.Counter(obs.NameWALAppends).Load(); got != total {
 		t.Fatalf("appends = %d, want %d", got, total)
 	}
 	// Group commit: concurrent committers share forces when their commits
 	// overlap. Scheduling on a single-CPU host may serialize them
 	// perfectly (one force each), so sharing is reported, not asserted;
 	// more forces than commits would indicate a bookkeeping bug.
-	if got := l.Flushes(); got > total {
-		t.Fatalf("flushes = %d exceeds %d commits", got, total)
+	flushes := reg.Counter(obs.NameWALFlushes).Load()
+	if flushes > total {
+		t.Fatalf("flushes = %d exceeds %d commits", flushes, total)
 	}
-	t.Logf("%d commits used %d forces", total, l.Flushes())
+	t.Logf("%d commits used %d forces", total, flushes)
 
 	// Every record made it to disk exactly once, in LSN order.
 	l.Close()

@@ -1,17 +1,21 @@
 // Command logdump prints a database's system log human-readably: every
 // record with its LSN, kind, transaction, data identity, and codewords
 // where present. Useful for inspecting read-log volume, verifying
-// operation bracketing, and debugging recovery scenarios.
+// operation bracketing, and debugging recovery scenarios. -stats ends the
+// listing with per-kind record counts and payload bytes, and the frame
+// count and header bytes beside them: one frame holds one Append, so the
+// payload and header bytes add up to the log file's record section.
 //
 // Usage:
 //
-//	logdump -dir DBDIR [-from LSN] [-kinds read,phys-redo] [-txn ID] [-n MAX]
+//	logdump -dir DBDIR [-from LSN] [-kinds read,phys-redo] [-txn ID] [-n MAX] [-stats]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/iofault"
@@ -20,11 +24,11 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "database directory (required)")
-	from := flag.Uint64("from", 0, "scan from this LSN (clamped to the retained base)")
+	from := flag.Uint64("from", 0, "skip records below this LSN")
 	kindsFlag := flag.String("kinds", "", "comma-separated kind filter (e.g. read,phys-redo)")
 	txnFlag := flag.Uint64("txn", 0, "show only this transaction (0 = all)")
 	max := flag.Int("n", 0, "stop after N records (0 = all)")
-	stats := flag.Bool("stats", false, "print per-kind record counts and byte totals at the end")
+	stats := flag.Bool("stats", false, "print per-kind record counts and payload bytes, and frame count and header bytes, at the end")
 	flag.Parse()
 
 	if *dir == "" {
@@ -40,34 +44,42 @@ func main() {
 	}
 
 	counts := map[wal.Kind]int{}
-	bytes := map[wal.Kind]int{}
+	payload := map[wal.Kind]int{}
+	frames := 0
+	// A record's payload bytes run to the next record of its frame, or to
+	// the frame's end; the last record seen waits here until that is known.
+	var lastKind wal.Kind
+	var lastLSN, lastEnd wal.LSN
+	settle := func(next wal.LSN) {
+		if lastEnd != 0 {
+			payload[lastKind] += int(next - lastLSN)
+		}
+	}
 	printed := 0
-	visit := func(r *wal.Record) bool {
+	// A record is printed if it passes the filters, until -n is reached;
+	// -stats walks on to the end of the log.
+	visit := func(r *wal.Record, frameEnd wal.LSN) bool {
+		if frameEnd != lastEnd {
+			settle(lastEnd - wal.FrameHeaderSize)
+			frames++
+		} else {
+			settle(r.LSN)
+		}
+		lastKind, lastLSN, lastEnd = r.Kind, r.LSN, frameEnd
 		counts[r.Kind]++
-		bytes[r.Kind] += r.EncodedSize()
-		if len(wantKind) > 0 && !wantKind[r.Kind.String()] {
+		if len(wantKind) > 0 && !wantKind[r.Kind.String()] || *txnFlag != 0 && uint64(r.Txn) != *txnFlag {
 			return true
 		}
-		if *txnFlag != 0 && uint64(r.Txn) != *txnFlag {
-			return true
+		if *max == 0 || printed < *max {
+			fmt.Println(format(r))
+			printed++
 		}
-		fmt.Println(format(r))
-		printed++
-		return *max == 0 || printed < *max
+		return *stats || *max == 0 || printed < *max
 	}
 
-	// A non-zero -from below the retained base starts at the base.
-	var start *wal.LSN
-	if *from != 0 {
-		s := wal.LSN(*from)
-		if base, err := wal.LogBaseFS(iofault.OS, *dir); err == nil && s < base {
-			s = base
-		}
-		start = &s
-	}
-	cur, err := wal.OpenCursor(iofault.OS, *dir, start)
+	cur, err := wal.OpenCursor(iofault.OS, *dir, nil)
 	for err == nil && cur.Next() {
-		if !visit(cur.Record()) {
+		if r := cur.Record(); r.LSN >= wal.LSN(*from) && !visit(r, cur.FrameEnd()) {
 			break
 		}
 	}
@@ -79,14 +91,22 @@ func main() {
 		os.Exit(1)
 	}
 	if *stats {
+		settle(lastEnd - wal.FrameHeaderSize)
 		fmt.Println("--")
-		total, totalBytes := 0, 0
-		for k, c := range counts {
-			fmt.Printf("%-12s %8d records %10d bytes\n", k, c, bytes[k])
-			total += c
-			totalBytes += bytes[k]
+		kinds := make([]wal.Kind, 0, len(counts))
+		for k := range counts {
+			kinds = append(kinds, k)
 		}
-		fmt.Printf("%-12s %8d records %10d bytes\n", "total", total, totalBytes)
+		slices.Sort(kinds)
+		total, totalBytes := 0, 0
+		for _, k := range kinds {
+			fmt.Printf("%-12s %8d records %10d payload bytes\n", k, counts[k], payload[k])
+			total += counts[k]
+			totalBytes += payload[k]
+		}
+		headers := frames * wal.FrameHeaderSize
+		fmt.Printf("%-12s %8d frames  %10d header bytes\n", "frames", frames, headers)
+		fmt.Printf("%-12s %8d records %10d bytes\n", "total", total, totalBytes+headers)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestUpgradeSingleToMultiStreamRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := testConfig(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
-	stream := (&wal.Record{Kind: wal.KindTxnBegin, Txn: 9}).Encode([]byte("DALILOG1\x00\x00\x00\x00\x00\x00\x00\x00"))
+	stream := (&wal.Record{Kind: wal.KindTxnBegin, Txn: 9}).Encode([]byte("DALILOG2\x00\x00\x00\x00\x00\x00\x00\x00"))
 	for _, c := range []struct {
 		name string
 		dir  string

@@ -17,7 +17,7 @@ import (
 // compensating for them is entirely the user's burden, which is the
 // paper's argument for preferring the delete-transaction model.
 //
-// The implementation truncates the stable log at the last record boundary
+// The implementation truncates the stable log at the last frame boundary
 // at or before `before` and runs ordinary restart recovery on the prefix:
 // transactions whose commit records fall past the cut become incomplete
 // and are rolled back, yielding exactly the transaction-consistent prior
@@ -50,8 +50,9 @@ func PriorState(cfg core.Config, before wal.LSN, opts Options) (*core.DB, *Repor
 	return Open(cfg, opts)
 }
 
-// boundaryAtOrBefore finds the largest record boundary <= target, at or
-// above the log's base (records below the base were compacted away).
+// boundaryAtOrBefore finds the largest frame boundary <= target, at or
+// above the log's base (records below the base were compacted away). A
+// frame is one Append, so a target inside one cuts before all of it.
 func boundaryAtOrBefore(fsys iofault.FS, dir string, target wal.LSN) (wal.LSN, error) {
 	base, err := wal.LogBaseFS(fsys, dir)
 	if err != nil {
@@ -66,8 +67,7 @@ func boundaryAtOrBefore(fsys iofault.FS, dir string, target wal.LSN) (wal.LSN, e
 	}
 	cut := base
 	for cur.Next() {
-		r := cur.Record()
-		end := r.LSN + wal.LSN(r.EncodedSize())
+		end := cur.FrameEnd()
 		if end > target {
 			break
 		}

@@ -131,3 +131,59 @@ func TestBoundaryAtOrBefore(t *testing.T) {
 		t.Fatalf("cut = %d, want 0", cut)
 	}
 }
+
+// TestPriorStateCutsBeforeFrame: a target inside a multi-record frame —
+// one operation's op-begin, redo and op-commit, appended together — cuts
+// before the whole frame. The transaction committed before it survives;
+// the operation in the frame, and its transaction, are gone.
+func TestPriorStateCutsBeforeFrame(t *testing.T) {
+	cfg := testConfig(t, protect.Config{Kind: protect.KindDataCW, RegionSize: 64})
+	db, tb := setupTable(t, cfg, 4)
+	updateRec(t, db, tb, 0, []byte("committed"))
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Update(txn, heap.RID{Table: tb.ID, Slot: 1}, 0, []byte("in-frame")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Internals().Log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	id := txn.ID()
+	db.Crash()
+
+	// The operation's frame: its op-begin starts it, its op-commit is inside.
+	var frame, commit wal.LSN
+	cur, err := wal.OpenCursor(iofault.OS, cfg.Dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+		if r := cur.Record(); r.Txn == id && r.Kind == wal.KindOpBegin {
+			frame = r.LSN
+		} else if r.Txn == id && r.Kind == wal.KindOpCommit {
+			commit = r.LSN
+		}
+	}
+	if err := cur.Err(); err != nil || commit <= frame || frame == 0 {
+		t.Fatalf("op frame at %d, op-commit at %d: %v", frame, commit, err)
+	}
+	if cut, err := boundaryAtOrBefore(iofault.OS, cfg.Dir, commit+1); err != nil || cut != frame {
+		t.Fatalf("cut = %d (%v), want the frame's start %d", cut, err, frame)
+	}
+
+	db2, _, err := PriorState(cfg, commit+1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	cat, _ := heap.Open(db2)
+	tb2, _ := cat.Table("t")
+	if got := readRec(t, db2, tb2, 0); string(got[:9]) != "committed" {
+		t.Fatalf("record 0 = %q, want the update committed before the frame", got[:9])
+	}
+	if got := readRec(t, db2, tb2, 1); got[0] != 2 {
+		t.Fatalf("record 1 = %v, want original fill 2", got[:4])
+	}
+}

@@ -37,16 +37,18 @@ func copyDBDir(t *testing.T, src string) string {
 	return dst
 }
 
-// logFrame is one stable-log record's location: [start, end) in LSN
-// units.
+// logFrame is one stable-log record's location in LSN units: the record
+// [start, end) — end is the next record's LSN, or its frame's end — and
+// the frame [frame, frameEnd) that holds it, one Append.
 type logFrame struct {
-	start, end wal.LSN
-	kind       wal.Kind
-	txn        wal.TxnID
+	start, end      wal.LSN
+	frame, frameEnd wal.LSN
+	kind            wal.Kind
+	txn             wal.TxnID
 }
 
-// scanFrames reads the full stable log layout: every frame with its
-// boundaries, plus the log base (file offset of LSN x is
+// scanFrames reads the full stable log layout: every record with its
+// boundaries and its frame's, plus the log base (file offset of LSN x is
 // logHeader + x - base).
 func scanFrames(t *testing.T, dir string) (frames []logFrame, base wal.LSN, logEnd wal.LSN) {
 	t.Helper()
@@ -65,27 +67,39 @@ func scanFrames(t *testing.T, dir string) (frames []logFrame, base wal.LSN, logE
 	}
 	for cur.Next() {
 		r := cur.Record()
-		frames = append(frames, logFrame{start: r.LSN, kind: r.Kind, txn: r.Txn})
+		f := logFrame{start: r.LSN, frame: r.LSN, frameEnd: cur.FrameEnd(), kind: r.Kind, txn: r.Txn}
+		if n := len(frames); n > 0 && frames[n-1].frameEnd == f.frameEnd {
+			f.frame = frames[n-1].frame
+			frames[n-1].end = f.start
+		}
+		f.end = f.frameEnd
+		frames = append(frames, f)
 	}
 	if err := cur.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range frames {
-		if i+1 < len(frames) {
-			frames[i].end = frames[i+1].start
-		} else {
-			frames[i].end = logEnd
-		}
-	}
 	return frames, base, logEnd
 }
 
+// tornTailScenarios names the records after CK_end in
+// TestTornLogTailRecovery's history, in log order: two audit records, then
+// per update transaction its begin, op-begin, physical redo, op-commit and
+// commit. The names are the records' LSNs in the DALILOG1 format, which
+// framed every record alone and in which the test was written; they are
+// kept so that a scenario keeps its name when the format moves LSNs.
+var tornTailScenarios = []int{
+	554, 565, 578, 588, 604, 618, 644, 654, 664, 680, 694, 720, 730, 740, 756, 771,
+	797, 807, 817, 833, 848, 874, 884, 894, 910, 924, 950, 960, 970, 986, 1000, 1026,
+}
+
 // TestTornLogTailRecovery cuts (and corrupts) the stable log at every
-// record boundary after CK_end, at mid-record positions, and verifies
-// the fail-stop recovery contract for each: recovery converges, the
-// codeword audit is clean, and the state reflects exactly the
-// transactions whose commit record survived intact — replay stops at the
-// first torn or corrupt frame, never resurrecting a partial suffix.
+// record after CK_end — at its LSN, which is a frame boundary for a
+// frame's first record and inside the frame for the others, and in its
+// middle — and verifies the fail-stop recovery contract for each: recovery
+// converges, the codeword audit is clean, and the state reflects exactly
+// the transactions whose commit record survived intact — replay stops at
+// the first torn or corrupt frame, never resurrecting a partial suffix or
+// part of an Append.
 func TestTornLogTailRecovery(t *testing.T) {
 	cfg := core.Config{
 		Dir:       t.TempDir(),
@@ -122,7 +136,7 @@ func TestTornLogTailRecovery(t *testing.T) {
 	commitEnd := make(map[wal.TxnID]wal.LSN)
 	for _, f := range frames {
 		if f.kind == wal.KindTxnCommit {
-			commitEnd[f.txn] = f.end
+			commitEnd[f.txn] = f.frameEnd
 		}
 	}
 	for _, u := range upds {
@@ -179,39 +193,42 @@ func TestTornLogTailRecovery(t *testing.T) {
 		}
 	}
 
-	scenarios := 0
+	var tail []logFrame
 	for _, f := range frames {
-		if f.start < ckEnd {
-			continue // recovery's scan starts at CK_end; earlier frames are history
+		if f.start >= ckEnd { // recovery's scan starts at CK_end; earlier records are history
+			tail = append(tail, f)
 		}
+	}
+	if len(tail) != len(tornTailScenarios) {
+		t.Fatalf("%d records after CK_end, %d scenario names", len(tail), len(tornTailScenarios))
+	}
+	scenarios := 0
+	for i, f := range tail {
+		name := tornTailScenarios[i]
 		mid := f.start + (f.end-f.start)/2
 
-		// Cut exactly at the frame boundary: this frame and everything
-		// after is gone.
-		t.Run(fmt.Sprintf("truncate@%d", f.start), func(t *testing.T) {
+		// Cut at the record: its frame — all of it, for a record inside
+		// one — and everything after is gone.
+		t.Run(fmt.Sprintf("truncate@%d", name), func(t *testing.T) {
 			dir := copyDBDir(t, cfg.Dir)
 			truncateLog(t, dir, f.start)
-			verify(t, dir, f.start)
+			verify(t, dir, f.frame)
 		})
-		scenarios++
-
-		if mid > f.start {
-			// Cut mid-frame: the partial frame must be discarded.
-			t.Run(fmt.Sprintf("truncate@%d.mid", f.start), func(t *testing.T) {
-				dir := copyDBDir(t, cfg.Dir)
-				truncateLog(t, dir, mid)
-				verify(t, dir, f.start)
-			})
-			// Flip a byte mid-frame: the CRC refuses the frame, and — the
-			// fail-stop part — every frame after it is ignored too, even
-			// though they are intact.
-			t.Run(fmt.Sprintf("corrupt@%d.mid", f.start), func(t *testing.T) {
-				dir := copyDBDir(t, cfg.Dir)
-				flipByte(t, dir, mid)
-				verify(t, dir, f.start)
-			})
-			scenarios += 2
-		}
+		// Cut mid-record: the partial frame must be discarded.
+		t.Run(fmt.Sprintf("truncate@%d.mid", name), func(t *testing.T) {
+			dir := copyDBDir(t, cfg.Dir)
+			truncateLog(t, dir, mid)
+			verify(t, dir, f.frame)
+		})
+		// Flip a byte mid-record: the CRC refuses the frame, and — the
+		// fail-stop part — every frame after it is ignored too, even
+		// though they are intact.
+		t.Run(fmt.Sprintf("corrupt@%d.mid", name), func(t *testing.T) {
+			dir := copyDBDir(t, cfg.Dir)
+			flipByte(t, dir, mid)
+			verify(t, dir, f.frame)
+		})
+		scenarios += 3
 	}
 	// The unmutated log recovers everything.
 	t.Run("intact", func(t *testing.T) {

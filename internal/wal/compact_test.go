@@ -83,16 +83,19 @@ func TestCompactDiscardsPrefixKeepsLSNs(t *testing.T) {
 func TestCompactValidation(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir)
+	// Two Appends, so r2 starts a frame: compaction points are frame
+	// boundaries.
 	r1 := &Record{Kind: KindTxnBegin, Txn: 1}
 	r2 := &Record{Kind: KindTxnBegin, Txn: 2}
-	l.Append(r1, r2)
+	l.Append(r1)
+	l.Append(r2)
 	l.Flush()
 
 	if err := l.Compact(l.StableEnd() + 100); err == nil {
 		t.Fatal("compaction beyond stable end accepted")
 	}
 	if err := l.Compact(r2.LSN + 1); err == nil {
-		t.Fatal("compaction off a record boundary accepted")
+		t.Fatal("compaction off a frame boundary accepted")
 	}
 	if err := l.Compact(0); err != nil {
 		t.Fatalf("no-op compaction: %v", err)
@@ -171,7 +174,8 @@ func TestTruncateAtValidation(t *testing.T) {
 	l := openLog(t, dir)
 	r1 := &Record{Kind: KindTxnBegin, Txn: 1}
 	r2 := &Record{Kind: KindTxnBegin, Txn: 2}
-	l.Append(r1, r2)
+	l.Append(r1)
+	l.Append(r2)
 	l.Flush()
 	l.Compact(r2.LSN)
 	l.Close()

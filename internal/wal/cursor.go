@@ -14,9 +14,9 @@ import (
 // file's suffix is read once into a buffer the cursor owns, and Next
 // decodes one record at a time into a Record the cursor reuses: nothing is
 // allocated per record, nothing materialized. The walk ends at the end of
-// the valid prefix (see frameLen), a torn tail included; a frame inside the
-// prefix that does not decode stops the walk with ErrBadPayload. The log
-// must not be written while a cursor reads it.
+// the valid prefix (see frameLen), a torn tail included; a record inside
+// the prefix that does not decode stops the walk with ErrBadPayload. The
+// log must not be written while a cursor reads it.
 //
 // Record's Data and Undo.Args alias the cursor's buffer and are valid
 // until Release; the Record itself only until the following Next.
@@ -29,26 +29,35 @@ type Cursor struct {
 type logBuf struct {
 	start LSN    // LSN of buf[0]
 	buf   []byte // the file from start to its end
+	frame int    // offset of the frame being decoded
 	pos   int    // offset of the next frame
 	valid int    // frames below this offset have passed the checksum
-	head  Record // the frame that ended at pos, while ok
+	rd    frameReader
+	head  Record // the record last decoded, while ok
 	ok    bool
 }
 
-// advance decodes the frame at pos into head; ok is false at the end of
-// the valid prefix.
+// advance decodes the next record into head, entering the frame at pos
+// once the current one is exhausted; ok is false at the end of the valid
+// prefix.
 func (s *logBuf) advance() error {
-	rest := s.buf[s.pos:]
-	n := frameLen(rest, s.pos >= s.valid)
-	if s.ok = n != 0; !s.ok {
-		return nil
+	if !s.rd.more() {
+		rest := s.buf[s.pos:]
+		n := frameLen(rest, s.pos >= s.valid)
+		if s.ok = n != 0; !s.ok {
+			return nil
+		}
+		s.rd.reset(rest[FrameHeaderSize:n])
+		s.frame = s.pos
+		s.pos += n
+		s.valid = max(s.valid, s.pos)
 	}
-	if err := decodePayload(&s.head, rest[frameHeaderSize:n]); err != nil {
-		return fmt.Errorf("LSN %d: %w", s.start+LSN(s.pos), err)
+	lsn := s.start + LSN(s.frame+s.rd.d.pos)
+	if err := s.rd.next(&s.head); err != nil {
+		s.ok = false
+		return fmt.Errorf("LSN %d: %w", lsn, err)
 	}
-	s.head.LSN = s.start + LSN(s.pos)
-	s.pos += n
-	s.valid = max(s.valid, s.pos)
+	s.head.LSN = lsn
 	return nil
 }
 
@@ -118,7 +127,12 @@ func (c *Cursor) Err() error { return c.err }
 // over the same buffer.
 func (c *Cursor) Rewind() {
 	c.log.pos, c.log.ok, c.err = 0, false, nil
+	c.log.rd.reset(nil)
 }
+
+// FrameEnd reports the LSN one past the frame holding the current record:
+// the first point after it at which the log may be cut (TruncateAtFS).
+func (c *Cursor) FrameEnd() LSN { return c.log.start + LSN(c.log.pos) }
 
 // End reports the end of the valid prefix: the LSN at which an open of the
 // log resumes appending (OpenSystemLogFS). A log a pass did not exhaust is

@@ -206,7 +206,7 @@ func TestOpenAndScanAgreeOnTheValidPrefix(t *testing.T) {
 func TestUndecodablePayloadIsAnError(t *testing.T) {
 	good := &Record{Kind: KindTxnBegin, Txn: 7}
 	for name, bad := range map[string][]byte{
-		"unknown kind":  (&Record{Kind: Kind(200), Txn: 7}).Encode(nil),
+		"unknown kind":  (&Record{Kind: Kind(15), Txn: 7}).Encode(nil),
 		"short payload": shortPayloadFrame(),
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -234,8 +234,8 @@ func TestUndecodablePayloadIsAnError(t *testing.T) {
 // shortPayloadFrame frames, under a valid checksum, a physical record
 // whose data length field claims more bytes than the payload holds.
 func shortPayloadFrame() []byte {
-	payload := []byte{byte(KindPhysRedo), 7, 0, 200, 1, 2, 3}
-	b := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	payload := []byte{byte(KindPhysRedo) | flagTxn, 7, 0, 200, 1, 2, 3}
+	b := make([]byte, FrameHeaderSize, FrameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
 	return append(b, payload...)

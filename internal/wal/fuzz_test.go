@@ -35,9 +35,31 @@ func tornTailSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzDecodeFrame throws arbitrary bytes at the log-record decoder: it
-// must never panic, and any frame it accepts must re-encode to the same
-// bytes it consumed (decode∘encode identity on the accepted prefix).
+// multiRecordFrames are Appends of several records: every sample kind in
+// one frame (mixed transactions, codewords, both audit shapes), a TPC-B
+// balance update, and two nested operations committed inner first, the
+// outer one a compensation.
+func multiRecordFrames() [][]*Record {
+	return [][]*Record{
+		sampleRecords(),
+		tpcbUpdate(42),
+		{
+			{Kind: KindOpBegin, Txn: 5, Level: 2, Key: 9},
+			{Kind: KindOpBegin, Txn: 5, Level: 1, Key: 10},
+			{Kind: KindRead, Txn: 5, Addr: 640, Len: 8, HasCW: true, CW: 7},
+			{Kind: KindPhysRedo, Txn: 5, Addr: 640, Data: []byte{1, 2}, HasCW: true, CW: 8},
+			{Kind: KindOpCommit, Txn: 5, Level: 1, Key: 10, Undo: LogicalUndo{Op: 3, Key: 10}},
+			{Kind: KindOpCommit, Txn: 5, Level: 2, Key: 9, Compensation: true},
+		},
+	}
+}
+
+// FuzzDecodeFrame throws arbitrary bytes at the frame decoder: it must
+// never panic, and any frame it accepts must re-encode to the same bytes
+// it consumed (decode∘encode identity on the accepted prefix). Each input
+// is tried as it stands and as the payload of a frame whose checksum
+// holds: the checksum stops nearly every mutation of the first, so the
+// second is what reaches the records' tags, flags and back-references.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(r.Encode(nil))
@@ -47,17 +69,26 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range tornTailSeeds() {
 		f.Add(s)
 	}
+	for _, recs := range multiRecordFrames() {
+		frame := encodeFrame(nil, recs...)
+		f.Add(frame)
+		f.Add(frame[FrameHeaderSize:])
+		f.Add(frame[:len(frame)-1])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := decodeFrame(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		re := r.Encode(nil)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data[:n], re)
+		framed := append(make([]byte, FrameHeaderSize), data...)
+		sealFrame(framed)
+		for _, b := range [][]byte{data, framed} {
+			recs, n, err := decodeFrameAll(b)
+			if err != nil {
+				continue
+			}
+			if n <= 0 || n > len(b) {
+				t.Fatalf("consumed %d of %d bytes", n, len(b))
+			}
+			if re := encodeFrame(nil, recs...); !bytes.Equal(re, b[:n]) {
+				t.Fatalf("re-encode mismatch:\n in  %x\n out %x", b[:n], re)
+			}
 		}
 	})
 }
@@ -67,17 +98,23 @@ func FuzzDecodeFrame(f *testing.F) {
 // decodes (a torn final write can never be mistaken for a record), and
 // no single-byte corruption survives the frame CRC.
 func TestDecodeFrameRejectsTornPrefixes(t *testing.T) {
+	var frames [][]byte
 	for _, r := range sampleRecords() {
-		frame := r.Encode(nil)
+		frames = append(frames, r.Encode(nil))
+	}
+	for _, recs := range multiRecordFrames() {
+		frames = append(frames, encodeFrame(nil, recs...))
+	}
+	for _, frame := range frames {
 		for cut := 0; cut < len(frame); cut++ {
-			if _, _, err := decodeFrame(frame[:cut]); err == nil {
+			if _, _, err := decodeFrameAll(frame[:cut]); err == nil {
 				t.Fatalf("torn prefix of %d/%d bytes decoded", cut, len(frame))
 			}
 		}
 		for flip := 0; flip < len(frame); flip++ {
 			mut := append([]byte(nil), frame...)
 			mut[flip] ^= 0xFF
-			if _, _, err := decodeFrame(mut); err == nil {
+			if _, _, err := decodeFrameAll(mut); err == nil {
 				t.Fatalf("frame with byte %d flipped decoded", flip)
 			}
 		}

@@ -200,7 +200,7 @@ func TestLogSetAutoWiden(t *testing.T) {
 
 // TestLogSetUpgradeMergesOldPrefix: a log reopened by a later session
 // resumes at the old end — the scan returns the first session's records
-// and then the second's, at LSNs that continue without a gap.
+// and then the second's, in frames that continue without a gap.
 func TestLogSetUpgradeMergesOldPrefix(t *testing.T) {
 	dir := t.TempDir()
 	for _, txns := range [][]TxnID{{2}, {3, 4}} {
@@ -228,12 +228,16 @@ func TestLogSetUpgradeMergesOldPrefix(t *testing.T) {
 	if len(got) != len(wantTxn) {
 		t.Fatalf("scanned %d records, want %d", len(got), len(wantTxn))
 	}
+	// Each AppendAndFlush is one frame: its begin takes the frame's LSN,
+	// where the previous frame ended, and its commit follows inside it.
 	var next LSN
-	for i, r := range got {
-		if r.Txn != wantTxn[i] || r.LSN != next {
-			t.Fatalf("record %d: txn %d at LSN %d, want txn %d at %d", i, r.Txn, r.LSN, wantTxn[i], next)
+	for i := 0; i < len(got); i += 2 {
+		begin, commit := got[i], got[i+1]
+		if begin.Txn != wantTxn[i] || commit.Txn != wantTxn[i+1] || begin.LSN != next || commit.LSN <= begin.LSN {
+			t.Fatalf("records %d, %d: txn %d at LSN %d, txn %d at %d; want txn %d from %d",
+				i, i+1, begin.Txn, begin.LSN, commit.Txn, commit.LSN, wantTxn[i], next)
 		}
-		next = r.LSN + LSN(r.EncodedSize())
+		next = begin.LSN + LSN(len(encodeFrame(nil, begin, commit)))
 	}
 }
 
@@ -409,16 +413,16 @@ func TestGSNGapsDetectLostStream(t *testing.T) {
 }
 
 // TestLogSetGSNInsideChecksum: a frame whose checksum holds but whose
-// payload carries bytes past its last field, or the retired kind 12, is
+// payload carries bytes past its last record, or the retired kind 12, is
 // ErrBadPayload — for the frame decoder, a scan, and an open without a
 // scan's word for the file — and the file is never truncated to drop it.
-// The frames are the ones the multi-stream log set of earlier versions
-// wrote: a physical redo record with a trailing GSN, and a session-epoch
-// record.
+// The shapes are what the multi-stream log set of earlier versions wrote,
+// framed in this format: a physical redo record followed by a GSN varint,
+// whose first byte is no record's tag, and a session-epoch record.
 func TestLogSetGSNInsideChecksum(t *testing.T) {
 	good := &Record{Kind: KindTxnBegin, Txn: 7}
 	for name, hexFrame := range map[string]string{
-		"trailing bytes": "130000005c5475fb0107d209086162636465666768008080808020",
+		"trailing bytes": "1200000051c59c581107d2090861626364656667688080808020",
 		"kind 12":        "0400000082f5dd0d0c008120",
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
 
 	"repro/internal/mem"
@@ -154,13 +155,39 @@ type Record struct {
 	Decision bool   // coordinator verdict: true = commit (KindTxnDecision)
 }
 
-// Encoding layout: every record is framed as
+// Encoding layout. One Append is one frame,
 //
-//	[payloadLen uint32][crc32(payload) uint32][payload]
+//	[payloadLen uint32][crc32c(payload) uint32][record][record]...
 //
 // so that a torn write at the stable log tail is detected and treated as
-// the end of the log, as in any WAL implementation.
-const frameHeaderSize = 8
+// the end of the log, as in any WAL implementation, and a torn tail always
+// ends on an Append boundary. The records sit back to back in the payload;
+// a record's LSN is its frame's LSN plus its offset in the payload, so the
+// first record takes the frame's own LSN.
+//
+// A record opens with a tag byte: the Kind in the low four bits, flags in
+// the high four. A record may refer back to earlier records of its own
+// frame (frameState), never forward and never across a frame boundary:
+//
+//   - flagTxn: the transaction id follows. It is omitted when it equals the
+//     previous record's (0 before a frame's first record).
+//   - flagBool: the kind's one boolean — HasCW (phys-redo, read),
+//     Compensation (op-commit), Decision (txn-decision), AuditClean
+//     (audit-end).
+//   - flagSameOp (op-commit): level and key are those of the nearest
+//     preceding op-begin of the frame, and are omitted.
+//   - flagUndoIsKey (op-commit): the undo key equals the key, and is
+//     omitted.
+const (
+	// FrameHeaderSize is the length and checksum word ahead of every frame.
+	FrameHeaderSize = 8
+
+	kindMask      = 0x0f
+	flagTxn       = 0x10
+	flagBool      = 0x20
+	flagSameOp    = 0x40
+	flagUndoIsKey = 0x80
+)
 
 var (
 	// ErrTornRecord reports a truncated or corrupt record frame at the
@@ -179,11 +206,63 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// EncodedSize returns the number of bytes Encode will produce for r,
-// including framing, without encoding anything. It mirrors encodePayload
+// frameState is what a record may refer back to within its frame. Encoder
+// and decoder advance it alike, and it starts empty with every frame.
+type frameState struct {
+	txn     TxnID // the previous record's transaction
+	opLevel uint8 // the nearest preceding op-begin, when haveOp
+	opKey   ObjectKey
+	haveOp  bool
+}
+
+// tag is the tag byte r encodes to after the frame's earlier records. It
+// is the one encoding of r there: the decoder refuses any other.
+func (st *frameState) tag(r *Record) byte {
+	t := byte(r.Kind)
+	if r.Txn != st.txn {
+		t |= flagTxn
+	}
+	var b bool
+	switch r.Kind {
+	case KindPhysRedo, KindRead:
+		b = r.HasCW
+	case KindOpCommit:
+		b = r.Compensation
+		if st.haveOp && r.Level == st.opLevel && r.Key == st.opKey {
+			t |= flagSameOp
+		}
+		if r.Undo.Key == r.Key {
+			t |= flagUndoIsKey
+		}
+	case KindTxnDecision:
+		b = r.Decision
+	case KindAuditEnd:
+		b = r.AuditClean
+	}
+	if b {
+		t |= flagBool
+	}
+	return t
+}
+
+// note advances st past r.
+func (st *frameState) note(r *Record) {
+	st.txn = r.Txn
+	if r.Kind == KindOpBegin {
+		st.opLevel, st.opKey, st.haveOp = r.Level, r.Key, true
+	}
+}
+
+// EncodedSize returns the number of bytes Encode produces for r — a frame
+// holding r alone — without encoding anything. It mirrors appendRecord
 // field for field.
 func (r *Record) EncodedSize() int {
-	n := frameHeaderSize + 1 + uvarintLen(uint64(r.Txn))
+	var st frameState
+	tag := st.tag(r)
+	n := FrameHeaderSize + 1
+	if tag&flagTxn != 0 {
+		n += uvarintLen(uint64(r.Txn))
+	}
 	switch r.Kind {
 	case KindPhysRedo:
 		n += uvarintLen(uint64(r.Addr)) + uvarintLen(uint64(len(r.Data))) + len(r.Data) + r.cwLen()
@@ -192,16 +271,16 @@ func (r *Record) EncodedSize() int {
 	case KindOpBegin:
 		n += 1 + uvarintLen(uint64(r.Key))
 	case KindOpCommit:
-		n += 3 + uvarintLen(uint64(r.Key)) + uvarintLen(uint64(r.Undo.Key)) +
-			uvarintLen(uint64(len(r.Undo.Args))) + len(r.Undo.Args)
-	case KindTxnPrepare:
+		n += 2 + uvarintLen(uint64(r.Key)) + uvarintLen(uint64(len(r.Undo.Args))) + len(r.Undo.Args)
+		if tag&flagUndoIsKey == 0 {
+			n += uvarintLen(uint64(r.Undo.Key))
+		}
+	case KindTxnPrepare, KindTxnDecision:
 		n += uvarintLen(r.GID)
-	case KindTxnDecision:
-		n += uvarintLen(r.GID) + 1
 	case KindAuditBegin:
 		n += uvarintLen(r.AuditSN)
 	case KindAuditEnd:
-		n += uvarintLen(r.AuditSN) + 1 + uvarintLen(uint64(len(r.CorruptAddrs)))
+		n += uvarintLen(r.AuditSN) + uvarintLen(uint64(len(r.CorruptAddrs)))
 		for i := range r.CorruptAddrs {
 			n += uvarintLen(uint64(r.CorruptAddrs[i])) + uvarintLen(uint64(r.CorruptLens[i]))
 		}
@@ -211,88 +290,81 @@ func (r *Record) EncodedSize() int {
 
 func (r *Record) cwLen() int {
 	if r.HasCW {
-		return 9
+		return 8
 	}
-	return 1
+	return 0
 }
 
-// Encode appends the framed record to b. The payload is encoded straight
-// into b behind a reserved header, and the length and checksum are
-// back-filled once it is complete — the log tail is the only buffer a
-// record's bytes ever occupy.
+// Encode appends a frame holding r alone to b.
 func (r *Record) Encode(b []byte) []byte {
 	start := len(b)
-	b = append(b, make([]byte, frameHeaderSize)...)
-	b = r.encodePayload(b)
-	payload := b[start+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	var st frameState
+	b = st.appendRecord(append(b, make([]byte, FrameHeaderSize)...), r)
+	sealFrame(b[start:])
 	return b
 }
 
-func (r *Record) encodePayload(b []byte) []byte {
-	b = append(b, byte(r.Kind))
-	b = appendUvarint(b, uint64(r.Txn))
+// sealFrame back-fills the length and checksum of frame, whose header was
+// reserved before its records were encoded straight in behind it — the
+// log tail is the only buffer a record's bytes ever occupy.
+func sealFrame(frame []byte) {
+	payload := frame[FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+}
+
+// appendRecord appends r, encoded after the frame's earlier records, to b.
+func (st *frameState) appendRecord(b []byte, r *Record) []byte {
+	tag := st.tag(r)
+	b = append(b, tag)
+	if tag&flagTxn != 0 {
+		b = appendUvarint(b, uint64(r.Txn))
+	}
 	switch r.Kind {
 	case KindPhysRedo:
 		b = appendUvarint(b, uint64(r.Addr))
 		b = appendUvarint(b, uint64(len(r.Data)))
 		b = append(b, r.Data...)
-		b = r.encodeCW(b)
+		b = r.appendCW(b)
 	case KindRead:
 		b = appendUvarint(b, uint64(r.Addr))
 		b = appendUvarint(b, uint64(r.Len))
-		b = r.encodeCW(b)
+		b = r.appendCW(b)
 	case KindOpBegin:
 		b = append(b, r.Level)
 		b = appendUvarint(b, uint64(r.Key))
 	case KindOpCommit:
-		b = append(b, r.Level)
-		b = appendUvarint(b, uint64(r.Key))
-		if r.Compensation {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
+		if tag&flagSameOp == 0 {
+			b = append(b, r.Level)
+			b = appendUvarint(b, uint64(r.Key))
 		}
 		b = append(b, r.Undo.Op)
-		b = appendUvarint(b, uint64(r.Undo.Key))
+		if tag&flagUndoIsKey == 0 {
+			b = appendUvarint(b, uint64(r.Undo.Key))
+		}
 		b = appendUvarint(b, uint64(len(r.Undo.Args)))
 		b = append(b, r.Undo.Args...)
 	case KindTxnBegin, KindTxnCommit, KindTxnAbort:
-		// Kind and Txn suffice.
-	case KindTxnPrepare:
+		// The tag and the transaction suffice.
+	case KindTxnPrepare, KindTxnDecision:
 		b = appendUvarint(b, r.GID)
-	case KindTxnDecision:
-		b = appendUvarint(b, r.GID)
-		if r.Decision {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
 	case KindAuditBegin:
 		b = appendUvarint(b, r.AuditSN)
 	case KindAuditEnd:
 		b = appendUvarint(b, r.AuditSN)
-		if r.AuditClean {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
 		b = appendUvarint(b, uint64(len(r.CorruptAddrs)))
 		for i := range r.CorruptAddrs {
 			b = appendUvarint(b, uint64(r.CorruptAddrs[i]))
 			b = appendUvarint(b, uint64(r.CorruptLens[i]))
 		}
 	}
+	st.note(r)
 	return b
 }
 
-func (r *Record) encodeCW(b []byte) []byte {
+func (r *Record) appendCW(b []byte) []byte {
 	if r.HasCW {
-		b = append(b, 1)
 		b = binary.LittleEndian.AppendUint64(b, uint64(r.CW))
-	} else {
-		b = append(b, 0)
 	}
 	return b
 }
@@ -304,12 +376,14 @@ type decodeReader struct {
 	err error
 }
 
+// uvarint reads a varint in its shortest form: a longer one (a last byte of
+// zero) is no encoding appendUvarint writes.
 func (d *decodeReader) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.buf[d.pos+n-1] == 0 {
 		d.err = ErrTornRecord
 		return 0
 	}
@@ -351,6 +425,15 @@ func (d *decodeReader) uint64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// codeword reads the codeword of a read or physical record whose tag
+// carries one.
+func (d *decodeReader) codeword(tag byte) (bool, region.Codeword) {
+	if tag&flagBool == 0 {
+		return false, 0
+	}
+	return true, region.Codeword(d.uint64())
+}
+
 // frameLen is the frame walker every reader of the stable log shares: the
 // byte length of the frame at the head of b, or 0 when b does not begin
 // with a whole frame whose payload matches its checksum. The valid prefix
@@ -359,92 +442,115 @@ func (d *decodeReader) uint64() uint64 {
 // on. verify false takes the checksum on trust (bytes that passed before).
 //
 // An empty payload is no frame although its checksum, CRC32C("") = 0,
-// matches its length: no record encodes to zero bytes, and eight zero
+// matches its length: no Append encodes to zero bytes, and eight zero
 // bytes are what a zero-filled tail (file extended, blocks never written)
 // looks like — a torn tail, which must end the prefix, not a record.
 func frameLen(b []byte, verify bool) int {
-	if len(b) < frameHeaderSize {
+	if len(b) < FrameHeaderSize {
 		return 0
 	}
-	n := frameHeaderSize + int(binary.LittleEndian.Uint32(b))
-	if n == frameHeaderSize || n > len(b) {
+	n := FrameHeaderSize + int(binary.LittleEndian.Uint32(b))
+	if n == FrameHeaderSize || n > len(b) {
 		return 0
 	}
-	if verify && crc32.Checksum(b[frameHeaderSize:n], castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+	if verify && crc32.Checksum(b[FrameHeaderSize:n], castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
 		return 0
 	}
 	return n
 }
 
 // ErrBadPayload reports a frame the walker accepts whose payload does not
-// decode (unknown kind, field past the end, bytes after the last field).
-// Its writer checksummed exactly these bytes, so it is no torn tail: scans
-// and opens fail with this error rather than truncate the record away or
-// keep it silently.
+// decode (unknown kind, field past the end, an encoding the encoder never
+// writes). Its writer checksummed exactly these bytes, so it is no torn
+// tail: scans and opens fail with this error rather than truncate the
+// frame away or keep it silently.
 var ErrBadPayload = errors.New("wal: log record has a valid checksum but does not decode")
 
-// decodePayload fills r, which the caller owns and may reuse, from one
-// frame's payload. Every field is reset; the corrupt-range slices keep
-// their capacity. r.Data and r.Undo.Args alias payload: a caller that
-// keeps them past the buffer's life copies them.
-func decodePayload(r *Record, payload []byte) error {
-	d := decodeReader{buf: payload}
+// frameReader decodes the records of one frame's payload in order.
+type frameReader struct {
+	d  decodeReader
+	st frameState
+}
+
+func (f *frameReader) reset(payload []byte) { *f = frameReader{d: decodeReader{buf: payload}} }
+
+// more reports whether records of the frame remain to be decoded.
+func (f *frameReader) more() bool { return f.d.pos < len(f.d.buf) }
+
+// next fills r, which the caller owns and may reuse, from the record at
+// the reader's position. Every field is reset; the corrupt-range slices
+// keep their capacity. r.Data and r.Undo.Args alias the payload: a caller
+// that keeps them past the buffer's life copies them.
+func (f *frameReader) next(r *Record) error {
+	d, st := &f.d, &f.st
 	addrs, lens := r.CorruptAddrs[:0], r.CorruptLens[:0]
 	*r = Record{} // cleared in place; a literal naming r's own fields would be built aside and copied
 	r.CorruptAddrs, r.CorruptLens = addrs, lens
-	r.Kind = Kind(d.byte())
-	r.Txn = TxnID(d.uvarint())
+	tag := d.byte()
+	r.Kind = Kind(tag & kindMask)
+	r.Txn = st.txn
+	if tag&flagTxn != 0 {
+		r.Txn = TxnID(d.uvarint())
+	}
 	switch r.Kind {
 	case KindPhysRedo:
 		r.Addr = mem.Addr(d.uvarint())
 		r.Data = d.bytes(int(d.uvarint()))
-		r.HasCW, r.CW = d.codeword()
+		r.HasCW, r.CW = d.codeword(tag)
 	case KindRead:
 		r.Addr = mem.Addr(d.uvarint())
 		r.Len = int(d.uvarint())
-		r.HasCW, r.CW = d.codeword()
+		r.HasCW, r.CW = d.codeword(tag)
 	case KindOpBegin:
 		r.Level = d.byte()
 		r.Key = ObjectKey(d.uvarint())
 	case KindOpCommit:
-		r.Level = d.byte()
-		r.Key = ObjectKey(d.uvarint())
-		r.Compensation = d.byte() == 1
+		r.Compensation = tag&flagBool != 0
+		if tag&flagSameOp != 0 {
+			r.Level, r.Key = st.opLevel, st.opKey
+		} else {
+			r.Level = d.byte()
+			r.Key = ObjectKey(d.uvarint())
+		}
 		r.Undo.Op = d.byte()
-		r.Undo.Key = ObjectKey(d.uvarint())
+		r.Undo.Key = r.Key
+		if tag&flagUndoIsKey == 0 {
+			r.Undo.Key = ObjectKey(d.uvarint())
+		}
 		r.Undo.Args = d.bytes(int(d.uvarint()))
 	case KindTxnBegin, KindTxnCommit, KindTxnAbort:
 	case KindTxnPrepare:
 		r.GID = d.uvarint()
 	case KindTxnDecision:
 		r.GID = d.uvarint()
-		r.Decision = d.byte() == 1
+		r.Decision = tag&flagBool != 0
 	case KindAuditBegin:
 		r.AuditSN = d.uvarint()
 	case KindAuditEnd:
 		r.AuditSN = d.uvarint()
-		r.AuditClean = d.byte() == 1
-		n := int(d.uvarint())
-		for i := 0; i < n && d.err == nil; i++ {
-			r.CorruptAddrs = append(r.CorruptAddrs, mem.Addr(d.uvarint()))
-			r.CorruptLens = append(r.CorruptLens, uint32(d.uvarint()))
+		r.AuditClean = tag&flagBool != 0
+		// Each range takes at least two bytes: a count beyond that is short.
+		if n := d.uvarint(); n > uint64(len(d.buf)-d.pos)/2 {
+			d.err = ErrTornRecord
+		} else {
+			for i := 0; i < int(n) && d.err == nil; i++ {
+				r.CorruptAddrs = append(r.CorruptAddrs, mem.Addr(d.uvarint()))
+				l := d.uvarint()
+				if l > math.MaxUint32 {
+					d.err = ErrTornRecord
+				}
+				r.CorruptLens = append(r.CorruptLens, uint32(l))
+			}
 		}
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrBadPayload, r.Kind)
 	}
 	if d.err != nil {
-		return fmt.Errorf("%w: %s payload is short", ErrBadPayload, r.Kind)
+		return fmt.Errorf("%w: %s record is short", ErrBadPayload, r.Kind)
 	}
-	if d.pos != len(d.buf) {
-		return fmt.Errorf("%w: %s payload has %d bytes past its last field", ErrBadPayload, r.Kind, len(d.buf)-d.pos)
+	if want := st.tag(r); tag != want {
+		return fmt.Errorf("%w: %s record tagged %#x, which encodes as %#x", ErrBadPayload, r.Kind, tag, want)
 	}
+	st.note(r)
 	return nil
-}
-
-// codeword reads the optional codeword of a read or physical record.
-func (d *decodeReader) codeword() (bool, region.Codeword) {
-	if d.byte() != 1 {
-		return false, 0
-	}
-	return true, region.Codeword(d.uint64())
 }

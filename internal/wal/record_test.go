@@ -89,7 +89,7 @@ func TestDecodeFrameTorn(t *testing.T) {
 func TestDecodeFrameCorruptPayload(t *testing.T) {
 	r := &Record{Kind: KindPhysRedo, Txn: 1, Addr: 10, Data: []byte{1, 2, 3, 4}}
 	enc := r.Encode(nil)
-	for i := frameHeaderSize; i < len(enc); i++ {
+	for i := FrameHeaderSize; i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0xFF
 		if _, _, err := decodeFrame(bad); err == nil {
@@ -102,8 +102,8 @@ func TestDecodeFrameUnknownKind(t *testing.T) {
 	// Build a frame with a bogus kind byte and a valid checksum.
 	r := &Record{Kind: KindTxnBegin, Txn: 1}
 	enc := r.Encode(nil)
-	// Patch kind in payload and recompute checksum via re-encoding trick:
-	bad := &Record{Kind: Kind(200), Txn: 1}
+	// Kind 15 fits the tag's kind bits but names no kind.
+	bad := &Record{Kind: Kind(15), Txn: 1}
 	enc = bad.Encode(nil)
 	if _, _, err := decodeFrame(enc); err == nil {
 		t.Fatal("unknown kind accepted")

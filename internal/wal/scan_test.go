@@ -1,6 +1,10 @@
 package wal
 
-import "repro/internal/iofault"
+import (
+	"fmt"
+
+	"repro/internal/iofault"
+)
 
 // scanLog visits the stable records in dir from LSN from until fn returns
 // false. Each record handed to fn is a copy the test may keep.
@@ -41,15 +45,48 @@ func cloneRecord(r *Record) *Record {
 	return &c
 }
 
-// decodeFrame decodes the frame at the head of b into a fresh record.
-func decodeFrame(b []byte) (*Record, int, error) {
+// encodeFrame appends one frame holding recs to b, as Append encodes them,
+// without assigning LSNs.
+func encodeFrame(b []byte, recs ...*Record) []byte {
+	start := len(b)
+	b = append(b, make([]byte, FrameHeaderSize)...)
+	var st frameState
+	for _, r := range recs {
+		b = st.appendRecord(b, r)
+	}
+	sealFrame(b[start:])
+	return b
+}
+
+// decodeFrameAll decodes every record of the frame at the head of b into
+// fresh records, reporting the frame's length.
+func decodeFrameAll(b []byte) ([]*Record, int, error) {
 	n := frameLen(b, true)
 	if n == 0 {
 		return nil, 0, ErrTornRecord
 	}
-	r := new(Record)
-	if err := decodePayload(r, b[frameHeaderSize:n]); err != nil {
+	var rd frameReader
+	rd.reset(b[FrameHeaderSize:n])
+	var out []*Record
+	for rd.more() {
+		r := new(Record)
+		if err := rd.next(r); err != nil {
+			return nil, 0, err
+		}
+		out = append(out, r)
+	}
+	return out, n, nil
+}
+
+// decodeFrame decodes the frame at the head of b, which must hold one
+// record, into a fresh record.
+func decodeFrame(b []byte) (*Record, int, error) {
+	recs, n, err := decodeFrameAll(b)
+	if err != nil {
 		return nil, 0, err
 	}
-	return r, n, nil
+	if len(recs) != 1 {
+		return nil, 0, fmt.Errorf("%w: frame holds %d records, want 1", ErrBadPayload, len(recs))
+	}
+	return recs[0], n, nil
 }

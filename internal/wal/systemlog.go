@@ -38,11 +38,14 @@ var ErrFlushWaitCanceled = errors.New("wal: group-commit wait abandoned by conte
 // directory.
 const LogFileName = "system.log"
 
-// Log file header: magic plus the base LSN of the first record in the
+// Log file header: magic plus the base LSN of the first frame in the
 // file. Compaction discards a durable prefix by rewriting the file with a
 // higher base, so LSNs stay stable forever while the file stays bounded.
+// DALILOG2 frames one Append; the DALILOG1 files earlier versions wrote
+// framed every record apart, and are refused rather than read.
 const (
-	logMagic      = "DALILOG1"
+	logMagic      = "DALILOG2"
+	legacyMagic   = "DALILOG1"
 	logHeaderSize = 16
 )
 
@@ -51,6 +54,9 @@ func encodeLogHeader(base LSN) []byte {
 }
 
 func decodeLogHeader(h []byte) (LSN, error) {
+	if len(h) >= len(legacyMagic) && string(h[:len(legacyMagic)]) == legacyMagic {
+		return 0, fmt.Errorf("wal: %s is a %s log, one frame per record, a format this version cannot read", LogFileName, legacyMagic)
+	}
 	if len(h) < logHeaderSize || string(h[:8]) != logMagic {
 		return 0, fmt.Errorf("wal: bad log header")
 	}
@@ -71,10 +77,10 @@ type DirtyNoterFunc func(id mem.PageID)
 // NoteDirty implements DirtyNoter.
 func (f DirtyNoterFunc) NoteDirty(id mem.PageID) { f(id) }
 
-// SystemLog is the system log: an in-memory tail of encoded records plus
+// SystemLog is the system log: an in-memory tail of encoded frames plus
 // the stable log on disk. The system log latch serializes flushes and
-// appends so that LSNs are dense byte offsets into the (stable ++ tail)
-// byte stream.
+// appends so that LSNs are byte offsets into the (stable ++ tail) byte
+// stream: a frame's LSN is its offset, and its records' LSNs fall inside it.
 type SystemLog struct {
 	latch latch.Latch //dbvet:latch syslog — the paper's "system log latch"
 	// flushDone is signalled whenever a flush completes; committers
@@ -96,7 +102,7 @@ type SystemLog struct {
 	stableEnd LSN       // everything below this LSN is on disk
 	tail      []byte    // encoded records not yet flushed
 	tailRecs  []tailRec // page-dirtying records among them
-	tailCount int       // records encoded in tail
+	tailCount int       // records encoded in tail (one Append may frame several)
 	// spareTail and spareRecs are the other half of the double buffer: the
 	// emptied buffers of the last completed flush, which become the tail at
 	// the next. A flusher owns what it swapped out (under the latch) until
@@ -294,8 +300,11 @@ func (l *SystemLog) BaseLSN() LSN {
 // file with a higher base LSN. The caller must guarantee no consumer
 // needs records below keepFrom (the checkpointer compacts to the current
 // certified anchor's CK_end after toggling it). Compacting to an LSN in
-// the future, below the current base, or not on a record boundary is an
-// error; compacting is atomic (write temp + rename).
+// the future, below the current base, or not on a frame boundary is an
+// error; compacting is atomic (write temp + rename). A failure after the
+// rename poisons the log: the file at the log's path is then the
+// compacted one, and a handle still on the old inode would flush into a
+// file restart never reads.
 func (l *SystemLog) Compact(keepFrom LSN) error {
 	l.latch.Lock()
 	defer l.latch.Unlock()
@@ -326,9 +335,9 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 	if _, err := l.f.ReadAt(keep, logHeaderSize+int64(keepFrom-l.baseLSN)); err != nil {
 		return fmt.Errorf("wal: compact read: %w", err)
 	}
-	// Verify the cut lands on a record boundary (or end of file).
+	// Verify the cut lands on a frame boundary (or end of file).
 	if len(keep) > 0 && frameLen(keep, true) == 0 {
-		return fmt.Errorf("wal: compact point %d is not a record boundary", keepFrom)
+		return fmt.Errorf("wal: compact point %d is not a frame boundary", keepFrom)
 	}
 	tmp := path + ".compact"
 	out, err := l.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -355,12 +364,14 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 	}
 	// Reopen the handle positioned at the new end.
 	nf, err := l.fs.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
+	if err == nil {
+		if _, err = nf.Seek(0, io.SeekEnd); err != nil {
+			nf.Close()
+		}
 	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return err
+	if err != nil {
+		l.poisonLocked(fmt.Errorf("wal: reopen compacted log: %w", err))
+		return l.poisoned
 	}
 	l.f.Close()
 	l.f = nf
@@ -375,8 +386,9 @@ func (l *SystemLog) RegisterDirtyNoter(n DirtyNoter) {
 	l.noters = append(l.noters, n)
 }
 
-// Append encodes records into the log tail, assigning their LSNs. The
-// records become durable only at the next Flush. Append is used by
+// Append encodes records into the log tail as one frame, assigning their
+// LSNs. The records become durable only at the next Flush, and all
+// together: a torn tail never splits an Append. Append is used by
 // operation commit, which moves a transaction's pending local redo
 // records into the tail as a unit before the operation's locks are
 // released. Once the log is poisoned by a write/fsync failure, Append
@@ -391,18 +403,27 @@ func (l *SystemLog) Append(recs ...*Record) error {
 	return nil
 }
 
+// appendLocked encodes recs as one frame at the end of the tail. A record's
+// LSN is the frame's plus the record's offset in the frame's payload.
 func (l *SystemLog) appendLocked(recs []*Record) {
+	if len(recs) == 0 {
+		return
+	}
+	frame, start := l.endLocked(), len(l.tail)
+	b := append(l.tail, make([]byte, FrameHeaderSize)...)
+	var st frameState
 	for _, r := range recs {
-		r.LSN = l.endLocked()
-		before := len(l.tail)
-		l.tail = r.Encode(l.tail)
+		r.LSN = frame + LSN(len(b)-start-FrameHeaderSize)
+		b = st.appendRecord(b, r)
 		if r.Kind == KindPhysRedo && len(r.Data) > 0 {
 			l.tailRecs = append(l.tailRecs, tailRec{addr: r.Addr, n: len(r.Data)})
 		}
-		l.tailCount++
-		l.mAppends.Inc()
-		l.mAppendBytes.Add(uint64(len(l.tail) - before))
 	}
+	sealFrame(b[start:])
+	l.tail = b
+	l.tailCount += len(recs)
+	l.mAppends.Add(uint64(len(recs)))
+	l.mAppendBytes.Add(uint64(len(b) - start))
 }
 
 // poisonLocked fail-stops the log: the tail is discarded (it can never
@@ -702,7 +723,7 @@ func LogBaseFS(fsys iofault.FS, dir string) (LSN, error) {
 }
 
 // TruncateAtFS discards every stable record at or after lsn, which must be
-// a record boundary at or above the log base. Prior-state recovery uses
+// a frame boundary at or above the log base (Cursor.FrameEnd). Prior-state recovery uses
 // this to cut history; the log must not be open for writing. The shortened
 // log is forced durable before returning: a prior-state cut that silently
 // reverts on crash would resurrect the history the caller just discarded.
@@ -730,14 +751,14 @@ func TruncateAtFS(fsys iofault.FS, dir string, lsn LSN) (err error) {
 	if cut > size {
 		return fmt.Errorf("wal: truncate point %d beyond log end", lsn)
 	}
-	// A record boundary is where the walker finds a frame (or the end of
+	// A frame boundary is where the walker finds a frame (or the end of
 	// the file). Only the tail being discarded is read.
 	rest := make([]byte, size-cut)
 	if _, err := f.ReadAt(rest, cut); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	if len(rest) > 0 && frameLen(rest, true) == 0 {
-		return fmt.Errorf("wal: truncate point %d is not a record boundary", lsn)
+		return fmt.Errorf("wal: truncate point %d is not a frame boundary", lsn)
 	}
 	if err := f.Truncate(cut); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)

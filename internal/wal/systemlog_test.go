@@ -29,8 +29,10 @@ func TestSystemLogAppendFlushScan(t *testing.T) {
 	if r1.LSN != 0 {
 		t.Fatalf("first LSN = %d, want 0", r1.LSN)
 	}
-	if r2.LSN != LSN(r1.EncodedSize()) {
-		t.Fatalf("second LSN = %d, want %d", r2.LSN, r1.EncodedSize())
+	// One Append is one frame: r1 takes the frame's LSN, and r2's is its
+	// offset in the payload, just past r1's bytes.
+	if want := LSN(r1.EncodedSize() - FrameHeaderSize); r2.LSN != want {
+		t.Fatalf("second LSN = %d, want %d", r2.LSN, want)
 	}
 	if l.StableEnd() != 0 {
 		t.Fatal("records stable before flush")

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-compare bench-smoke bench-shard server-smoke torture torture-smoke heal heal-smoke table1 table2 faultstudy faultstudy-disk examples clean
+.PHONY: all build vet test race cover bench bench-compare bench-smoke bench-shard server-smoke torture torture-smoke heal heal-smoke mutants table1 table2 faultstudy faultstudy-disk examples clean
 
 all: build vet test
 
@@ -16,12 +16,11 @@ build:
 # guards, the concurrent TPC-B driver, the log
 # buffers restart recovery aliases between its passes, the schemes' shared
 # audit loop), and a one-iteration smoke of the codeword
-# kernel benchmarks. dbvet is the repo's own nine-pass suite (latch
-# order with latch-cycle detection and field-level locksets, guarded
-# writes, codeword pairing, metric names, I/O path, error flow, 2PC
-# protocol, context propagation, replay determinism); the passes share
-# one load and run in parallel, so the nine-pass suite costs roughly the
-# same wall time as the original four. The -stats invocation reuses that
+# kernel benchmarks. dbvet is the repo's own six-pass suite (latch
+# order with latch-cycle detection and field-level locksets, I/O path,
+# error flow, 2PC protocol, context propagation, replay determinism);
+# the passes share one load and run in parallel, so the suite costs
+# roughly the same wall time as the original four. The -stats invocation reuses that
 # load to gate suppression debt: the count of //dbvet:allow sites per
 # pass must not grow past the checked-in dbvet.debt.json baseline.
 # See DESIGN.md "Machine-checked invariants".
@@ -30,6 +29,13 @@ vet: bench-smoke torture-smoke server-smoke heal-smoke
 	$(GO) run ./cmd/dbvet ./...
 	$(GO) run ./cmd/dbvet -stats -debt-baseline dbvet.debt.json ./...
 	$(GO) test -race ./internal/core ./internal/wal ./internal/lockmgr ./internal/latch ./internal/heap ./internal/obs ./internal/tpcb ./internal/recovery ./internal/protect
+
+# The mutation audit (cmd/dbvet/mutants_test.go): every mutant that a
+# tier-1 test catches is built through a go test -overlay (the tree is
+# never edited), and its packages' tests must fail in the named test.
+# Rows no test catches are only built. Under a minute.
+mutants:
+	$(GO) test ./cmd/dbvet -count=1 -timeout 1h -run TestMutants -mutants
 
 # End-to-end smoke of the TCP front end: a K=4 sharded server takes a
 # concurrent mixed load over the wire protocol, drains gracefully, and

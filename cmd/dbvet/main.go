@@ -1,15 +1,13 @@
 // Command dbvet is the repository's domain-specific static checker: a
-// multichecker that runs the nine analysis passes enforcing the
-// paper's concurrency, codeword-maintenance, durability, protocol, and
-// replay-determinism disciplines over the tree.
+// multichecker that runs the six analysis passes enforcing the
+// concurrency, durability, protocol and replay-determinism disciplines
+// that no test catches (the mutation audit in mutants_test.go records
+// which detector catches what).
 //
 //	latchorder    latch acquisition respects protection → codeword → syslog
 //	              and releases on every path; the inferred global
 //	              acquisition graph is acyclic; fields guarded by a latch
 //	              on most paths are never accessed bare on others
-//	guardedwrite  arena stores only via the prescribed update interface
-//	cwpair        undo capture paired with a codeword fold on success paths
-//	obsnames      metric names drawn from the closed obs namespace
 //	iopath        durable-path file I/O flows through iofault.FS, not os
 //	errflow       no discarded durable errors; errors.Is for sentinels;
 //	              failed log syncs reach the poison transition
@@ -46,14 +44,11 @@ import (
 
 	"repro/internal/analysis/anz"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/cwpair"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/errflow"
-	"repro/internal/analysis/guardedwrite"
 	"repro/internal/analysis/iopath"
 	"repro/internal/analysis/latchorder"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/obsnames"
 	"repro/internal/analysis/twophase"
 )
 
@@ -61,9 +56,6 @@ import (
 // are validated and counted against it.
 var analyzers = []*anz.Analyzer{
 	latchorder.Analyzer,
-	guardedwrite.Analyzer,
-	cwpair.Analyzer,
-	obsnames.Analyzer,
 	iopath.Analyzer,
 	errflow.Analyzer,
 	twophase.Analyzer,

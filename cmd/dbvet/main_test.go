@@ -29,18 +29,15 @@ func TestBuggySchemeDifferential(t *testing.T) {
 	// determinism rules) in buggy4.go; update alongside the fixtures.
 	wantLines := map[string][]string{
 		"latchorder": {
-			"buggy.go:30",  // s.prot.Lock() under the syslog latch
+			"buggy.go:22",  // s.prot.Lock() under the syslog latch
 			"buggy4.go:34", // durable watermark read outside its latch
 			"buggy4.go:55", // idx/dat mutexes nested in opposite orders
 		},
-		"guardedwrite": {"buggy.go:37"},  // direct store through arena.Slice
-		"cwpair":       {"buggy.go:44"},  // return nil without a fold
-		"obsnames":     {"buggy.go:50"},  // undeclared metric name
-		"iopath":       {"buggy2.go:15"}, // raw os.ReadFile on the durable path
-		"errflow":      {"buggy2.go:24"}, // discarded SystemLog.Append error
-		"twophase":     {"buggy2.go:37"}, // CommitPrepared before the decision
-		"ctxflow":      {"buggy2.go:42"}, // context.Background() inside RunCtx
-		"determinism":  {"buggy4.go:63"}, // in-doubt gids collected in map order
+		"iopath":      {"buggy2.go:15"}, // raw os.ReadFile on the durable path
+		"errflow":     {"buggy2.go:24"}, // discarded SystemLog.Append error
+		"twophase":    {"buggy2.go:37"}, // CommitPrepared before the decision
+		"ctxflow":     {"buggy2.go:42"}, // context.Background() inside RunCtx
+		"determinism": {"buggy4.go:63"}, // in-doubt gids collected in map order
 	}
 	got := make(map[string][]string)
 	total := 0
@@ -84,7 +81,7 @@ func TestAllowWithoutReason(t *testing.T) {
 		if d.Pass == "dbvet" && strings.Contains(d.Message, "a reason is required") {
 			sawMalformed = true
 		}
-		if d.Pass == "obsnames" && strings.Contains(d.Message, "not declared") {
+		if d.Pass == "iopath" && strings.Contains(d.Message, "raw os.ReadFile") {
 			sawViolation = true
 		}
 	}
@@ -114,21 +111,18 @@ func TestDebtGate(t *testing.T) {
 	// malformed directive (a retired pass) in the same tree must not be
 	// counted as debt.
 	want := map[string]int{
-		"latchorder":   3,
-		"guardedwrite": 1,
-		"cwpair":       1,
-		"obsnames":     1,
-		"iopath":       1,
-		"errflow":      1,
-		"twophase":     1,
-		"ctxflow":      1,
-		"determinism":  1,
+		"latchorder":  3,
+		"iopath":      1,
+		"errflow":     1,
+		"twophase":    1,
+		"ctxflow":     1,
+		"determinism": 1,
 	}
 	if !maps.Equal(counts, want) {
 		t.Errorf("allow fixture: counted %v, want %v", counts, want)
 	}
-	if st := newDebtStats(counts); st.Total != 11 {
-		t.Errorf("allow fixture: total debt %d, want 11", st.Total)
+	if st := newDebtStats(counts); st.Total != 8 {
+		t.Errorf("allow fixture: total debt %d, want 8", st.Total)
 	}
 
 	// At baseline: no growth, no shrinkage.

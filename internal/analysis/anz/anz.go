@@ -98,7 +98,7 @@ func (p *Pass) Fact(obj types.Object) (any, bool) {
 
 // Shared returns a scratch map scoped to this analyzer's whole run,
 // shared across packages. Used for program-wide accumulations that are
-// not keyed by an object (e.g. obsnames' name→kind table).
+// not keyed by an object (e.g. latchorder's program-wide latch classes).
 func (p *Pass) Shared() map[string]any { return p.shared }
 
 // Run applies each analyzer to every non-stdlib package of prog in

@@ -7,10 +7,8 @@ import (
 )
 
 // This file is the framework's reusable branch-path walker: the
-// "does X happen on every path after Y" skeleton that cwpair
-// (fold-on-all-success-paths) grew privately, extracted and generalized
-// so protocol passes (twophase's prepare-must-resolve post-dominance,
-// errflow's poison-on-failure) share one engine. latchorder keeps its own
+// "does X happen on every path after Y" skeleton behind twophase's
+// prepare-must-resolve post-dominance check. latchorder keeps its own
 // held-latch walk, the one walk behind its order, cycle and field
 // checks: they read the held set inside each branch arm and drop the
 // arm's acquisitions where the arms meet, so there is nothing to merge.

@@ -7,19 +7,11 @@ package buggyscheme
 
 import (
 	"repro/internal/latch"
-	"repro/internal/mem"
-	"repro/internal/obs"
 )
 
 type scheme struct {
-	prot  latch.Latch //dbvet:latch protection
-	slog  latch.Latch //dbvet:latch syslog
-	arena *mem.Arena
-	undo  []byte
-}
-
-func (s *scheme) PushPhysUndo(addr mem.Addr, before []byte) {
-	s.undo = append(s.undo, before...)
+	prot latch.Latch //dbvet:latch protection
+	slog latch.Latch //dbvet:latch syslog
 }
 
 // Violation 1 (latchorder): acquires the protection latch under the
@@ -29,23 +21,4 @@ func (s *scheme) logThenProtect() {
 	defer s.slog.Unlock()
 	s.prot.Lock()
 	defer s.prot.Unlock()
-}
-
-// Violation 2 (guardedwrite): writes the image directly instead of
-// going through the update bracket.
-func (s *scheme) pokeImage(addr mem.Addr, b byte) {
-	s.arena.Slice(addr, 1)[0] = b
-}
-
-// Violation 3 (cwpair): captures the undo image, never folds the
-// codeword.
-func (s *scheme) EndUpdate(addr mem.Addr, before, after []byte) error {
-	s.PushPhysUndo(addr, before)
-	return nil
-}
-
-// Violation 4 (obsnames): mints a metric name outside the closed
-// namespace.
-func (s *scheme) metrics(reg *obs.Registry) {
-	reg.Counter("buggy.updates_total")
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -55,6 +56,24 @@ func TestOpenEmptyDir(t *testing.T) {
 	}
 	if _, ok := s.Anchor(); ok {
 		t.Fatal("fresh dir reports an anchor")
+	}
+}
+
+// TestOpenAnchorReadFault pins that Open reads the anchor through the
+// injectable FS: a read fault armed on it surfaces from Open instead of
+// being bypassed, so the read-fault recovery tests reach the anchor.
+func TestOpenAnchorReadFault(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(iofault.OS, dir, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullCheckpoint(t, s, newArena(t, 4*4096), nil, nil, 0, 0)
+
+	ffs := iofault.NewFaultFS(dir)
+	ffs.FailNthRead(1)
+	if _, err := Open(ffs, dir, 4096); !errors.Is(err, iofault.ErrInjected) {
+		t.Fatalf("Open with a failing anchor read = %v, want %v", err, iofault.ErrInjected)
 	}
 }
 

@@ -261,7 +261,7 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 			arena.Close()
 			return nil, fmt.Errorf("core: recovered image is %d bytes but arena is %d", len(loaded.Image), arena.Size())
 		}
-		//dbvet:allow guardedwrite recovered image is installed before protection is armed
+		// The recovered image is installed before protection is armed.
 		copy(arena.Bytes(), loaded.Image)
 	}
 	pool := region.NewPool(cfg.Workers)

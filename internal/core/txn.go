@@ -682,7 +682,7 @@ func (t *Txn) applyPhysUndo(u wal.UndoRec) error {
 	// slab, already popped from the stack) stays intact.
 	cur := t.s.opBuf.alloc(n)
 	copy(cur, t.db.arena.Slice(u.Addr, n))
-	//dbvet:allow guardedwrite rollback restores the undo image; AbortUpdate squares the codeword
+	// Rollback restores the undo image in place; AbortUpdate or EndUpdate squares the codeword.
 	copy(t.db.arena.Slice(u.Addr, n), u.Before)
 	if u.CodewordPending {
 		return t.db.scheme.AbortUpdate(tok)

@@ -78,7 +78,6 @@ func (t *Txn) BeginUpdate(addr mem.Addr, n int) (*Update, error) {
 	t.pendingUpdate = true
 	db.mUpdates.Inc()
 	t.upd = Update{t: t, addr: addr, n: n, before: before, tok: tok, undoIdx: undoIdx}
-	//dbvet:allow cwpair bracket folds in Update.End via scheme.EndUpdate, not at Begin
 	return &t.upd, nil
 }
 
@@ -139,7 +138,6 @@ func (u *Update) Cancel() error {
 	defer db.barrier.RUnlock()
 	t.pendingUpdate = false
 
-	//dbvet:allow guardedwrite Cancel restores the before image the codeword still covers
 	copy(db.arena.Slice(u.addr, u.n), u.before)
 	if err := db.scheme.AbortUpdate(u.tok); err != nil {
 		return err

@@ -211,7 +211,6 @@ func GuardedWrite(a *Arena, p Protector, addr Addr, data []byte) error {
 			return fmt.Errorf("%w: page %d", ErrTrapped, id)
 		}
 	}
-	//dbvet:allow guardedwrite GuardedWrite is the deliberate wild-write primitive the fault injector drives
 	copy(a.Slice(addr, len(data)), data)
 	return nil
 }

@@ -368,7 +368,7 @@ func (b *baseline) BeginUpdate(addr mem.Addr, n int) (UpdateToken, error) {
 	}
 	return UpdateToken{addr: addr, n: n}, nil
 }
-func (*baseline) EndUpdate(UpdateToken, []byte, []byte) error { return nil } //dbvet:allow cwpair baseline row of Table 2 maintains no codewords
+func (*baseline) EndUpdate(UpdateToken, []byte, []byte) error { return nil } // baseline row of Table 2 maintains no codewords
 func (*baseline) AbortUpdate(UpdateToken) error               { return nil }
 func (*baseline) PreWriteCW(mem.Addr, []byte, []byte) (region.Codeword, bool) {
 	return 0, false

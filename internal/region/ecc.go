@@ -220,11 +220,10 @@ func (t *Table) Repair(a *mem.Arena, r int) RepairResult {
 	data := a.Slice(res.Addr, 8)
 	var repaired [8]byte
 	binary.LittleEndian.PutUint64(repaired[:], binary.LittleEndian.Uint64(data)^uint64(res.Delta))
-	//dbvet:allow guardedwrite ECC repair reconstructs the damaged word in place from its syndromes
+	// The repair stores into the arena directly: it reconstructs the damaged word from its syndromes.
 	copy(data, repaired[:])
 	if check := t.Diagnose(a, r); check.Verdict != VerdictClean {
 		binary.LittleEndian.PutUint64(repaired[:], binary.LittleEndian.Uint64(data)^uint64(res.Delta))
-		//dbvet:allow guardedwrite rolls back a miscorrection detected by post-repair verification
 		copy(data, repaired[:])
 		res.Verdict = VerdictUnrepairable
 		return res

@@ -482,9 +482,9 @@ func TestDiagnoseWithoutECC(t *testing.T) {
 }
 
 // TestSetLeavesPlanesStale pins what a raw codeword install does to the
-// tier: storing S0 for changed data without maintaining S1 (the store
-// dbvet's cwpair pass rejects) leaves S0 = 0 and S1 ≠ 0, which diagnoses
-// unrepairable — never clean, never a repair — until a recompute.
+// tier: storing S0 for changed data without maintaining S1 leaves S0 = 0
+// and S1 ≠ 0, which diagnoses unrepairable — never clean, never a repair —
+// until a recompute.
 func TestSetLeavesPlanesStale(t *testing.T) {
 	const size = 1 << 13
 	a, tab := eccArena(t, size, 512, 77)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/iofault"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -130,6 +133,105 @@ func TestAbortRollsBackAllShards(t *testing.T) {
 		if _, err := check.Get(k); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("key %d visible after abort: %v", k, err)
 		}
+	}
+}
+
+// syncCountFS counts the file Syncs that reach a FaultFS, so a test can
+// arm FailNthSync at "the next sync from now".
+type syncCountFS struct {
+	*iofault.FaultFS
+	syncs atomic.Uint64
+}
+
+func (fs *syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := fs.FaultFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncCountFile{f, &fs.syncs}, nil
+}
+
+type syncCountFile struct {
+	iofault.File
+	syncs *atomic.Uint64
+}
+
+func (f syncCountFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestFailedPrepareLeavesNoParticipantPrepared fails the fsync of one
+// participant's prepare. The commit must fail and roll back every
+// participant: none may stay prepared, and the surviving shard's key must
+// be free for the next transaction — a participant left prepared keeps
+// its locks until restart, so the next writer times out on them.
+func TestFailedPrepareLeavesNoParticipantPrepared(t *testing.T) {
+	dir := t.TempDir()
+	ffs := iofault.NewFaultFS(dir)
+	fsys := &syncCountFS{FaultFS: ffs}
+	cfg := testConfig(t, dir, 2)
+	cfg.FS = fsys
+	cfg.LockTimeout = 200 * time.Millisecond
+	r, _ := mustOpen(t, cfg)
+	defer r.Close()
+	keys := crossShardKeys(t, r)
+
+	txn := r.Begin()
+	for _, k := range keys {
+		if err := txn.Put(k, []byte("x")); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+	}
+	// The prepares run in parallel; whichever forces its log first fails.
+	ffs.FailNthSync(fsys.syncs.Load() + 1)
+	if err := txn.Commit(); !errors.Is(err, iofault.ErrInjected) {
+		t.Fatalf("Commit = %v, want the injected prepare failure", err)
+	}
+	for s, p := range txn.parts {
+		if p.Prepared() {
+			t.Errorf("shard %d: participant still prepared after a failed prepare", s)
+		}
+	}
+
+	survivor := -1
+	for s := 0; s < r.Shards(); s++ {
+		if r.DB(s).Internals().Log.Poisoned() == nil {
+			survivor = s
+		}
+	}
+	if survivor < 0 {
+		t.Fatal("every shard's log is poisoned; want exactly the failed one")
+	}
+	next := r.Begin()
+	if err := next.Put(keys[survivor], []byte("y")); err != nil {
+		t.Fatalf("shard %d: follow-up Put = %v (lock timeout: %v)", survivor, err, errors.Is(err, core.ErrLockTimeout))
+	}
+	if err := next.Commit(); err != nil {
+		t.Fatalf("shard %d: follow-up Commit: %v", survivor, err)
+	}
+}
+
+// TestEncodeDecisionsDeterministic pins the checkpointed decision table's
+// encoding: one table encodes to the same bytes every time (map order
+// must not leak into durable metadata), and the bytes decode back to it.
+func TestEncodeDecisionsDeterministic(t *testing.T) {
+	table := make(map[uint64]bool)
+	for i := uint64(0); i < 64; i++ {
+		table[makeGID(int(i%3), 7919*i+1)] = i%2 == 0
+	}
+	want := encodeDecisions(table)
+	for i := 0; i < 20; i++ {
+		if got := encodeDecisions(table); !bytes.Equal(got, want) {
+			t.Fatalf("encode %d gave different bytes than the first", i+2)
+		}
+	}
+	back, err := decodeDecisions(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(back, table) {
+		t.Fatalf("decoded table %v, want %v", back, table)
 	}
 }
 

@@ -39,8 +39,10 @@ mutants:
 
 # End-to-end smoke of the TCP front end: a K=4 sharded server takes a
 # concurrent mixed load over the wire protocol, drains gracefully, and
-# every shard must pass a full audit — plus the codec fuzz corpus and
-# the client/server suite, all under the race detector.
+# every shard must pass a full audit — plus the seed corpora of the codec
+# fuzzers and of FuzzServerStream (raw bytes through one server
+# connection), and the client/server suite (pipelining included), all
+# under the race detector.
 server-smoke:
 	$(GO) test -race -short ./internal/wire ./internal/shard
 

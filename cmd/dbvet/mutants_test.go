@@ -190,8 +190,9 @@ var mutants = []mutant{
 	// errflow.
 	{
 		name: "Commit-sentinel-by-equality", pass: "errflow", file: "internal/core/txn.go",
-		old: `		if errors.Is(err, wal.ErrFlushWaitCanceled) {`,
-		new: `		if err == wal.ErrFlushWaitCanceled {`,
+		old:  `		if errors.Is(err, wal.ErrFlushWaitCanceled) {`,
+		new:  `		if err == wal.ErrFlushWaitCanceled {`,
+		pkgs: []string{"./internal/core"}, test: "TestCommitUnresolvedOnCanceledFlushWait",
 	},
 	{
 		name: "flush-drops-sync-error", pass: "errflow", file: "internal/wal/systemlog.go",
@@ -233,8 +234,8 @@ var mutants = []mutant{
 	},
 
 	// ctxflow.
-	// Caught by nothing: Commit is not a *Ctx API, so ctxflow does not
-	// look at it, and no test cancels a commit during its group-commit wait.
+	// Commit is not a *Ctx API, so ctxflow does not look at it; the test
+	// that cancels a commit mid group-commit wait does.
 	{
 		name: "Commit-waits-on-Background", pass: "ctxflow", file: "internal/core/txn.go",
 		old: `	err := t.db.log.AppendAndFlushCtx(t.ctx, t.entry.Redo...)
@@ -247,6 +248,7 @@ var mutants = []mutant{
 	t.db.barrier.RUnlock()
 	if err != nil {
 		if errors.Is(err, wal.ErrFlushWaitCanceled) {`,
+		pkgs: []string{"./internal/core"}, test: "TestCommitUnresolvedOnCanceledFlushWait",
 	},
 	{
 		name: "shard-part-drops-ctx", pass: "ctxflow", file: "internal/shard/txn.go",
@@ -259,6 +261,7 @@ var mutants = []mutant{
 	return l.flushToLocked(ctx, l.endLocked())`,
 		new: `	l.appendLocked(recs)
 	return l.flushToLocked(context.Background(), l.endLocked())`,
+		pkgs: []string{"./internal/core"}, test: "TestCommitUnresolvedOnCanceledFlushWait",
 	},
 
 	// determinism.

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/iofault"
 	"repro/internal/lockmgr"
 	"repro/internal/obs"
 	"repro/internal/protect"
@@ -155,5 +158,122 @@ func TestCommitRefusedOnDeadContext(t *testing.T) {
 	}
 	if buf[0] == 0xAA && buf[1] == 0xBB {
 		t.Fatal("refused commit's update survived abort")
+	}
+}
+
+// syncGateFS blocks the first log Sync after arm until release is
+// closed, so a test can hold a group-commit force in flight.
+type syncGateFS struct {
+	iofault.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+type syncGateFile struct {
+	iofault.File
+	fs *syncGateFS
+}
+
+func (g *syncGateFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncGateFile{File: f, fs: g}, nil
+}
+
+func (f syncGateFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestCommitUnresolvedOnCanceledFlushWait cancels a committer parked in
+// the group-commit wait behind another transaction's force: its commit
+// record is already appended, so Commit must report ErrCommitUnresolved
+// (not a refusal), promptly, and the record must become durable with the
+// next force. This is the wire server's forced shutdown of a pipelined
+// PUT+COMMIT.
+func TestCommitUnresolvedOnCanceledFlushWait(t *testing.T) {
+	gate := &syncGateFS{FS: iofault.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	dir := t.TempDir()
+	db, err := Open(Config{Dir: dir, ArenaSize: 1 << 16, FS: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+		db.Close()
+	}()
+
+	flusher, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opUpdate(t, flusher, wal.ObjectKey(0x21), 64, []byte{0x01})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waiter, err := db.BeginCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opUpdate(t, waiter, wal.ObjectKey(0x22), 128, []byte{0x02})
+	waiterID := waiter.ID()
+
+	gate.armed.Store(true)
+	flushed := make(chan error, 1)
+	go func() { flushed <- flusher.Commit() }()
+	<-gate.entered // the flusher's force is in its Sync
+
+	end := db.log.End()
+	committed := make(chan error, 1)
+	go func() { committed <- waiter.Commit() }()
+	// The commit record is appended under the log latch, and the latch is
+	// dropped only inside the group-commit wait: once End moves and the
+	// latch is free again, the waiter is parked.
+	for db.log.End() == end {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-committed:
+		if !errors.Is(err, ErrCommitUnresolved) {
+			t.Fatalf("canceled group-commit wait: Commit = %v, want ErrCommitUnresolved", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Commit did not return after its context was canceled mid group-commit wait")
+	}
+
+	close(gate.release)
+	released = true
+	if err := <-flushed; err != nil {
+		t.Fatalf("flusher commit: %v", err)
+	}
+	// The next force carries the unresolved commit record to disk.
+	next, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opUpdate(t, next, wal.ObjectKey(0x23), 192, []byte{0x03})
+	if err := next.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	durable := false
+	scanLog(t, dir, func(r *wal.Record) {
+		if r.Kind == wal.KindTxnCommit && r.Txn == waiterID {
+			durable = true
+		}
+	})
+	if !durable {
+		t.Fatal("the unresolved commit record is not in the stable log after crash")
 	}
 }

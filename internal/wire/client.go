@@ -34,13 +34,26 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("wire: server error (code %#02x): %s", e.Code, e.Msg)
 }
 
+// maxOwed caps the replies a Client may be owed. At the cap the next
+// deferrable request waits instead, so a long write-only transaction
+// cannot fill both socket buffers with requests and unread replies.
+const maxOwed = 64
+
 // Client is one protocol connection. It carries at most one transaction
 // at a time and is not safe for concurrent use; open one Client per
 // worker goroutine.
+//
+// Begin and Put may be deferred: written without a flush, their replies
+// read by the next call that waits for the server. Begin defers when no
+// reply is owed and no transaction is open; Put defers only inside a
+// transaction the server has acknowledged. Every other call waits, and
+// returns the first refusal among the deferred replies it reads.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	owed int  // deferred requests whose replies are unread
+	open bool // the server acknowledged BEGIN; no COMMIT or ABORT since
 }
 
 // Dial connects to a wire server.
@@ -54,18 +67,35 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
-	}, nil
+	return newClient(conn), nil
 }
 
-// Close severs the connection. A transaction left open is aborted by the
-// server when it notices the close.
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+}
+
+// Close severs the connection. Deferred requests not yet flushed are
+// dropped, and a transaction left open is aborted by the server when it
+// notices the close.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request frame and reads one response frame.
+// send writes a deferrable request without waiting for its reply, or
+// round-trips it when maxOwed replies are already owed.
+func (c *Client) send(typ byte, payload []byte) error {
+	if c.owed >= maxOwed {
+		return c.expectOK(typ, payload)
+	}
+	if err := WriteFrame(c.bw, typ, payload); err != nil {
+		return err
+	}
+	c.owed++
+	return nil
+}
+
+// roundTrip sends one request frame, flushing every deferred one with it,
+// and reads the owed replies in order, then its own. The first refusal
+// among the owed replies is returned in place of the request's own reply,
+// and it wins over a connection that closes mid-batch.
 func (c *Client) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
 	if err := WriteFrame(c.bw, typ, payload); err != nil {
 		return 0, nil, err
@@ -73,7 +103,25 @@ func (c *Client) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
 	if err := c.bw.Flush(); err != nil {
 		return 0, nil, err
 	}
-	return ReadFrame(c.br)
+	var refused error
+	for ; c.owed > 0; c.owed-- {
+		rt, rp, err := ReadFrame(c.br)
+		if err == nil {
+			err = decodeStatus(rt, rp)
+		}
+		if !c.open {
+			// Only a BEGIN is deferred outside a transaction.
+			c.open = err == nil
+		}
+		if refused == nil {
+			refused = err
+		}
+	}
+	rt, rp, err := ReadFrame(c.br)
+	if refused != nil {
+		return 0, nil, refused
+	}
+	return rt, rp, err
 }
 
 // expectOK runs a request whose success response is a bare OK.
@@ -112,14 +160,29 @@ func decodeStatus(typ byte, payload []byte) error {
 // Ping round-trips an empty request.
 func (c *Client) Ping() error { return c.expectOK(MsgPing, nil) }
 
-// Begin opens the connection's transaction.
-func (c *Client) Begin() error { return c.expectOK(MsgBegin, nil) }
+// Begin opens the connection's transaction. On an idle connection it is
+// deferred, and a refusal surfaces at the next call that waits. Otherwise
+// a transaction is open or being opened, and Begin waits for its refusal.
+func (c *Client) Begin() error {
+	if c.owed == 0 && !c.open {
+		return c.send(MsgBegin, nil)
+	}
+	return c.expectOK(MsgBegin, nil)
+}
 
-// Commit commits the connection's transaction.
-func (c *Client) Commit() error { return c.expectOK(MsgCommit, nil) }
+// Commit commits the connection's transaction. It fails, and the server
+// rolls the transaction back, if any Put of the transaction was refused.
+func (c *Client) Commit() error { return c.end(MsgCommit) }
 
 // Abort rolls back the connection's transaction.
-func (c *Client) Abort() error { return c.expectOK(MsgAbort, nil) }
+func (c *Client) Abort() error { return c.end(MsgAbort) }
+
+// end sends COMMIT or ABORT; either way the server closes the transaction.
+func (c *Client) end(typ byte) error {
+	err := c.expectOK(typ, nil)
+	c.open = false
+	return err
+}
 
 // Get reads key within the open transaction.
 func (c *Client) Get(key uint64) ([]byte, error) {
@@ -133,10 +196,15 @@ func (c *Client) Get(key uint64) ([]byte, error) {
 	return nil, decodeStatus(rt, rp)
 }
 
-// Put writes key within the open transaction.
+// Put writes key within the open transaction. Inside a transaction the
+// server has acknowledged it is deferred, and a refusal surfaces at the
+// next call that waits.
 func (c *Client) Put(key uint64, val []byte) error {
 	payload := AppendKey(make([]byte, 0, 8+len(val)), key)
 	payload = append(payload, val...)
+	if c.open {
+		return c.send(MsgPut, payload)
+	}
 	return c.expectOK(MsgPut, payload)
 }
 

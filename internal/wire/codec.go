@@ -7,8 +7,13 @@
 // length covering the type byte and payload, little-endian, capped at
 // MaxFrameSize. A connection carries at most one transaction at a time;
 // BEGIN/COMMIT/ABORT bracket it and GET/PUT/DELETE operate within it.
-// Malformed input is answered with an error frame (or a closed
-// connection), never a panic — the decoder is fuzzed for that.
+// Requests may be pipelined: a client can send several before reading,
+// and the replies come back one per request, in request order. A
+// transaction with a refused PUT cannot commit: its COMMIT rolls it back
+// and answers an error, so a COMMIT pipelined behind a PUT never commits
+// what the client would have aborted. Malformed input is answered with an
+// error frame (or a closed connection), never a panic — the decoder and
+// the server's request stream are fuzzed for that.
 package wire
 
 import (

@@ -3,10 +3,12 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -135,6 +137,9 @@ func (s *Server) admit(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	// Set before the connection is registered, so a Shutdown's wakeup
+	// deadline always comes after it.
+	conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	sc := &serverConn{Conn: conn}
 	s.conns[sc] = struct{}{}
 	s.mu.Unlock()
@@ -147,7 +152,10 @@ func (s *Server) admit(conn net.Conn) {
 	}()
 }
 
-// handle runs one connection's request loop.
+// handle runs one connection's request loop. Replies are buffered and
+// flushed only when the next read could block, so a pipelined batch is
+// answered with one write; every exit flushes too, so no buffered refusal
+// is lost.
 func (s *Server) handle(sc *serverConn) {
 	defer func() {
 		sc.Close()
@@ -159,7 +167,9 @@ func (s *Server) handle(sc *serverConn) {
 
 	br := bufio.NewReader(sc)
 	bw := bufio.NewWriter(sc)
+	defer bw.Flush() // the last replies; the connection closes next either way
 	var txn *shard.Txn
+	failed := false // a PUT of txn was refused: it may only roll back
 	defer func() {
 		if txn != nil {
 			_ = txn.Abort()
@@ -167,16 +177,24 @@ func (s *Server) handle(sc *serverConn) {
 	}()
 
 	for {
-		sc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		if !frameBuffered(br) {
+			if err := bw.Flush(); err != nil {
+				return
+			}
+		}
 		typ, payload, err := ReadFrame(br)
 		if err != nil {
 			// EOF, timeout, drain-wakeup, malformed frame: answer what can
 			// be answered, then drop the connection. The deferred abort
 			// releases any open transaction's locks.
-			if errors.Is(err, ErrMalformed) || errors.Is(err, ErrFrameTooLarge) {
+			switch {
+			case errors.Is(err, ErrMalformed) || errors.Is(err, ErrFrameTooLarge):
 				s.mErrors.Inc()
 				_ = WriteFrame(bw, MsgErr, EncodeErr(ErrCodeBadRequest, err.Error()))
-				bw.Flush()
+			case errors.Is(err, os.ErrDeadlineExceeded) && s.isDraining():
+				// Woken by the drain: a request the client has not sent
+				// yet (a deferred BEGIN) reads this refusal, not EOF.
+				_ = WriteFrame(bw, MsgErr, EncodeErr(ErrCodeShutdown, "server draining"))
 			}
 			return
 		}
@@ -190,35 +208,52 @@ func (s *Server) handle(sc *serverConn) {
 		if err != nil {
 			s.mErrors.Inc()
 			_ = WriteFrame(bw, MsgErr, EncodeErr(ErrCodeBadRequest, err.Error()))
-			bw.Flush()
 			return
 		}
-		respErr := s.serveRequest(bw, sc, &txn, req)
+		respErr := s.serveRequest(bw, &txn, &failed, req)
 		s.hRequestNS.ObserveDuration(time.Since(start))
-		if flushErr := bw.Flush(); flushErr != nil || respErr != nil {
+		if respErr != nil {
 			return
 		}
 
+		// The idle deadline is set under sc.mu, before the drain check, so
+		// a Shutdown that wakes this connection cannot be overwritten.
 		sc.mu.Lock()
 		sc.inTxn = txn != nil
 		sc.started = false
+		sc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		sc.mu.Unlock()
 
 		// A draining server parts with the connection as soon as no
 		// transaction is open; the client sees a clean close after its
 		// commit/abort response.
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining && txn == nil {
+		if s.isDraining() && txn == nil {
 			return
 		}
 	}
 }
 
+// frameBuffered reports whether br holds a complete frame, so reading it
+// cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return binary.LittleEndian.Uint32(hdr) <= uint32(br.Buffered()-4)
+}
+
+func (s *Server) isDraining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
+
 // serveRequest executes one request and writes its response. A non-nil
 // return closes the connection (the response, if any, was written).
-func (s *Server) serveRequest(bw *bufio.Writer, sc *serverConn, txn **shard.Txn, req Request) error {
+// failed marks a transaction with a refused PUT: a pipelined COMMIT
+// behind that PUT must not commit what the client would have aborted.
+func (s *Server) serveRequest(bw *bufio.Writer, txn **shard.Txn, failed *bool, req Request) error {
 	fail := func(code byte, err error) error {
 		s.mErrors.Inc()
 		return WriteFrame(bw, MsgErr, EncodeErr(code, err.Error()))
@@ -237,6 +272,7 @@ func (s *Server) serveRequest(bw *bufio.Writer, sc *serverConn, txn **shard.Txn,
 			return fail(ErrCodeShutdown, errors.New("server draining"))
 		}
 		*txn = s.router.BeginCtx(s.baseCtx)
+		*failed = false
 		return WriteFrame(bw, MsgOK, nil)
 	case MsgGet:
 		if *txn == nil {
@@ -255,6 +291,7 @@ func (s *Server) serveRequest(bw *bufio.Writer, sc *serverConn, txn **shard.Txn,
 			return fail(ErrCodeTxnState, errors.New("no open transaction"))
 		}
 		if err := (*txn).Put(req.Key, req.Val); err != nil {
+			*failed = true
 			return fail(ErrCodeGeneric, err)
 		}
 		return WriteFrame(bw, MsgOK, nil)
@@ -272,6 +309,11 @@ func (s *Server) serveRequest(bw *bufio.Writer, sc *serverConn, txn **shard.Txn,
 	case MsgCommit:
 		if *txn == nil {
 			return fail(ErrCodeTxnState, errors.New("no open transaction"))
+		}
+		if *failed {
+			err := (*txn).Abort()
+			*txn = nil
+			return fail(ErrCodeGeneric, errors.Join(errors.New("transaction rolled back: a PUT was refused"), err))
 		}
 		err := (*txn).Commit()
 		*txn = nil

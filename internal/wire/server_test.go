@@ -17,6 +17,16 @@ import (
 // loopback listener. Cleanup drains the server and closes the router.
 func startServer(t *testing.T, k int, scfg ServerConfig) (*shard.Router, *Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	return startServerOn(t, k, scfg, ln)
+}
+
+// startServerOn is startServer on a given listener.
+func startServerOn(t *testing.T, k int, scfg ServerConfig, ln net.Listener) (*shard.Router, *Server, string) {
+	t.Helper()
 	router, _, err := shard.Open(shard.Config{
 		Dir:         t.TempDir(),
 		Shards:      k,
@@ -29,10 +39,6 @@ func startServer(t *testing.T, k int, scfg ServerConfig) (*shard.Router, *Server
 		t.Fatalf("shard.Open: %v", err)
 	}
 	srv := NewServer(router, scfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	t.Cleanup(func() {

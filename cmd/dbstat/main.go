@@ -153,10 +153,15 @@ func printOffline(dir string) error {
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		fmt.Printf("  log:          none\n")
+		return nil
 	case err != nil:
 		return err
-	default:
-		fmt.Printf("  log:          %d bytes on disk, base LSN %d\n", st.Size(), base)
 	}
+	cur, err := wal.OpenCursor(iofault.OS, dir, nil)
+	if err != nil {
+		return err
+	}
+	end := cur.End()
+	fmt.Printf("  log:          base LSN %d, valid end %d, %d record bytes (file %d bytes)\n", base, end, end-base, st.Size())
 	return nil
 }

@@ -200,6 +200,23 @@ var mutants = []mutant{
 		new:  `			l.f.Sync()`,
 		pkgs: []string{"./internal/wal"}, test: "TestPoisonUnderConcurrency",
 	},
+	{
+		name: "flush-ignores-extend-error", pass: "errflow", file: "internal/wal/systemlog.go",
+		old:  `			werr = l.f.Truncate(extend)`,
+		new:  `			l.f.Truncate(extend)`,
+		pkgs: []string{"./internal/wal"}, test: "TestExtendFailurePoisonsNoAcks",
+	},
+	{
+		name: "open-keeps-torn-tail", pass: "none", file: "internal/wal/systemlog.go",
+		old: `	if valid < size {
+		if err := f.Truncate(valid); err != nil {
+			return nil, fmt.Errorf("wal: truncate torn log tail: %w", err)
+		}
+	}
+`,
+		new:  ``,
+		pkgs: []string{"./internal/wal"}, test: "TestOpenTruncatesPastAZeroedFrame",
+	},
 
 	// twophase.
 	{

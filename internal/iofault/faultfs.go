@@ -2,6 +2,8 @@ package iofault
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -51,10 +53,12 @@ func (o Op) String() string {
 }
 
 // dstate is the durable snapshot of one file: whether its directory entry
-// survives a crash and the content that survives with it.
+// survives a crash and the content that survives with it — data, then
+// zeros up to size (a file extended past its writes keeps its hole a hole).
 type dstate struct {
 	exists bool
 	data   []byte
+	size   int64
 }
 
 // dirop is a pending directory-entry operation: durable only once a
@@ -99,6 +103,9 @@ type FaultFS struct {
 
 	durable map[string]dstate
 	pending []dirop
+	// written bounds each file's written prefix (by rel path); past it lie
+	// only zeros Truncate made. Moved by opens, writes, truncates, renames.
+	written map[string]int64
 
 	mInjected *obs.Counter
 	mCrashes  *obs.Counter
@@ -112,6 +119,7 @@ func NewFaultFS(root string) *FaultFS {
 		root:    filepath.Clean(root),
 		crashAt: -1,
 		durable: make(map[string]dstate),
+		written: make(map[string]int64),
 	}
 	// Pre-existing files are durable: snapshot them now. The walk descends
 	// into subdirectories so a sharded root (shard-000/log, ...) is
@@ -121,7 +129,7 @@ func NewFaultFS(root string) *FaultFS {
 			return nil
 		}
 		if b, err := os.ReadFile(path); err == nil {
-			fs.durable[rel(fs.root, path)] = dstate{exists: true, data: b}
+			fs.durable[rel(fs.root, path)] = dstate{exists: true, data: b, size: int64(len(b))}
 		}
 		return nil
 	})
@@ -260,7 +268,7 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	fs.mu.Lock()
 	creates := flag&os.O_CREATE != 0
 	truncs := flag&os.O_TRUNC != 0
-	_, existed := fs.statVolatileLocked(name)
+	fi, existed := fs.statVolatileLocked(name)
 	mutates := (creates && !existed) || truncs
 	if mutates {
 		if err := fs.enterLocked(OpCreate, name); err != nil {
@@ -271,8 +279,15 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 		fs.mu.Unlock()
 		return nil, fmt.Errorf("%w (open %s)", ErrCrashed, filepath.Base(name))
 	}
+	r := rel(fs.root, name)
 	if creates && !existed {
-		fs.pending = append(fs.pending, dirop{path: rel(fs.root, name)})
+		fs.pending = append(fs.pending, dirop{path: r})
+	}
+	switch _, tracked := fs.written[r]; {
+	case !existed || truncs:
+		fs.written[r] = 0
+	case !tracked:
+		fs.written[r] = fi.Size()
 	}
 	fs.mu.Unlock()
 
@@ -280,7 +295,7 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: fs, f: f, path: name}, nil
+	return &faultFile{fs: fs, f: f, path: name, rel: r}, nil
 }
 
 // ReadFile reads the volatile content; it fails once the simulated
@@ -331,6 +346,10 @@ func (fs *FaultFS) Rename(oldpath, newpath string) error {
 	fs.pending = append(fs.pending, dirop{
 		rename: true, path: newRel, old: oldRel, oldDurable: fs.durable[oldRel],
 	})
+	if w, ok := fs.written[oldRel]; ok {
+		fs.written[newRel] = w
+		delete(fs.written, oldRel)
+	}
 	fs.mu.Unlock()
 	return os.Rename(oldpath, newpath)
 }
@@ -399,6 +418,11 @@ func (fs *FaultFS) MaterializeDurable(dst string) error {
 		if err := os.WriteFile(target, d.data, 0o644); err != nil {
 			return err
 		}
+		if d.size > int64(len(d.data)) {
+			if err := os.Truncate(target, d.size); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -412,7 +436,7 @@ func (fs *FaultFS) DurableLen(name string) (int, bool) {
 	if !ok || !d.exists {
 		return 0, false
 	}
-	return len(d.data), true
+	return int(d.size), true
 }
 
 // --- File implementation ----------------------------------------------------
@@ -421,6 +445,7 @@ type faultFile struct {
 	fs   *FaultFS
 	f    *os.File
 	path string
+	rel  string
 }
 
 // writeFault consults the per-write failpoints. It returns the number of
@@ -492,6 +517,11 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	apply, ferr := ff.fs.writeFaultLocked(len(p))
 	ff.fs.mu.Unlock()
 	n, err := ff.f.Write(p[:apply])
+	off, serr := ff.f.Seek(0, io.SeekCurrent)
+	if serr != nil {
+		off = math.MaxInt64 // where the write ended is unknown: snapshot the whole file
+	}
+	ff.fs.wroteTo(ff.rel, off)
 	if err != nil {
 		return n, err
 	}
@@ -513,6 +543,7 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	apply, ferr := ff.fs.writeFaultLocked(len(p))
 	ff.fs.mu.Unlock()
 	n, err := ff.f.WriteAt(p[:apply], off)
+	ff.fs.wroteTo(ff.rel, off+int64(n))
 	if err != nil {
 		return n, err
 	}
@@ -531,8 +562,16 @@ func (ff *faultFile) Truncate(size int64) error {
 		ff.fs.mu.Unlock()
 		return err
 	}
+	ff.fs.written[ff.rel] = min(ff.fs.written[ff.rel], size)
 	ff.fs.mu.Unlock()
 	return ff.f.Truncate(size)
+}
+
+// wroteTo records that the file at rel holds written bytes up to end.
+func (fs *FaultFS) wroteTo(rel string, end int64) {
+	fs.mu.Lock()
+	fs.written[rel] = max(fs.written[rel], end)
+	fs.mu.Unlock()
 }
 
 func (ff *faultFile) Sync() error {
@@ -549,17 +588,27 @@ func (ff *faultFile) Sync() error {
 	}
 	ff.fs.mu.Unlock()
 
-	// Capture the volatile content as the new durable snapshot. The real
-	// fsync is skipped: the simulation defines durability, and skipping it
-	// keeps torture campaigns fast.
-	data, err := os.ReadFile(ff.path)
+	// Capture the written prefix (through a fresh handle: this one may be
+	// write-only) and the length as the new durable snapshot. The real fsync
+	// is skipped: the simulation defines durability, and that keeps it fast.
+	src, err := os.Open(ff.path)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	fi, err := src.Stat()
 	if err != nil {
 		return err
 	}
 	ff.fs.mu.Lock()
-	r := rel(ff.fs.root, ff.path)
-	ff.fs.commitPendingLocked(r)
-	ff.fs.durable[r] = dstate{exists: true, data: data}
+	data := make([]byte, min(ff.fs.written[ff.rel], fi.Size()))
+	ff.fs.mu.Unlock()
+	if _, err := io.ReadFull(src, data); err != nil {
+		return err
+	}
+	ff.fs.mu.Lock()
+	ff.fs.commitPendingLocked(ff.rel)
+	ff.fs.durable[ff.rel] = dstate{exists: true, data: data, size: fi.Size()}
 	ff.fs.mu.Unlock()
 	return nil
 }

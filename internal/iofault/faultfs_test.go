@@ -54,6 +54,54 @@ func TestUnsyncedWritesAreNotDurable(t *testing.T) {
 	}
 }
 
+// TestSyncKeepsTheHoleAHole: a file extended past its last write by
+// Truncate, then written into and synced, survives a crash as its bytes
+// followed by zeros to its full length — with the hole re-created at
+// materialization, and the writes after a shrinking Truncate kept.
+func TestSyncKeepsTheHoleAHole(t *testing.T) {
+	fs, root := newFS(t)
+	path := filepath.Join(root, "f")
+	f := writeThrough(t, fs, path, []byte("head"))
+	defer f.Close()
+	if err := f.Truncate(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("mid"), 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := fs.DurableLen("f"); !ok || n != 1<<20 {
+		t.Fatalf("durable len %d, ok %v; want the extended length", n, ok)
+	}
+	// Shrink below the written bytes, then grow again: the cut bytes are
+	// zeros now, not the ones written before.
+	if err := f.Truncate(4097); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(8192); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	if err := fs.MaterializeDurable(dst); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dst, "f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 8192)
+	copy(want, "head")
+	want[4096] = 'm'
+	if string(b) != string(want) {
+		t.Fatalf("materialized %d bytes, want head, zeros, \"m\" at 4096 and zeros to 8192", len(b))
+	}
+}
+
 // TestSyncMakesContentDurable: Sync captures the file content as the
 // durable snapshot and commits the file's own pending creation.
 func TestSyncMakesContentDurable(t *testing.T) {

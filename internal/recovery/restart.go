@@ -257,9 +257,9 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	}
 	report.ScanStart = ckEnd
 
-	// One read of the log, from CK_end into a buffer the cursor owns until
-	// Release. Both passes walk that buffer; every record they see aliases
-	// it.
+	// One read of the log, from its base (CK_end after every compaction)
+	// into a buffer the cursor owns until Release, walked from CK_end. Both
+	// passes walk that buffer; every record they see aliases it.
 	cur, err := wal.OpenCursor(cfg.FS, cfg.Dir, &ckEnd)
 	if err != nil {
 		return nil, nil, err

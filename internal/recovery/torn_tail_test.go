@@ -49,18 +49,14 @@ type logFrame struct {
 
 // scanFrames reads the full stable log layout: every record with its
 // boundaries and its frame's, plus the log base (file offset of LSN x is
-// logHeader + x - base).
+// logHeader + x - base) and the end of the valid prefix, short of the file
+// end when a flush extended the file past its records.
 func scanFrames(t *testing.T, dir string) (frames []logFrame, base wal.LSN, logEnd wal.LSN) {
 	t.Helper()
 	base, err := wal.LogBaseFS(iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(dir, wal.LogFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logEnd = base + wal.LSN(fi.Size()-16)
 	cur, err := wal.OpenCursor(iofault.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +74,7 @@ func scanFrames(t *testing.T, dir string) (frames []logFrame, base wal.LSN, logE
 	if err := cur.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return frames, base, logEnd
+	return frames, base, cur.End()
 }
 
 // tornTailScenarios names the records after CK_end in
@@ -241,10 +237,11 @@ func TestTornLogTailRecovery(t *testing.T) {
 }
 
 // TestZeroFilledLogTailRecovery: a crash can leave the log extended but its
-// last blocks never written, which reads back as zeros. Eight zero bytes
-// look like a frame of length 0 whose checksum matches, so the walker must
-// refuse an empty payload: the padding is a torn tail — recovery opens,
-// cuts it off, and the next record written lands where it began.
+// last blocks never written, which reads back as zeros — and the flusher
+// extends the file ahead of its records, so every crash does. Eight zero
+// bytes look like a frame of length 0 whose checksum matches, so the walker
+// must refuse an empty payload: the padding is a torn tail — recovery
+// opens, cuts it off, and the next record written lands where it began.
 func TestZeroFilledLogTailRecovery(t *testing.T) {
 	cfg := core.Config{
 		Dir:       t.TempDir(),
@@ -255,20 +252,17 @@ func TestZeroFilledLogTailRecovery(t *testing.T) {
 	updateRec(t, db, tb, 0, []byte{0xC0})
 	updateRec(t, db, tb, 1, []byte{0xC1})
 	db.Crash()
-	_, _, logEnd := scanFrames(t, cfg.Dir)
+	_, base, logEnd := scanFrames(t, cfg.Dir)
+	path := func(dir string) string { return filepath.Join(dir, wal.LogFileName) }
 
 	for _, pad := range []int{8, 16, 4096} {
 		t.Run(fmt.Sprintf("pad%d", pad), func(t *testing.T) {
 			c := cfg
 			c.Dir = copyDBDir(t, cfg.Dir)
-			f, err := os.OpenFile(filepath.Join(c.Dir, wal.LogFileName), os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
+			// Exactly pad zero bytes follow the valid prefix.
+			if err := os.Truncate(path(c.Dir), 16+int64(logEnd-base)+int64(pad)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write(make([]byte, pad)); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
 
 			db2, tb2, rep := reopen(t, c, Options{})
 			if rep.RecordsScanned == 0 || readRec(t, db2, tb2, 0)[0] != 0xC0 || readRec(t, db2, tb2, 1)[0] != 0xC1 {
@@ -280,18 +274,31 @@ func TestZeroFilledLogTailRecovery(t *testing.T) {
 			id := updateRec(t, db2, tb2, 2, []byte{0xC2})
 			db2.Crash()
 
-			// The valid prefix now spans the whole file — no zeros left
-			// behind the records — and ends with the new commit.
+			// The new commit ends the valid prefix, past where the padding
+			// began, and every byte after it is zero: the padding was cut
+			// off at the reopen, and what the file holds beyond the commit
+			// is the hole the flusher's extension left.
 			after, _, end := scanFrames(t, c.Dir)
-			cur, err := wal.OpenCursor(iofault.OS, c.Dir, nil)
+			if last := after[len(after)-1]; last.kind != wal.KindTxnCommit || last.txn != id || last.frameEnd != end || end <= logEnd {
+				t.Fatalf("last scanned record %+v, valid prefix ends at %d, padding began at %d; want the commit of txn %d at the end", last, end, logEnd, id)
+			}
+			b, err := os.ReadFile(path(c.Dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cur.End(); got != end || end <= logEnd {
-				t.Fatalf("valid prefix ends at %d, file at %d, padding began at %d", got, end, logEnd)
+			for i, x := range b[16+int(end-base):] {
+				if x != 0 {
+					t.Fatalf("byte %d past the valid end %d is %#x, want a zero tail", i, end, x)
+				}
 			}
-			if last := after[len(after)-1]; last.kind != wal.KindTxnCommit || last.txn != id {
-				t.Fatalf("last scanned record %+v, want the commit of txn %d", last, id)
+			// An open that walks the file itself ends where the scan does.
+			l, err := wal.OpenSystemLogFS(iofault.OS, c.Dir, 4096, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.CloseWithoutFlush()
+			if got := l.End(); got != end {
+				t.Fatalf("open ends at %d, scan at %d", got, end)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -28,7 +30,8 @@ type Cursor struct {
 // logBuf is the log file's scanned suffix and the walk's position in it.
 type logBuf struct {
 	start LSN    // LSN of buf[0]
-	buf   []byte // the file from start to its end
+	buf   []byte // the file from start to its last non-zero byte
+	zeros int    // the file's bytes past buf, all zero
 	frame int    // offset of the frame being decoded
 	pos   int    // offset of the next frame
 	valid int    // frames below this offset have passed the checksum
@@ -42,12 +45,11 @@ type logBuf struct {
 // prefix.
 func (s *logBuf) advance() error {
 	if !s.rd.more() {
-		rest := s.buf[s.pos:]
-		n := frameLen(rest, s.pos >= s.valid)
+		n := s.frameAt(s.pos, s.pos >= s.valid)
 		if s.ok = n != 0; !s.ok {
 			return nil
 		}
-		s.rd.reset(rest[FrameHeaderSize:n])
+		s.rd.reset(s.buf[s.pos+FrameHeaderSize : s.pos+n])
 		s.frame = s.pos
 		s.pos += n
 		s.valid = max(s.valid, s.pos)
@@ -63,9 +65,9 @@ func (s *logBuf) advance() error {
 
 // OpenCursor reads the system log in dir from start (from its base when
 // start is nil) and returns a cursor positioned before the first record.
-// A start below the base (compacted away) or beyond the end is an error; a
-// missing or empty file has no records. A directory holding a multi-stream
-// log is refused.
+// A start below the base (compacted away) or beyond the end of the valid
+// prefix is an error; a missing or empty file has no records. A directory
+// holding a multi-stream log is refused.
 func OpenCursor(fsys iofault.FS, dir string, start *LSN) (*Cursor, error) {
 	if err := refuseStreams(fsys, dir); err != nil {
 		return nil, err
@@ -76,7 +78,7 @@ func OpenCursor(fsys iofault.FS, dir string, start *LSN) (*Cursor, error) {
 		return c, nil
 	}
 	if err == nil {
-		c.log.start, c.log.buf, err = readFrom(f, start)
+		c.log, err = readFrom(f, start)
 		f.Close()
 	}
 	if err != nil {
@@ -86,25 +88,86 @@ func OpenCursor(fsys iofault.FS, dir string, start *LSN) (*Cursor, error) {
 }
 
 // readFrom reads log file f from start (from its base when start is nil)
-// to its end.
-func readFrom(f iofault.File, start *LSN) (LSN, []byte, error) {
-	base, size, err := readLogHeader(f)
-	if err != nil || size == 0 {
-		return 0, nil, err
+// to its end. A start past the base is checked against the valid prefix,
+// which the frames from the base establish: past its end lie a torn tail
+// or the zero hole of an extended file, never records.
+func readFrom(f iofault.File, start *LSN) (logBuf, error) {
+	s, err := readLog(f)
+	if err != nil || s.buf == nil {
+		return logBuf{}, err
 	}
-	from, end := base, base+LSN(size-logHeaderSize)
+	from := s.start
 	if start != nil {
 		from = *start
 	}
-	if from < base {
-		return 0, nil, fmt.Errorf("start %d precedes log base %d (compacted away)", from, base)
+	if from < s.start {
+		return logBuf{}, fmt.Errorf("start %d precedes log base %d (compacted away)", from, s.start)
 	}
-	if from > end {
-		return 0, nil, fmt.Errorf("start %d beyond log end %d", from, end)
+	off, end := s.boundary(from)
+	if end < off {
+		return logBuf{}, fmt.Errorf("start %d beyond log end %d", from, s.start+LSN(end))
 	}
-	buf := make([]byte, end-from)
-	_, err = f.ReadAt(buf, logHeaderSize+int64(from-base))
-	return from, buf, err
+	s.start, s.buf = from, s.buf[off:]
+	return s, nil
+}
+
+// readLog reads log file f from its base (a nil buf for an empty file) up
+// to the last non-zero byte, so the zero hole a flush extends the file by
+// is neither read nor allocated; frameAt takes back the zeros a frame
+// reaches into.
+func readLog(f iofault.File) (logBuf, error) {
+	base, size, err := readLogHeader(f)
+	if err != nil || size == 0 {
+		return logBuf{}, err
+	}
+	end, chunk := size, make([]byte, 16<<10)
+	for end > logHeaderSize {
+		c := chunk[:min(int64(len(chunk)), end-logHeaderSize)]
+		if _, err := f.ReadAt(c, end-int64(len(c))); err != nil {
+			return logBuf{}, err
+		}
+		// c is all zeros iff its first byte is and it equals itself shifted.
+		if c[0] != 0 || !bytes.Equal(c[1:], c[:len(c)-1]) {
+			end -= int64(len(c) - len(bytes.TrimRight(c, "\x00")))
+			break
+		}
+		end -= int64(len(c))
+	}
+	buf := make([]byte, end-logHeaderSize, min(size, end+4096)-logHeaderSize) // room for a frame's trailing zeros
+	_, err = f.ReadAt(buf, logHeaderSize)
+	return logBuf{start: base, buf: buf, zeros: int(size - end)}, err
+}
+
+// frameAt is frameLen of the frame at offset p. A frame whose own last
+// bytes (its header's, then its payload's) are zeros reaches past the
+// buffer; those bytes come back from zeros first.
+func (s *logBuf) frameAt(p int, verify bool) int {
+	for {
+		need := p + FrameHeaderSize
+		if need <= len(s.buf) {
+			need += int(binary.LittleEndian.Uint32(s.buf[p:]))
+		}
+		over := need - len(s.buf)
+		if over <= 0 || over > s.zeros {
+			return frameLen(s.buf[p:], verify)
+		}
+		s.buf, s.zeros = append(s.buf, make([]byte, over)...), s.zeros-over
+	}
+}
+
+// boundary walks the frames from the start of the buffer toward lsn. It
+// returns lsn's offset (capped one past the file's end) and p, the first
+// frame boundary at or past it or the end of the valid prefix if sooner.
+func (s *logBuf) boundary(lsn LSN) (off, p int) {
+	off = int(min(lsn-s.start, LSN(len(s.buf)+s.zeros)+1))
+	for p < off {
+		n := s.frameAt(p, true)
+		if n == 0 {
+			break
+		}
+		p += n
+	}
+	return off, p
 }
 
 // Next advances to the next record. It returns false at the end of the log
@@ -139,7 +202,7 @@ func (c *Cursor) FrameEnd() LSN { return c.log.start + LSN(c.log.pos) }
 // walked to its end first.
 func (c *Cursor) End() LSN {
 	s := &c.log
-	for n := frameLen(s.buf[s.valid:], true); n != 0; n = frameLen(s.buf[s.valid:], true) {
+	for n := s.frameAt(s.valid, true); n != 0; n = s.frameAt(s.valid, true) {
 		s.valid += n
 	}
 	return s.start + LSN(s.valid)

@@ -197,18 +197,18 @@ func TestTornMultiRecordFrame(t *testing.T) {
 
 // TestAppendBytesMatchFileGrowth: wal.append_bytes counts every byte an
 // Append adds to the tail, frame header included, so after a Flush the
-// file has grown by exactly the counter's delta; wal.appends counts
-// records, not frames.
+// stable log has grown by exactly the counter's delta, and a closed log
+// file is exactly its header and those bytes (the flusher's extension
+// past them is trimmed); wal.appends counts records, not frames.
 func TestAppendBytesMatchFileGrowth(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir)
-	defer l.Close()
 	reg := obs.NewRegistry()
 	l.SetRegistry(reg)
 	appendBytes, appends := reg.Counter(obs.NameWALAppendBytes), reg.Counter(obs.NameWALAppends)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
-		size, bytes0, appends0 := logSize(t, dir), appendBytes.Load(), appends.Load()
+		stable, bytes0, appends0 := l.StableEnd(), appendBytes.Load(), appends.Load()
 		records := 0
 		for j := 1 + rng.Intn(3); j > 0; j-- {
 			batch := randomBatch(rng)
@@ -220,12 +220,18 @@ func TestAppendBytesMatchFileGrowth(t *testing.T) {
 		if err := l.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if grew, counted := uint64(logSize(t, dir)-size), appendBytes.Load()-bytes0; grew != counted {
-			t.Fatalf("round %d: file grew %d bytes, wal.append_bytes counted %d", i, grew, counted)
+		if grew, counted := uint64(l.StableEnd()-stable), appendBytes.Load()-bytes0; grew != counted {
+			t.Fatalf("round %d: stable log grew %d bytes, wal.append_bytes counted %d", i, grew, counted)
 		}
 		if got := appends.Load() - appends0; got != uint64(records) {
 			t.Fatalf("round %d: wal.appends counted %d, appended %d records", i, got, records)
 		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if size, want := logSize(t, dir), logHeaderSize+int64(appendBytes.Load()); size != want {
+		t.Fatalf("closed log file is %d bytes, want the header and %d appended bytes", size, appendBytes.Load())
 	}
 }
 

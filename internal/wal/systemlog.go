@@ -94,6 +94,10 @@ type SystemLog struct {
 	// flushLen is the byte length of the buffer currently being forced
 	// (its records sit between stableEnd and stableEnd+flushLen).
 	flushLen int
+	// fileSize is the file's length with the header: the stable end, or up
+	// to logExtendStep past it once a flush extended the file. Set by the
+	// open, Compact and Reset, otherwise only by the flusher taking the role.
+	fileSize int64
 
 	fs        iofault.FS
 	dir       string
@@ -175,6 +179,13 @@ type tailRec struct {
 // exceed the steady-state group-commit batch (tens to hundreds of
 // kilobytes), which every workload shares.
 const maxRetainedTail = 1 << 20
+
+// logExtendStep is how far ahead of its records the flusher keeps the log
+// file: a write ending past the file first extends it to the next multiple
+// of the step past that end, so a small commit's fsync writes data blocks
+// and journals no new file size. What lies past the stable end is a zero
+// hole, where the valid prefix ends; the open truncates it before appending.
+const logExtendStep = 1 << 20
 
 // OpenLogSet opens (creating if necessary) the system log in dir on the
 // real filesystem. It is kept for callers written against the
@@ -260,8 +271,7 @@ func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int, end *LSN) (l *Sy
 			return nil, fmt.Errorf("wal: scanned log end %d outside the file's [%d, %d]", *end, base, base+LSN(size-logHeaderSize))
 		}
 	} else {
-		s.buf = make([]byte, size-logHeaderSize)
-		if _, err := f.ReadAt(s.buf, logHeaderSize); err != nil {
+		if s, err = readLog(f); err != nil {
 			return nil, fmt.Errorf("wal: read system log: %w", err)
 		}
 		for ok := true; ok; ok = s.ok {
@@ -282,6 +292,7 @@ func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int, end *LSN) (l *Sy
 	l = &SystemLog{
 		fs: fsys, dir: dir, f: f, baseLSN: base,
 		stableEnd: base + LSN(s.pos),
+		fileSize:  valid,
 		pageSize:  pageSize,
 	}
 	l.flushDone = sync.NewCond(&l.latch)
@@ -376,6 +387,7 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 	l.f.Close()
 	l.f = nf
 	l.baseLSN = keepFrom
+	l.fileSize = logHeaderSize + int64(len(keep))
 	l.mCompactions.Inc()
 	return nil
 }
@@ -532,16 +544,28 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		l.spareTail, l.spareRecs = nil, nil
 		l.flushing = true
 		l.flushLen = len(buf)
+		// A write ending past the file first extends it (logExtendStep). A
+		// failed extension is a failed flush: it poisons the log below.
+		var extend int64
+		if end := logHeaderSize + int64(l.stableEnd-l.baseLSN) + int64(len(buf)); end > l.fileSize {
+			l.fileSize = (end/logExtendStep + 1) * logExtendStep
+			extend = l.fileSize
+		}
 		l.latch.Unlock()
 
 		start := time.Now()
-		_, werr := l.f.Write(buf)
-		var serr error
+		var werr, serr error
+		if extend != 0 {
+			werr = l.f.Truncate(extend)
+		}
+		if werr == nil {
+			_, werr = l.f.Write(buf)
+		}
 		if werr == nil {
 			serr = l.f.Sync()
 		}
 		// One group-commit batch: record its size in records and bytes
-		// and the time spent in the write+sync. No latch is held here.
+		// and the time spent in the extend+write+sync. No latch is held here.
 		l.hFsyncNS.Since(start)
 		l.hFlushBytes.Observe(uint64(len(buf)))
 		l.hGroupCommit.Observe(uint64(nrecs))
@@ -670,12 +694,15 @@ func (l *SystemLog) Reset() error {
 	}
 	l.baseLSN = 0
 	l.stableEnd = 0
+	l.fileSize = logHeaderSize
 	l.tail, l.tailRecs, l.tailCount = l.tail[:0], l.tailRecs[:0], 0
 	return nil
 }
 
-// Close flushes and closes the stable log. A poisoned log is closed
-// without flushing (the tail was already discarded at poison time).
+// Close flushes and closes the stable log, trimming the zero hole past
+// the stable end, so a cleanly closed log is exactly as long as its
+// records. A poisoned log is closed without flushing (the tail was
+// already discarded at poison time).
 func (l *SystemLog) Close() error {
 	l.latch.Lock()
 	defer l.latch.Unlock()
@@ -687,12 +714,19 @@ func (l *SystemLog) Close() error {
 		l.f.Close()
 		return err
 	}
+	if end := logHeaderSize + int64(l.stableEnd-l.baseLSN); end < l.fileSize {
+		if err := l.f.Truncate(end); err != nil {
+			l.f.Close()
+			return fmt.Errorf("wal: close: trim log: %w", err)
+		}
+	}
 	return l.f.Close()
 }
 
 // CloseWithoutFlush closes the stable log discarding the in-memory tail.
 // Used by crash simulation in tests: records not yet flushed are lost,
-// exactly as they would be in a process crash.
+// exactly as they would be in a process crash, and the file keeps the
+// zero hole an extension left past the stable end.
 func (l *SystemLog) CloseWithoutFlush() error {
 	l.latch.Lock()
 	defer l.latch.Unlock()
@@ -723,10 +757,12 @@ func LogBaseFS(fsys iofault.FS, dir string) (LSN, error) {
 }
 
 // TruncateAtFS discards every stable record at or after lsn, which must be
-// a frame boundary at or above the log base (Cursor.FrameEnd). Prior-state recovery uses
-// this to cut history; the log must not be open for writing. The shortened
-// log is forced durable before returning: a prior-state cut that silently
-// reverts on crash would resurrect the history the caller just discarded.
+// a frame boundary of the valid prefix, at or above the log base
+// (Cursor.FrameEnd); the prefix's end is one, a point in the torn tail or
+// zero hole past it is not. Prior-state recovery uses this to cut history;
+// the log must not be open for writing. The shortened log is forced
+// durable before returning: a prior-state cut that silently reverts on
+// crash would resurrect the history the caller just discarded.
 func TruncateAtFS(fsys iofault.FS, dir string, lsn LSN) (err error) {
 	f, err := fsys.OpenFile(filepath.Join(dir, LogFileName), os.O_RDWR, 0o644)
 	if err != nil {
@@ -737,30 +773,25 @@ func TruncateAtFS(fsys iofault.FS, dir string, lsn LSN) (err error) {
 			err = cerr
 		}
 	}()
-	base, size, err := readLogHeader(f)
-	if err == nil && size == 0 {
+	s, err := readLog(f)
+	if err == nil && s.buf == nil {
 		err = errors.New("wal: bad log header")
 	}
 	if err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	cut := logHeaderSize + int64(lsn-base)
-	if lsn < base {
-		return fmt.Errorf("wal: truncate point %d precedes log base %d", lsn, base)
+	if lsn < s.start {
+		return fmt.Errorf("wal: truncate point %d precedes log base %d", lsn, s.start)
 	}
-	if cut > size {
-		return fmt.Errorf("wal: truncate point %d beyond log end", lsn)
-	}
-	// A frame boundary is where the walker finds a frame (or the end of
-	// the file). Only the tail being discarded is read.
-	rest := make([]byte, size-cut)
-	if _, err := f.ReadAt(rest, cut); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if len(rest) > 0 && frameLen(rest, true) == 0 {
+	// The boundaries are the ones the walker passes from the base; whatever
+	// follows the valid prefix, zeros included, holds none.
+	switch off, end := s.boundary(lsn); {
+	case end < off:
+		return fmt.Errorf("wal: truncate point %d beyond log end %d", lsn, s.start+LSN(end))
+	case end > off:
 		return fmt.Errorf("wal: truncate point %d is not a frame boundary", lsn)
 	}
-	if err := f.Truncate(cut); err != nil {
+	if err := f.Truncate(logHeaderSize + int64(lsn-s.start)); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	if err := f.Sync(); err != nil {
